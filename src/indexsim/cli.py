@@ -7,11 +7,12 @@ Subcommands:
     enumerate   exhaustive subset statistics for a given value list
     simulate    Monte Carlo frequency experiment, CSV (and SVG) output
 
-Configuration sources for ``simulate``, highest precedence first: command
-line flags, a ``key = value`` config file (--config), the INDEXSIM_SEED
-environment variable (seed only), built-in defaults.  Every simulate run
-writes a ``<out>.config`` sidecar echoing the effective configuration;
-re-running with ``--config <sidecar>`` reproduces the CSV byte for byte.
+Each ``analytic``/``simulate`` setting is one row of the tables below.  A
+setting takes its value from, highest precedence first: a flag, a
+``key = value`` config file (simulate --config), --paper-defaults, an
+environment variable (seed only: INDEXSIM_SEED), the default.  Every
+simulate run writes a ``<out>.config`` sidecar echoing the effective
+configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Optional
 
 from .analytic import (
     CalibrationError,
@@ -28,36 +31,31 @@ from .analytic import (
     calibrate,
     summarize,
 )
-from .enumeration import DeterministicIndex, EnumerationCapError, enumerate_portfolios
+from .enumeration import (
+    DEFAULT_ENUMERATION_CAP,
+    DeterministicIndex,
+    EnumerationCapError,
+    enumerate_portfolios,
+)
 from .model import ModelParams
 from .montecarlo import (
     DEFAULT_BENCHMARKS,
     DEFAULT_SIZE_GRID,
     DEFAULT_TRIALS,
+    MODES,
+    SAMPLINGS,
     ExperimentConfig,
     run_experiment,
 )
 from .report import emit_csv, emit_svg_chart
 
-SEED_ENV_VAR = "INDEXSIM_SEED"
-DEFAULT_SEED = 42
-
 # One 50% winner hiding among four 10% stocks; picks of one or two stocks.
 FIVE_STOCK_VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
 FIVE_STOCK_SIZES = (1, 2)
 
-_PRESET = {
-    "n_stocks": 500,
-    "horizon": 5.0,
-    "sigma": 0.2,
-    "median": 0.10,
-    "expected": 0.50,
-    "trials": DEFAULT_TRIALS,
-    "sizes": ",".join(str(k) for k in DEFAULT_SIZE_GRID),
-    "benchmarks": ",".join(f"{o}:{u}" for o, u in DEFAULT_BENCHMARKS),
-    "mode": "fixed-benchmark",
-    "sampling": "fresh-universe",
-}
+# What --paper-defaults changes; every other value of the paper's setup is
+# the built-in default.
+PAPER_TARGETS = {"median": "0.10", "expected": "0.50"}
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -80,6 +78,72 @@ def _parse_benchmarks(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
+def _parse_precision(text: str) -> Optional[int]:
+    """``full`` (None: lossless) or a number of CSV decimal places."""
+    digits = None if text == "full" else int(text)
+    if digits is not None and digits < 0:
+        raise ValueError(f"expected 'full' or an integer >= 0, got {text!r}")
+    return digits
+
+
+def _parse_switch(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "false", "1", "0"):
+        raise ValueError(f"expected true, false, 1 or 0, got {text!r}")
+    return value in ("true", "1")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting; ``name`` is its config-file key, ``echo`` its sidecar format (None: not echoed)."""
+
+    name: str
+    flag: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+    echo: Optional[Callable[[Any], str]] = None
+    choices: Optional[tuple[str, ...]] = None
+    env: Optional[str] = None
+
+
+_MODEL_SETTINGS = (
+    # First, because whether the median and expected rows fall back to
+    # PAPER_TARGETS depends on it.
+    Setting("paper_defaults", "--paper-defaults", _parse_switch, False,
+            "calibrate to the published 10%% median and 50%% expected return; "
+            "the other published values are the defaults"),
+    Setting("n_stocks", "--n", int, 500, "number of stocks in the index", str),
+    Setting("horizon", "--horizon", float, 5.0, "horizon in years", str),
+    Setting("sigma", "--sigma", float, 0.2, "annual stock volatility", str),
+    Setting("mu_hat", "--mu-hat", float, None, "mean of the drift distribution", str),
+    Setting("sigma_hat", "--sigma-hat", float, None, "std dev of the drift distribution", str),
+    Setting("median", "--median", float, None, "target median net return (calibrates the drifts)"),
+    Setting("expected", "--expected", float, None,
+            "target expected net return (calibrates the drifts)"),
+)
+
+_RUN_SETTINGS = (
+    Setting("sizes", "--sizes", _parse_sizes, DEFAULT_SIZE_GRID, "comma-separated subset sizes",
+            lambda sizes: ",".join(str(k) for k in sizes)),
+    Setting("trials", "--trials", int, DEFAULT_TRIALS, "trials per (size, benchmark) cell", str),
+    Setting("benchmarks", "--benchmarks", _parse_benchmarks, DEFAULT_BENCHMARKS,
+            "comma-separated over:under pairs, e.g. 0.5:0.5,0.7:0.3",
+            lambda pairs: ",".join(f"{over!r}:{under!r}" for over, under in pairs)),
+    Setting("mode", "--mode", str, "fixed-benchmark", "comparison mode", str, choices=MODES),
+    Setting("sampling", "--sampling", str, "fresh-universe", "sampling scheme", str,
+            choices=SAMPLINGS),
+    Setting("seed", "--seed", int, 42, "master seed", str, env="INDEXSIM_SEED"),
+    Setting("workers", "--workers", int, 1, "worker processes"),
+    Setting("out", "--out", str, "frequency_report.csv", "CSV output path"),
+    Setting("svg", "--svg", str, None, "also write an SVG chart to this path"),
+    Setting("precision", "--precision", _parse_precision, 6, "CSV decimal places, or 'full'",
+            lambda digits: "full" if digits is None else str(digits)),
+)
+
+_SIMULATE_SETTINGS = _MODEL_SETTINGS + _RUN_SETTINGS
+
+
 def load_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     entries = {}
@@ -98,59 +162,39 @@ def load_config_file(path) -> dict[str, str]:
     return entries
 
 
-class _Resolver:
-    """Layered lookup: flag value, then config file, then a default."""
-
-    def __init__(self, args: argparse.Namespace, file_values: dict[str, str], preset: bool):
-        self.args = args
-        self.file_values = file_values
-        self.preset = preset
-
-    def get(self, key: str, default=None, convert=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_values:
-            return convert(self.file_values[key])
-        if self.preset and key in _PRESET:
-            return convert(_PRESET[key])
-        return default
-
-
-def _resolve_seed(resolver: _Resolver) -> int:
-    value = resolver.get("seed", default=None, convert=int)
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+def _resolve(settings, args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, Any]:
+    """The value of each setting from the first source that gives one."""
+    values: dict[str, Any] = {}
+    for s in settings:
+        sources = (
+            (s.flag, getattr(args, s.name)),
+            ("the config file", file_values.get(s.name)),
+            ("--paper-defaults", PAPER_TARGETS.get(s.name) if values.get("paper_defaults") else None),
+            (s.env, os.environ.get(s.env) if s.env else None),
+        )
+        source, raw = next(((src, raw) for src, raw in sources if raw is not None), ("", None))
         try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+            values[s.name] = s.default if raw is None else s.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"invalid {s.name} from {source}: {exc}") from None
+    return values
 
 
-def _resolve_model(resolver: _Resolver) -> ModelParams:
-    n_stocks = int(resolver.get("n_stocks", 500, int))
-    horizon = float(resolver.get("horizon", 5.0, float))
-    sigma = float(resolver.get("sigma", 0.2, float))
-    mu_hat = resolver.get("mu_hat", None, float)
-    sigma_hat = resolver.get("sigma_hat", None, float)
+def _model_params(values: dict[str, Any]) -> ModelParams:
+    mu_hat, sigma_hat = values["mu_hat"], values["sigma_hat"]
     if mu_hat is None or sigma_hat is None:
-        median = resolver.get("median", None, float)
-        expected = resolver.get("expected", None, float)
-        if median is None or expected is None:
+        if values["median"] is None or values["expected"] is None:
             raise ValueError(
                 "model is underspecified: give --mu-hat and --sigma-hat, or "
                 "--median and --expected (or --paper-defaults)"
             )
         target = CalibrationTarget(
-            median_return=float(median), expected_return=float(expected),
-            sigma=sigma, horizon=horizon,
+            median_return=values["median"], expected_return=values["expected"],
+            sigma=values["sigma"], horizon=values["horizon"],
         )
         mu_hat, sigma_hat = calibrate(target)
     return ModelParams(
-        n_stocks=n_stocks, horizon=horizon, sigma=sigma,
+        n_stocks=values["n_stocks"], horizon=values["horizon"], sigma=values["sigma"],
         mu_hat=float(mu_hat), sigma_hat=float(sigma_hat),
     )
 
@@ -167,9 +211,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args, {}, preset=args.paper_defaults)
-    params = _resolve_model(resolver)
-    summary = summarize(params)
+    summary = summarize(_model_params(_resolve(_MODEL_SETTINGS, args, {})))
     if args.json:
         print(
             json.dumps(
@@ -228,74 +270,37 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _effective_config_text(config: ExperimentConfig, precision) -> str:
-    p = config.params
-    lines = [
-        "# effective configuration",
-        f"n_stocks = {p.n_stocks}",
-        f"horizon = {p.horizon!r}",
-        f"sigma = {p.sigma!r}",
-        f"mu_hat = {p.mu_hat!r}",
-        f"sigma_hat = {p.sigma_hat!r}",
-        f"sizes = {','.join(str(k) for k in config.sizes)}",
-        f"trials = {config.trials_per_size}",
-        f"benchmarks = {','.join(f'{o!r}:{u!r}' for o, u in config.benchmarks)}",
-        f"mode = {config.mode}",
-        f"sampling = {config.sampling}",
-        f"seed = {config.master_seed}",
-        f"precision = {'full' if precision is None else precision}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-_CONFIG_KEYS = frozenset(
-    (
-        "n_stocks", "horizon", "sigma", "mu_hat", "sigma_hat", "median", "expected",
-        "sizes", "trials", "benchmarks", "mode", "sampling", "seed", "precision",
-        "out", "svg", "workers", "paper_defaults",
-    )
-)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - _CONFIG_KEYS)
+    unknown = sorted(set(file_values) - {s.name for s in _SIMULATE_SETTINGS})
     if unknown:
         raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
-    preset = args.paper_defaults or file_values.pop("paper_defaults", "").lower() in ("1", "true")
-    resolver = _Resolver(args, file_values, preset=preset)
-
-    params = _resolve_model(resolver)
-    sizes = _parse_sizes(resolver.get("sizes", ",".join(str(k) for k in DEFAULT_SIZE_GRID)))
-    benchmarks = _parse_benchmarks(
-        resolver.get("benchmarks", ",".join(f"{o}:{u}" for o, u in DEFAULT_BENCHMARKS))
-    )
+    values = _resolve(_SIMULATE_SETTINGS, args, file_values)
+    params = _model_params(values)
+    # The sidecar records the calibrated drifts, so reloading it skips calibration.
+    values.update(mu_hat=params.mu_hat, sigma_hat=params.sigma_hat)
     config = ExperimentConfig(
-        params=params,
-        sizes=sizes,
-        trials_per_size=int(resolver.get("trials", DEFAULT_TRIALS, int)),
-        benchmarks=benchmarks,
-        mode=str(resolver.get("mode", "fixed-benchmark")),
-        sampling=str(resolver.get("sampling", "fresh-universe")),
-        master_seed=_resolve_seed(resolver),
+        params=params, sizes=values["sizes"], trials_per_size=values["trials"],
+        benchmarks=values["benchmarks"], mode=values["mode"], sampling=values["sampling"],
+        master_seed=values["seed"],
     )
+    effective = "\n".join(
+        ["# effective configuration"]
+        + [f"{s.name} = {s.echo(values[s.name])}" for s in _SIMULATE_SETTINGS if s.echo]
+    ) + "\n"
+    out_path = Path(values["out"])
+    svg_path = values["svg"]
 
-    precision_raw = resolver.get("precision", 6)
-    precision = None if str(precision_raw) == "full" else int(precision_raw)
-    out_path = Path(resolver.get("out", "frequency_report.csv"))
-    workers = int(resolver.get("workers", 1, int))
-
-    report = run_experiment(config, workers=workers)
-    emit_csv(report, destination=out_path, precision=precision)
+    report = run_experiment(config, workers=values["workers"])
+    emit_csv(report, destination=out_path, precision=values["precision"])
     sidecar = Path(str(out_path) + ".config")
     try:
-        sidecar.write_text(_effective_config_text(config, precision), encoding="utf-8")
+        sidecar.write_text(effective, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"failed to write config echo to {sidecar}: {exc}") from exc
 
-    svg_path = resolver.get("svg", None)
     if svg_path is not None:
-        svg = emit_svg_chart(report, description=_effective_config_text(config, precision))
+        svg = emit_svg_chart(report, description=effective)
         try:
             Path(svg_path).write_text(svg, encoding="utf-8")
         except OSError as exc:
@@ -314,6 +319,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_setting_flags(parser: argparse.ArgumentParser, settings) -> None:
+    """Flags leave their setting unset (None) unless given."""
+    for s in settings:
+        if s.parse is _parse_switch:
+            parser.add_argument(s.flag, dest=s.name, action="store_const", const="true", help=s.help)
+            continue
+        shown = s.echo(s.default) if s.echo else s.default
+        help_text = s.help if s.default is None else f"{s.help} (default {shown})"
+        if s.env:
+            help_text += f"; env {s.env} replaces the default"
+        parser.add_argument(s.flag, dest=s.name, choices=s.choices, help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indexsim",
@@ -328,22 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--horizon", type=float, required=True, help="horizon in years")
     cal.set_defaults(handler=_cmd_calibrate)
 
-    def add_model_flags(p):
-        p.add_argument("--n", dest="n_stocks", type=int, help="number of stocks in the index")
-        p.add_argument("--horizon", type=float, help="horizon in years")
-        p.add_argument("--sigma", type=float, help="annual stock volatility")
-        p.add_argument("--mu-hat", dest="mu_hat", type=float, help="mean of the drift distribution")
-        p.add_argument("--sigma-hat", dest="sigma_hat", type=float, help="std dev of the drift distribution")
-        p.add_argument("--median", type=float, help="target median net return (calibrates the drifts)")
-        p.add_argument("--expected", type=float, help="target expected net return (calibrates the drifts)")
-        p.add_argument(
-            "--paper-defaults", action="store_true",
-            help="use the published reference setup: 500 stocks, 5 years, 20%% volatility, "
-            "10%% median and 50%% expected return, 10,000 trials",
-        )
-
     ana = sub.add_parser("analytic", help="closed-form index, median and skew quantities")
-    add_model_flags(ana)
+    _add_setting_flags(ana, _MODEL_SETTINGS)
     ana.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     ana.set_defaults(handler=_cmd_analytic)
 
@@ -355,22 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--values", required=True, help="comma-separated gross terminal values")
     enu.add_argument("--sizes", required=True, help="comma-separated subset sizes")
     enu.add_argument("--benchmark", type=float, help="net return benchmark (default: index mean return)")
-    enu.add_argument("--cap", type=int, default=10_000_000, help="max subsets to enumerate")
+    enu.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="max subsets to enumerate")
     enu.set_defaults(handler=_cmd_enumerate)
 
     sim = sub.add_parser("simulate", help="Monte Carlo over/under frequency experiment")
-    add_model_flags(sim)
+    _add_setting_flags(sim, _MODEL_SETTINGS)
     sim.add_argument("--config", help="flat key = value config file; flags override it")
-    sim.add_argument("--sizes", help="comma-separated subset sizes")
-    sim.add_argument("--trials", type=int, help="trials per (size, benchmark) cell")
-    sim.add_argument("--benchmarks", help="comma-separated over:under pairs, e.g. 0.5:0.5,0.7:0.3")
-    sim.add_argument("--mode", choices=["fixed-benchmark", "realized-index"], help="comparison mode")
-    sim.add_argument("--sampling", choices=["fresh-universe", "direct-iid"], help="sampling scheme")
-    sim.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
-    sim.add_argument("--workers", type=int, help="worker processes (default 1)")
-    sim.add_argument("--out", help="CSV output path (default frequency_report.csv)")
-    sim.add_argument("--svg", help="also write an SVG chart to this path")
-    sim.add_argument("--precision", help="CSV decimal places, or 'full' (default 6)")
+    _add_setting_flags(sim, _RUN_SETTINGS)
     sim.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -64,6 +64,10 @@ class ExperimentConfig:
         )
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sizes must be distinct, got {self.sizes!r}")
+        if len(set(self.benchmarks)) != len(self.benchmarks):
+            raise ValueError(f"benchmark pairs must be distinct, got {self.benchmarks!r}")
         for k in self.sizes:
             if not 1 <= k <= self.params.n_stocks:
                 raise ValueError(f"subset size {k} outside [1, {self.params.n_stocks}]")

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the heavyweight reference simulation is shared across criteria.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -213,6 +214,12 @@ def test_criterion_9_byte_identical_reproduction(paper_csv_runs, capsys):
             a == b == c and len(a) > 0,
         )
 
+
+
+def test_paper_default_csv_bytes_pinned(paper_csv_runs):
+    # Any change to the streams, the trial engine or the CSV format shows here.
+    digest = hashlib.sha256(paper_csv_runs[0]).hexdigest()
+    assert digest == "e8f0bf9860e794bb381d4ef096a343c87bc6990da1ce14a75558e262723ad839"
 
 def test_criterion_10_skewness(reference_params, capsys):
     params = ModelParams(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -215,3 +216,59 @@ class TestSimulateCommand:
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("value", ["-1", "six"])
+    def test_invalid_precision_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+                                                      where, value):
+        monkeypatch.setattr("indexsim.cli.run_experiment",
+                            lambda *a, **k: pytest.fail("trials ran before precision was checked"))
+        out_csv = tmp_path / "x.csv"
+        argv = ["simulate", "--paper-defaults", "--out", str(out_csv)]
+        if where == "flag":
+            argv += ["--precision", value]
+        else:
+            config = tmp_path / "run.config"
+            config.write_text(f"precision = {value}\n")
+            argv += ["--config", str(config)]
+        code = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid precision")
+        assert not out_csv.exists()
+        assert not (tmp_path / "x.csv.config").exists()
+
+    @pytest.mark.parametrize("value,expected_code", [("yes", 2), ("TRUE", 0), ("0", 2)])
+    def test_paper_defaults_config_value_is_strict(self, tmp_path, capsys, value, expected_code):
+        # "yes" is rejected rather than read as false; "0" turns the preset
+        # off, so median/expected stay unset and the model is underspecified.
+        config = tmp_path / "run.config"
+        config.write_text(f"paper_defaults = {value}\nn_stocks = 10\nsizes = 1\ntrials = 5\n")
+        code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == expected_code
+        err = capsys.readouterr().err
+        if value == "yes":
+            assert "paper_defaults" in err
+        elif value == "0":
+            assert "underspecified" in err
+
+
+GOLDEN_500_TRIALS = {
+    "r.csv": "fb16d3812d9a0be9b8e608537a669d0a4feeb02d49c79445245b2ca5a7f47e3c",
+    "r.csv.config": "c5e3c5a28b705a65b0330eac420ef455bad085f4316fbae4fa07bb2adb8747ef",
+    "r.svg": "d2d15edd3297c9e7a75f0b6d68613610537cf547ed83c06578033fa031d11d83",
+}
+
+
+@pytest.mark.parametrize(
+    "model_flags", [["--paper-defaults"], ["--median", "0.10", "--expected", "0.50"]]
+)
+def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
+    # --paper-defaults only sets the two calibration targets, so both spellings
+    # must give the pinned CSV, sidecar and SVG bytes.
+    code = run_cli("simulate", *model_flags, "--trials", "500", "--seed", "42",
+                   "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_500_TRIALS}
+    assert digests == GOLDEN_500_TRIALS

@@ -56,6 +56,8 @@ class TestExperimentConfig:
             dict(sampling="other"),
             dict(mode="realized-index", sampling="direct-iid"),
             dict(master_seed=-1),
+            dict(sizes=(1, 1)),
+            dict(benchmarks=((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))),
         ],
     )
     def test_rejects_invalid(self, overrides):
