@@ -270,6 +270,30 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_all(outputs) -> None:
+    """Write every (path, what, data) or none of them.
+
+    Each payload goes to a temp file beside its destination; the temp files
+    replace their targets only once every write has succeeded, and are
+    removed if any write fails.
+    """
+    staged = []
+    try:
+        for n, (path, what, data) in enumerate(outputs):
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
+            try:
+                with open(tmp, "xb") as handle:
+                    staged.append(tmp)
+                    handle.write(data)
+            except OSError as exc:
+                raise OSError(f"failed to write {what} to {path}: {exc}") from exc
+        for tmp, (path, _, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - {s.name for s in _SIMULATE_SETTINGS})
@@ -292,19 +316,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     svg_path = values["svg"]
 
     report = run_experiment(config, workers=values["workers"])
-    emit_csv(report, destination=out_path, precision=values["precision"])
     sidecar = Path(str(out_path) + ".config")
-    try:
-        sidecar.write_text(effective, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"failed to write config echo to {sidecar}: {exc}") from exc
-
+    outputs = [
+        (out_path, "CSV", emit_csv(report, precision=values["precision"])),
+        (sidecar, "config echo", effective.encode("utf-8")),
+    ]
     if svg_path is not None:
         svg = emit_svg_chart(report, description=effective)
-        try:
-            Path(svg_path).write_text(svg, encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"failed to write SVG to {svg_path}: {exc}") from exc
+        outputs.append((Path(svg_path), "SVG", svg.encode("utf-8")))
+    _write_all(outputs)
 
     for row in report.rows:
         print(

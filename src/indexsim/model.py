@@ -12,18 +12,25 @@ log-mean ``mu_hat*T - sigma**2*T/2`` and log-variance
 ``sigma**2*T + sigma_hat**2*T**2``.
 
 Randomness is reproducible and parallel-safe: every draw comes from a
-substream identified by ``SeedSpec(master_seed, stream_index)``.  Normal
-variates are produced by the inverse-CDF transform of a 52-bit midpoint
-uniform, so each variate consumes exactly one integer from its substream
-and results never depend on how work is split across workers.
+substream identified by ``SeedSpec(master_seed, stream_index)``.  A
+substream is bit-identical to numpy's
+``PCG64(SeedSequence([master_seed, stream_index]))``; the SeedSequence hash
+is computed here, vectorised over a window of SEED_WINDOW consecutive
+stream indices at a time, so a trial's substreams cost one table lookup
+each instead of one hash each.  Normal variates are produced by the
+inverse-CDF transform of a 52-bit midpoint uniform, so each variate
+consumes exactly one 64-bit word from its substream and results never
+depend on how work is split across workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 # Substream layout: callers that draw a universe and pick a subset reserve
@@ -34,6 +41,105 @@ SHOCK_STREAM = 1
 PICK_STREAM = 2
 
 _U52_SCALE = 2.0 ** -52
+
+# Substream seeds are computed SEED_WINDOW stream indices at a time.  2**32
+# is a multiple of the window, so every index in a window has the same
+# number of 32-bit entropy words.
+SEED_WINDOW = 2048
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pairs of ``count`` successive SeedSequence hashmix calls.
+
+    hashmix(v) is ``v ^= h; h *= mult; v *= h; v ^= v >> 16`` with a running
+    constant h, so the n-th call xors with init*mult**n and multiplies by
+    init*mult**(n+1).  Returned as (count, 1) uint32 columns.
+    """
+    xors, mults, h = [], [], init
+    for _ in range(count):
+        xors.append(h)
+        h = h * mult & _MASK32
+        mults.append(h)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+# mix_entropy hashes the pool once, then 3 times per pool word in the cross-mix.
+_ENTROPY_XOR, _ENTROPY_MULT = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+# generate_state(4, uint64) hashes 8 uint32 words, cycling over the pool.
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    out = values ^ xor
+    out *= mult
+    out ^= out >> 16
+    return out
+
+
+def _entropy_words(n: int) -> list[int]:
+    """numpy's little-endian uint32 words of a non-negative int; 0 gives [0]."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+@lru_cache(maxsize=8)
+def _seed_window(master_seed: int, window: int) -> np.ndarray:
+    """PCG64 seed words of the SEED_WINDOW stream indices from window * SEED_WINDOW.
+
+    Row r equals ``SeedSequence([master_seed, window * SEED_WINDOW + r])
+    .generate_state(4, np.uint64)``: numpy's algorithm (entropy words, then
+    mix_entropy, then generate_state) with each step applied to the whole
+    window at once in wrapping uint32 arithmetic.
+    """
+    start = window * SEED_WINDOW
+    # The entropy is the seed's words, then the index's; mix_entropy hashes
+    # 0 in place of the missing words when there are fewer than the pool size.
+    entropy = np.zeros((_POOL_SIZE, SEED_WINDOW), np.uint32)
+    words = _entropy_words(int(master_seed))
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = np.arange(SEED_WINDOW, dtype=np.uint32) + (start & _MASK32)
+    if start >> 32:
+        entropy[len(words) + 1] = start >> 32
+    # mix_entropy: hash each pool word, then cross-mix every ordered pair.
+    pool = _hashmix(entropy, _ENTROPY_XOR[:_POOL_SIZE], _ENTROPY_MULT[:_POOL_SIZE])
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        calls = slice(_POOL_SIZE + src * len(dst), _POOL_SIZE + (src + 1) * len(dst))
+        hashed = _hashmix(pool[src], _ENTROPY_XOR[calls], _ENTROPY_MULT[calls])
+        mixed = pool[dst] * np.uint32(_MIX_MULT_L)
+        mixed -= hashed * np.uint32(_MIX_MULT_R)
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    # generate_state(4, uint64): 8 uint32 words read little-endian in pairs.
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    seeds.flags.writeable = False
+    return seeds
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed PCG64 seed words, offered through numpy's seeding interface."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or dtype is not np.uint64:
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -82,16 +188,18 @@ class SeedSpec:
     def __post_init__(self):
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if self.stream_index < 0:
-            raise ValueError(f"stream_index must be non-negative, got {self.stream_index!r}")
+        if not 0 <= self.stream_index < 2 ** 64:
+            raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {self.stream_index!r}")
 
     def substream(self, offset: int) -> "SeedSpec":
         """Return a copy shifted by a purpose offset (see STREAM_STRIDE)."""
-        return replace(self, stream_index=self.stream_index + offset)
+        return SeedSpec(self.master_seed, self.stream_index + offset)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence([self.master_seed, self.stream_index])
-        return np.random.Generator(np.random.PCG64(seq))
+        """``Generator(PCG64(SeedSequence([master_seed, stream_index])))``, bit for bit."""
+        window, row = divmod(self.stream_index, SEED_WINDOW)
+        words = _seed_window(self.master_seed, window)[row]
+        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -99,10 +207,15 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
 
     Uniforms are bin midpoints (j + 0.5) / 2**52 for a 52-bit integer j, so
     every value lies strictly inside (0, 1) and the transform is exact in
-    floating point.  One integer draw is consumed per variate.
+    floating point.  One 64-bit word is consumed per variate: its top 52
+    bits are j, which is exactly ``rng.integers(0, 2**52)`` because Lemire's
+    bounded method never rejects on a power-of-two range.  ``rng`` must
+    have a 64-bit bit generator such as the PCG64 of SeedSpec.generator.
     """
-    j = rng.integers(0, 1 << 52, size=count)
-    return ndtri((j + 0.5) * _U52_SCALE)
+    u = (rng.bit_generator.random_raw(count) >> 12).astype(float)
+    u += 0.5
+    u *= _U52_SCALE
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -121,7 +234,7 @@ class UniverseDraw:
             raise ValueError("drifts and terminal_values must be 1-d arrays of equal length")
         if self.terminal_values.size == 0:
             raise ValueError("universe must contain at least one stock")
-        if not np.all(np.isfinite(self.terminal_values)) or np.any(self.terminal_values <= 0):
+        if not (self.terminal_values.min() > 0 and self.terminal_values.max() < np.inf):
             raise ValueError("terminal values must be positive and finite")
 
     def __len__(self) -> int:
@@ -179,7 +292,8 @@ def index_value(universe_or_values) -> float:
     Summation is numpy's pairwise scheme over ascending index order, so the
     result is reproducible run-to-run and across worker counts.
     """
-    return float(np.mean(_as_values(universe_or_values)))
+    values = _as_values(universe_or_values)
+    return float(values.sum() / values.size)
 
 
 def portfolio_return(universe_or_values, subset) -> float:

@@ -135,18 +135,19 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
     Partial Fisher-Yates: position i swaps with a uniform j in [i, n), and
     the first k positions are the sample.  The k random integers are drawn
-    in one vectorized call from the given substream.
+    in one vectorized call from the given substream.  Only swapped slots
+    are stored (``moved``); every other slot still holds its own index.
     """
     if not 1 <= k <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {k}")
     if k == n:
         return np.arange(n)
-    js = rng.integers(np.arange(k), n)
-    idx = np.arange(n)
-    for i in range(k):
-        j = js[i]
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+    moved = {}
+    picked = []
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked)
 
 
 def run_trial(
@@ -172,8 +173,8 @@ def run_trial(
         realized = index_value(universe) - 1.0
         pick_rng = seed.substream(PICK_STREAM).generator()
         subset = pick_subset(pick_rng, params.n_stocks, k)
-        portfolio = float(np.mean(universe.terminal_values[subset])) - 1.0
-        return portfolio, realized
+        chosen = universe.terminal_values[subset]
+        return float(chosen.sum() / k) - 1.0, realized
     if sampling == "direct-iid":
         if mode == "realized-index":
             raise ValueError("direct-iid sampling has no realized index to compare against")
@@ -309,7 +310,7 @@ def subset_frequencies(
     for t in range(trials):
         rng = SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM).generator()
         subset = pick_subset(rng, arr.size, k)
-        ret = float(np.mean(arr[subset])) - 1.0
+        ret = float(arr[subset].sum() / k) - 1.0
         if ret < benchmark:
             below += 1
         elif ret == benchmark:

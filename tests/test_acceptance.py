@@ -52,7 +52,8 @@ def paper_csv_runs(tmp_path_factory):
     paths = [tmp / "a.csv", tmp / "b.csv", tmp / "c.csv"]
     for path, workers in zip(paths, ("1", "1", "8")):
         code = main(
-            ["simulate", "--paper-defaults", "--workers", workers, "--out", str(path)]
+            ["simulate", "--paper-defaults", "--seed", "42", "--workers", workers,
+             "--out", str(path)]
         )
         assert code == 0
     return [p.read_bytes() for p in paths]

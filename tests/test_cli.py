@@ -182,6 +182,15 @@ class TestSimulateCommand:
                        "--n", "10", "--out", str(target))
         assert code == 3
 
+    def test_failed_svg_write_leaves_no_outputs(self, tmp_path, capsys):
+        out_csv = tmp_path / "r.csv"
+        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
+                       "--n", "10", "--out", str(out_csv),
+                       "--svg", str(tmp_path / "missing-dir" / "r.svg"))
+        assert code == 3
+        assert "failed to write SVG" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--paper-defaults", "--trials", "0",
                        "--out", str(tmp_path / "x.csv"))

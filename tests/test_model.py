@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from indexsim import (
     ModelParams,
@@ -13,7 +16,17 @@ from indexsim import (
     portfolio_return,
     terminal_value,
 )
-from indexsim.model import DRIFT_STREAM, PICK_STREAM, SHOCK_STREAM, STREAM_STRIDE
+from indexsim.model import (
+    DRIFT_STREAM,
+    PICK_STREAM,
+    SEED_WINDOW,
+    SHOCK_STREAM,
+    STREAM_STRIDE,
+    _seed_window,
+    standard_normals,
+)
+
+U64 = st.integers(0, 2 ** 64 - 1)
 
 
 def make_params(**overrides):
@@ -59,6 +72,8 @@ class TestSeedSpec:
             SeedSpec(2 ** 64, 0)
         with pytest.raises(ValueError):
             SeedSpec(1, -1)
+        with pytest.raises(ValueError):
+            SeedSpec(1, 2 ** 64)
 
     def test_distinct_streams_differ(self):
         a = SeedSpec(42, 0).generator().random(8)
@@ -68,12 +83,67 @@ class TestSeedSpec:
         assert not np.array_equal(a, c)
 
 
+def _numpy_generator(master_seed, stream_index):
+    seq = np.random.SeedSequence([master_seed, stream_index])
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+class TestWindowedSeeding:
+    """numpy's SeedSequence + PCG64 is the oracle for every substream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(master_seed=U64, stream_index=U64)
+    @example(master_seed=0, stream_index=0)
+    @example(master_seed=42, stream_index=SEED_WINDOW - 1)
+    @example(master_seed=42, stream_index=SEED_WINDOW)
+    @example(master_seed=2 ** 32 - 1, stream_index=2 ** 32 - 1)
+    @example(master_seed=2 ** 32, stream_index=2 ** 32)
+    @example(master_seed=2 ** 64 - 1, stream_index=2 ** 32 + SEED_WINDOW - 1)
+    @example(master_seed=0, stream_index=2 ** 64 - 1)
+    @example(master_seed=2 ** 64 - 1, stream_index=2 ** 64 - 1)
+    def test_seed_words_match_numpy(self, master_seed, stream_index):
+        window, row = divmod(stream_index, SEED_WINDOW)
+        words = _seed_window(master_seed, window)[row]
+        expected = np.random.SeedSequence([master_seed, stream_index]).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("master_seed", [0, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    def test_whole_window_matches_numpy(self, master_seed):
+        start = 2 ** 32 - SEED_WINDOW  # the last window with one-word indices
+        words = _seed_window(master_seed, start // SEED_WINDOW)
+        for row in (0, 1, 777, SEED_WINDOW - 1):
+            expected = np.random.SeedSequence([master_seed, start + row]).generate_state(4, np.uint64)
+            assert words[row].tolist() == expected.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(master_seed=U64, stream_index=U64)
+    @example(master_seed=42, stream_index=SEED_WINDOW - 1)
+    @example(master_seed=42, stream_index=SEED_WINDOW)
+    @example(master_seed=2 ** 32, stream_index=2 ** 32)
+    @example(master_seed=2 ** 64 - 1, stream_index=2 ** 64 - 1)
+    def test_generator_matches_numpy(self, master_seed, stream_index):
+        ours = SeedSpec(master_seed, stream_index).generator()
+        theirs = _numpy_generator(master_seed, stream_index)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random(5).tolist() == theirs.random(5).tolist()
+        assert ours.integers(0, 2 ** 52, size=5).tolist() == theirs.integers(0, 2 ** 52, size=5).tolist()
+
+
 class TestStandardNormals:
+    @settings(max_examples=40, deadline=None)
+    @given(master_seed=U64, stream_index=U64, count=st.integers(1, 600))
+    @example(master_seed=42, stream_index=1, count=500)
+    def test_matches_bounded_integer_draws(self, master_seed, stream_index, count):
+        # one 64-bit word per variate, read as numpy's integers(0, 2**52)
+        z = standard_normals(SeedSpec(master_seed, stream_index).generator(), count)
+        j = _numpy_generator(master_seed, stream_index).integers(0, 2 ** 52, size=count)
+        assert np.array_equal(z, ndtri((j + 0.5) * 2.0 ** -52))
+
     def test_inverse_cdf_accuracy_bound(self):
         # the transform behind every normal draw must invert the CDF to
         # within 1e-9 absolute; mpmath's erfinv is the independent oracle
         import mpmath
-        from scipy.special import ndtri
 
         mpmath.mp.dps = 40
         probs = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-6, 1 - 1e-12]
@@ -83,8 +153,6 @@ class TestStandardNormals:
             assert abs(float(ndtri(p)) - exact) <= 1e-9
 
     def test_draws_are_strictly_finite_and_centered(self):
-        from indexsim.model import standard_normals
-
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)
         assert np.all(np.isfinite(z))
         assert abs(z.mean()) < 4.0 / math.sqrt(200_000)

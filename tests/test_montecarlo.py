@@ -1,7 +1,10 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indexsim import (
     DeterministicIndex,
@@ -88,8 +91,60 @@ class TestPickSubset:
         rng = SeedSpec(1, 0).generator()
         assert pick_subset(rng, 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 600), r=st.integers(0, 2 ** 20), stream_index=st.integers(0, 2 ** 64 - 1))
+    @example(n=500, r=19, stream_index=2)
+    @example(n=20, r=19, stream_index=6)
+    @example(n=1, r=0, stream_index=0)
+    def test_matches_dense_swap_loop(self, n, r, stream_index):
+        # the dense partial Fisher-Yates over np.arange(n) is the oracle
+        k = 1 + r % n
+        seed = SeedSpec(7, stream_index)
+        idx = np.arange(n)
+        if k < n:
+            js = seed.generator().integers(np.arange(k), n)
+            for i in range(k):
+                j = js[i]
+                idx[i], idx[j] = idx[j], idx[i]
+        picked = pick_subset(seed.generator(), n, k)
+        assert picked.dtype == idx.dtype
+        assert picked.tolist() == idx[:k].tolist()
+
+
+def _numpy_trial(params, k, master_seed, base):
+    """One fresh-universe trial from numpy's own seeding, draws and means."""
+    from scipy.special import ndtri
+
+    def stream(offset):
+        seq = np.random.SeedSequence([master_seed, base + offset])
+        return np.random.Generator(np.random.PCG64(seq))
+
+    def normals(rng):
+        return ndtri((rng.integers(0, 2 ** 52, size=params.n_stocks) + 0.5) * 2.0 ** -52)
+
+    drifts = params.mu_hat + params.sigma_hat * normals(stream(0))
+    shocks = params.sigma * math.sqrt(params.horizon) * normals(stream(1))
+    values = np.exp((drifts - 0.5 * params.sigma ** 2) * params.horizon + shocks)
+    idx = np.arange(params.n_stocks)
+    if k < params.n_stocks:
+        js = stream(2).integers(np.arange(k), params.n_stocks)
+        for i in range(k):
+            j = js[i]
+            idx[i], idx[j] = idx[j], idx[i]
+    return float(np.mean(values[idx[:k]])) - 1.0, float(np.mean(values)) - 1.0
+
 
 class TestRunTrial:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 20), master_seed=st.integers(0, 2 ** 64 - 1),
+           trial=st.integers(0, 2 ** 62 - 1))
+    @example(k=5, master_seed=42, trial=511)
+    @example(k=20, master_seed=42, trial=512)
+    def test_matches_numpy_seeded_trial(self, k, master_seed, trial):
+        params = small_params()
+        seed = SeedSpec(master_seed, trial * STREAM_STRIDE)
+        assert run_trial(params, k, seed) == _numpy_trial(params, k, master_seed, trial * STREAM_STRIDE)
+
     def test_deterministic(self):
         params = small_params()
         seed = SeedSpec(9, 8 * STREAM_STRIDE)
