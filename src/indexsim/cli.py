@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -211,26 +211,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    summary = summarize(_model_params(_resolve(_MODEL_SETTINGS, args, {})))
+    summary = asdict(summarize(_model_params(_resolve(_MODEL_SETTINGS, args, {}))))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "expected_index_value": summary.expected_index_value,
-                    "median_stock_value": summary.median_stock_value,
-                    "underperformance_factor": summary.underperformance_factor,
-                    "log_mean": summary.log_mean,
-                    "log_variance": summary.log_variance,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(summary, sort_keys=True))
     else:
-        print(f"expected_index_value = {summary.expected_index_value:.6f}")
-        print(f"median_stock_value = {summary.median_stock_value:.6f}")
-        print(f"underperformance_factor = {summary.underperformance_factor:.6f}")
-        print(f"log_mean = {summary.log_mean:.6f}")
-        print(f"log_variance = {summary.log_variance:.6f}")
+        for name, value in summary.items():
+            print(f"{name} = {value:.6f}")
     return 0
 
 

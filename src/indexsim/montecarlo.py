@@ -3,9 +3,10 @@
 For every (size, benchmark) cell the engine runs ``trials_per_size``
 independent trials.  A trial draws a universe (or, in direct-iid sampling,
 just k stocks), picks k distinct stocks uniformly at random, and compares
-the equal-weighted net return against the cell's thresholds: strictly
-above ``over_threshold`` counts as over, strictly below ``under_threshold``
-as under, anything else (exact ties included) as between.
+the equal-weighted net return against the cell's thresholds.  Every count,
+``subset_frequencies`` included, follows one rule (``_classify``): strictly
+above the upper threshold is over, strictly below the lower one is under,
+anything else (exact ties included) is between.
 
 Reproducibility scheme: trials are numbered globally,
 
@@ -14,7 +15,9 @@ Reproducibility scheme: trials are numbered globally,
     streams = trial * STREAM_STRIDE + {DRIFT_STREAM, SHOCK_STREAM, PICK_STREAM}
 
 so every trial owns its substreams and tallies are bit-identical for any
-worker count and any partition of the trial range.
+worker count and any partition of the trial range.  ``subset_frequencies``
+uses cell 0's pick streams: its trial t picks from ``t * STREAM_STRIDE +
+PICK_STREAM``.
 """
 
 from __future__ import annotations
@@ -171,10 +174,7 @@ def run_trial(
     if sampling == "fresh-universe":
         universe = draw_universe(params, seed)
         realized = index_value(universe) - 1.0
-        pick_rng = seed.substream(PICK_STREAM).generator()
-        subset = pick_subset(pick_rng, params.n_stocks, k)
-        chosen = universe.terminal_values[subset]
-        return float(chosen.sum() / k) - 1.0, realized
+        return _pick_return(seed.substream(PICK_STREAM), universe.terminal_values, k), realized
     if sampling == "direct-iid":
         if mode == "realized-index":
             raise ValueError("direct-iid sampling has no realized index to compare against")
@@ -183,67 +183,65 @@ def run_trial(
     raise ValueError(f"sampling must be one of {SAMPLINGS}, got {sampling!r}")
 
 
+def _pick_return(pick: SeedSpec, values: np.ndarray, k: int) -> float:
+    """Net return of an equal-weighted pick of k values, drawn from ``pick``'s stream."""
+    return float(values[pick_subset(pick.generator(), values.size, k)].sum() / k) - 1.0
+
+
+def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
+    """(over, under, between) counts of returns > hi, < lo and the rest; hi >= lo."""
+    over = int(np.count_nonzero(returns > hi))
+    under = int(np.count_nonzero(returns < lo))
+    return over, under, returns.size - over - under
+
+
 def _tally_block(
     config: ExperimentConfig, size_idx: int, bench_idx: int, start: int, stop: int
 ) -> tuple[int, int, int, int, int]:
     """Tally trials [start, stop) of one cell; returns cell ids plus counts."""
     k = config.sizes[size_idx]
-    over_t, under_t = config.benchmarks[bench_idx]
-    cell = size_idx * len(config.benchmarks) + bench_idx
-    relative = config.mode == "realized-index"
-    over_off = under_off = 0.0
-    if relative:
+    hi, lo = config.benchmarks[bench_idx]
+    first = (size_idx * len(config.benchmarks) + bench_idx) * config.trials_per_size
+    portfolio, realized = zip(*(
+        run_trial(config.params, k, SeedSpec(config.master_seed, (first + t) * STREAM_STRIDE),
+                  config.mode, config.sampling)
+        for t in range(start, stop)
+    ))
+    if config.mode == "realized-index":
         # Thresholds keep their meaning as offsets from the expected index
         # return, applied to each trial's realized index return instead.
         expected = expected_index_value(config.params) - 1.0
-        over_off, under_off = over_t - expected, under_t - expected
-    over = under = 0
-    for t in range(start, stop):
-        base = (cell * config.trials_per_size + t) * STREAM_STRIDE
-        seed = SeedSpec(config.master_seed, base)
-        portfolio, realized = run_trial(config.params, k, seed, config.mode, config.sampling)
-        if relative:
-            hi, lo = realized + over_off, realized + under_off
-        else:
-            hi, lo = over_t, under_t
-        if portfolio > hi:
-            over += 1
-        elif portfolio < lo:
-            under += 1
-    return size_idx, bench_idx, over, under, stop - start - over - under
+        realized = np.array(realized)
+        hi, lo = realized + (hi - expected), realized + (lo - expected)
+    return (size_idx, bench_idx, *_classify(np.array(portfolio), hi, lo))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyReport:
     """Run the full grid of (size, benchmark) cells.
 
-    ``workers`` > 1 spreads trial blocks over worker processes; tallies are
-    integer sums per cell, so the report is bit-identical for any worker
-    count.
+    The trial blocks form one task list for any ``workers``; it runs in this
+    process when one worker is enough and otherwise on ``min(workers, tasks)``
+    processes.  Tallies are integer sums per cell, so the report is
+    bit-identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    n_bench = len(config.benchmarks)
     trials = config.trials_per_size
-    counts = {}
-
-    if workers == 1:
-        results = [
-            _tally_block(config, i, j, 0, trials)
-            for i in range(len(config.sizes))
-            for j in range(n_bench)
-        ]
+    block = max(500, -(-trials // (workers * 4)))
+    tasks = [
+        (config, i, j, start, min(start + block, trials))
+        for i in range(len(config.sizes))
+        for j in range(len(config.benchmarks))
+        for start in range(0, trials, block)
+    ]
+    processes = min(workers, len(tasks))
+    if processes == 1:
+        results = [_tally_block(*task) for task in tasks]
     else:
-        block = max(500, -(-trials // (workers * 4)))
-        tasks = [
-            (i, j, start, min(start + block, trials))
-            for i in range(len(config.sizes))
-            for j in range(n_bench)
-            for start in range(0, trials, block)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_tally_block, config, i, j, s, e) for i, j, s, e in tasks]
-            results = [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_tally_block, *zip(*tasks)))
 
+    counts = {}
     for i, j, over, under, between in results:
         o, u, b = counts.get((i, j), (0, 0, 0))
         counts[(i, j)] = (o + over, u + under, b + between)
@@ -295,9 +293,9 @@ def subset_frequencies(
 ) -> tuple[int, int, int]:
     """Sample k-subsets of a fixed universe; count returns vs a benchmark.
 
-    Returns (below, equal, above) counts over ``trials`` independent draws,
-    with the same per-trial substream numbering as run_experiment.  This is
-    the fixed-universe mode checked against exhaustive enumeration.
+    Returns (below, equal, above) counts over ``trials`` independent draws
+    from cell 0's pick streams.  This is the fixed-universe mode checked
+    against exhaustive enumeration.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -306,13 +304,9 @@ def subset_frequencies(
         raise ValueError(f"subset size must lie in [1, {arr.size}], got {k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    below = equal = 0
-    for t in range(trials):
-        rng = SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM).generator()
-        subset = pick_subset(rng, arr.size, k)
-        ret = float(arr[subset].sum() / k) - 1.0
-        if ret < benchmark:
-            below += 1
-        elif ret == benchmark:
-            equal += 1
-    return below, equal, trials - below - equal
+    if not (np.isfinite(arr).all() and math.isfinite(benchmark)):
+        raise ValueError("values and benchmark must be finite")
+    picks = (SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM) for t in range(trials))
+    returns = np.array([_pick_return(pick, arr, k) for pick in picks])
+    above, below, equal = _classify(returns, benchmark, benchmark)
+    return below, equal, above

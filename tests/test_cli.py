@@ -62,6 +62,24 @@ class TestAnalyticCommand:
         assert payload["expected_index_value"] == pytest.approx(1.5, rel=1e-12)
         assert payload["median_stock_value"] == pytest.approx(1.1, rel=1e-12)
 
+    def test_golden_text_output(self, capsys):
+        assert run_cli("analytic", "--paper-defaults") == 0
+        assert capsys.readouterr().out == (
+            "expected_index_value = 1.500000\n"
+            "median_stock_value = 1.100000\n"
+            "underperformance_factor = 1.363636\n"
+            "log_mean = 0.095310\n"
+            "log_variance = 0.620310\n"
+        )
+
+    def test_golden_json_output(self, capsys):
+        assert run_cli("analytic", "--paper-defaults", "--json") == 0
+        assert capsys.readouterr().out == (
+            '{"expected_index_value": 1.5, "log_mean": 0.0953101798043249, '
+            '"log_variance": 0.620309856607679, "median_stock_value": 1.1, '
+            '"underperformance_factor": 1.3636363636363635}\n'
+        )
+
     def test_underspecified_model_exits_2(self, capsys):
         code = run_cli("analytic")
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from indexsim import (
     ModelParams,
     SeedSpec,
     enumerate_portfolios,
+    expected_index_value,
     frequency_ci,
     run_experiment,
     run_trial,
     subset_frequencies,
     tail_probability,
 )
-from indexsim.model import STREAM_STRIDE
+import indexsim.montecarlo as montecarlo
+from indexsim.model import PICK_STREAM, STREAM_STRIDE
 from indexsim.montecarlo import pick_subset
 
 WILSON_Z95 = 1.959963985  # 97.5th standard normal percentile
@@ -177,11 +180,43 @@ class TestRunExperiment:
         r2 = run_experiment(small_config())
         assert r1.rows == r2.rows
 
-    def test_worker_count_invariance(self):
-        config = small_config(sizes=(1, 3, 5), trials_per_size=600)
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(mode="realized-index"), dict(sampling="direct-iid")],
+        ids=["fixed-benchmark", "realized-index", "direct-iid"],
+    )
+    def test_worker_count_invariance(self, overrides):
+        config = small_config(sizes=(1, 3, 5), trials_per_size=600, **overrides)
         serial = run_experiment(config, workers=1)
         parallel = run_experiment(config, workers=3)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize(
+        "sizes,trials,workers,expected",
+        [
+            ((1,), 10, 4, None),  # one task: runs in this process
+            ((1,), 10, 10_000, None),
+            ((1, 2, 3), 10, 10_000, 3),  # one process per task, no more
+            ((1, 2, 3), 1_200, 2, 2),
+        ],
+    )
+    def test_pool_is_sized_to_the_tasks(self, monkeypatch, sizes, trials, workers, expected):
+        pools = []
+
+        class InProcessPool(Executor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        config = small_config(sizes=sizes, trials_per_size=trials)
+        report = run_experiment(config, workers=workers)
+        assert pools == ([] if expected is None else [expected])
+        assert report.rows == run_experiment(config).rows
 
     def test_counts_sum_to_trials(self):
         report = run_experiment(small_config(benchmarks=((0.7, 0.3),)))
@@ -190,22 +225,33 @@ class TestRunExperiment:
             assert 0.0 <= row.over_freq <= 1.0
             assert 0.0 <= row.under_freq <= 1.0
 
-    def test_trial_numbering_contract(self):
-        # recompute one cell by hand with the documented stream layout
-        config = small_config(sizes=(2, 4), benchmarks=((0.6, 0.4), (0.5, 0.5)), trials_per_size=50)
+    @pytest.mark.parametrize("mode", ["fixed-benchmark", "realized-index"])
+    def test_trial_numbering_contract(self, mode):
+        # recompute one cell by hand with the documented stream layout and
+        # a scalar over/under rule in Python floats
+        config = small_config(
+            sizes=(2, 4), benchmarks=((0.6, 0.4), (0.5, 0.5)), trials_per_size=50, mode=mode
+        )
         report = run_experiment(config)
         size_idx, bench_idx = 1, 0  # k=4, thresholds (0.6, 0.4)
         cell = size_idx * len(config.benchmarks) + bench_idx
+        expected = expected_index_value(config.params) - 1.0
         over = under = 0
         for t in range(config.trials_per_size):
             base = (cell * config.trials_per_size + t) * STREAM_STRIDE
-            portfolio, _ = run_trial(config.params, 4, SeedSpec(config.master_seed, base))
-            if portfolio > 0.6:
+            portfolio, realized = run_trial(config.params, 4, SeedSpec(config.master_seed, base), mode)
+            hi, lo = 0.6, 0.4
+            if mode == "realized-index":
+                hi, lo = realized + (0.6 - expected), realized + (0.4 - expected)
+            if portfolio > hi:
                 over += 1
-            elif portfolio < 0.4:
+            elif portfolio < lo:
                 under += 1
         row = report.row_for(4, 0.6, 0.4)
-        assert (row.over_count, row.under_count) == (over, under)
+        assert (row.over_count, row.under_count, row.between_count) == (
+            over, under, config.trials_per_size - over - under
+        )
+        assert 0 < over and 0 < under
 
     def test_degenerate_universe_all_between(self):
         params = small_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.04)
@@ -257,8 +303,6 @@ class TestRunExperiment:
     def test_realized_index_mode_full_subset_is_between(self):
         # with k = N the portfolio IS the realized index; thresholds equal
         # to the expected return carry zero offset, so nothing classifies
-        from indexsim import expected_index_value
-
         params = small_params()
         expected = expected_index_value(params) - 1.0
         config = small_config(
@@ -330,6 +374,23 @@ class TestSubsetFrequencies:
         below2, _, above2 = subset_frequencies(self.VALUES, 2, trials, 0.35, master_seed=7)
         assert above2 == 0
 
+    def test_ties_count_as_equal(self):
+        # two of the six pairs, (1.25, 1.75) and (1.5, 1.5), average to
+        # exactly 0.5; recompute each pick on its own substream
+        values, k, trials, seed = (1.25, 1.5, 1.5, 1.75), 2, 600, 3
+        below = equal = above = 0
+        for t in range(trials):
+            rng = SeedSpec(seed, t * STREAM_STRIDE + PICK_STREAM).generator()
+            ret = float(np.mean(np.array(values)[pick_subset(rng, len(values), k)])) - 1.0
+            if ret < 0.5:
+                below += 1
+            elif ret == 0.5:
+                equal += 1
+            else:
+                above += 1
+        assert subset_frequencies(values, k, trials, 0.5, master_seed=seed) == (below, equal, above)
+        assert equal > 0 and below > 0 and above > 0
+
     def test_deterministic(self):
         a = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
         b = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
@@ -342,3 +403,7 @@ class TestSubsetFrequencies:
             subset_frequencies(self.VALUES, 6, 10, 0.0, 1)
         with pytest.raises(ValueError):
             subset_frequencies(self.VALUES, 1, 0, 0.0, 1)
+        with pytest.raises(ValueError):
+            subset_frequencies((1.1, float("nan")), 1, 10, 0.0, 1)
+        with pytest.raises(ValueError):
+            subset_frequencies(self.VALUES, 1, 10, float("nan"), 1)
