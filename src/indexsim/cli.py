@@ -43,11 +43,10 @@ from .montecarlo import (
     DEFAULT_SIZE_GRID,
     DEFAULT_TRIALS,
     MODES,
-    SAMPLINGS,
     ExperimentConfig,
     run_experiment,
 )
-from .report import emit_csv, emit_svg_chart
+from .report import emit_csv, emit_svg_chart, write_all
 
 # One 50% winner hiding among four 10% stocks; picks of one or two stocks.
 FIVE_STOCK_VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
@@ -84,6 +83,13 @@ def _parse_precision(text: str) -> Optional[int]:
     if digits is not None and digits < 0:
         raise ValueError(f"expected 'full' or an integer >= 0, got {text!r}")
     return digits
+
+
+def _parse_sampling(text: str) -> str:
+    # One scheme exists; the key stays so that stored sidecars still reload.
+    if text != "fresh-universe":
+        raise ValueError(f"the only sampling scheme is fresh-universe, got {text!r}")
+    return text
 
 
 def _parse_switch(text: str) -> bool:
@@ -131,8 +137,7 @@ _RUN_SETTINGS = (
             "comma-separated over:under pairs, e.g. 0.5:0.5,0.7:0.3",
             lambda pairs: ",".join(f"{over!r}:{under!r}" for over, under in pairs)),
     Setting("mode", "--mode", str, "fixed-benchmark", "comparison mode", str, choices=MODES),
-    Setting("sampling", "--sampling", str, "fresh-universe", "sampling scheme", str,
-            choices=SAMPLINGS),
+    Setting("sampling", "--sampling", _parse_sampling, "fresh-universe", "sampling scheme", str),
     Setting("seed", "--seed", int, 42, "master seed", str, env="INDEXSIM_SEED"),
     Setting("workers", "--workers", int, 1, "worker processes"),
     Setting("out", "--out", str, "frequency_report.csv", "CSV output path"),
@@ -256,30 +261,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_all(outputs) -> None:
-    """Write every (path, what, data) or none of them.
-
-    Each payload goes to a temp file beside its destination; the temp files
-    replace their targets only once every write has succeeded, and are
-    removed if any write fails.
-    """
-    staged = []
-    try:
-        for n, (path, what, data) in enumerate(outputs):
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
-            try:
-                with open(tmp, "xb") as handle:
-                    staged.append(tmp)
-                    handle.write(data)
-            except OSError as exc:
-                raise OSError(f"failed to write {what} to {path}: {exc}") from exc
-        for tmp, (path, _, _) in zip(staged, outputs):
-            os.replace(tmp, path)
-    finally:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - {s.name for s in _SIMULATE_SETTINGS})
@@ -291,8 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     values.update(mu_hat=params.mu_hat, sigma_hat=params.sigma_hat)
     config = ExperimentConfig(
         params=params, sizes=values["sizes"], trials_per_size=values["trials"],
-        benchmarks=values["benchmarks"], mode=values["mode"], sampling=values["sampling"],
-        master_seed=values["seed"],
+        benchmarks=values["benchmarks"], mode=values["mode"], master_seed=values["seed"],
     )
     effective = "\n".join(
         ["# effective configuration"]
@@ -310,7 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if svg_path is not None:
         svg = emit_svg_chart(report, description=effective)
         outputs.append((Path(svg_path), "SVG", svg.encode("utf-8")))
-    _write_all(outputs)
+    write_all(outputs)
 
     for row in report.rows:
         print(

@@ -1,12 +1,12 @@
 """Frequency experiments: how often do random k-stock portfolios beat a benchmark.
 
 For every (size, benchmark) cell the engine runs ``trials_per_size``
-independent trials.  A trial draws a universe (or, in direct-iid sampling,
-just k stocks), picks k distinct stocks uniformly at random, and compares
-the equal-weighted net return against the cell's thresholds.  Every count,
-``subset_frequencies`` included, follows one rule (``_classify``): strictly
-above the upper threshold is over, strictly below the lower one is under,
-anything else (exact ties included) is between.
+independent trials.  A trial draws a universe, picks k distinct stocks
+uniformly at random, and compares the equal-weighted net return against
+the cell's thresholds.  Every count, ``subset_frequencies`` included,
+follows one rule (``_classify``): strictly above the upper threshold is
+over, strictly below the lower one is under, anything else (exact ties
+included) is between.
 
 Reproducibility scheme: trials are numbered globally,
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ DEFAULT_BENCHMARKS = ((0.50, 0.50), (0.70, 0.30))
 DEFAULT_TRIALS = 10_000
 
 MODES = ("fixed-benchmark", "realized-index")
-SAMPLINGS = ("fresh-universe", "direct-iid")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class ExperimentConfig:
     trials_per_size: int = DEFAULT_TRIALS
     benchmarks: tuple[tuple[float, float], ...] = DEFAULT_BENCHMARKS
     mode: str = "fixed-benchmark"
-    sampling: str = "fresh-universe"
     master_seed: int = 42
 
     def __post_init__(self):
@@ -87,10 +85,6 @@ class ExperimentConfig:
                 )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.sampling not in SAMPLINGS:
-            raise ValueError(f"sampling must be one of {SAMPLINGS}, got {self.sampling!r}")
-        if self.sampling == "direct-iid" and self.mode == "realized-index":
-            raise ValueError("direct-iid sampling has no realized index to compare against")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
@@ -154,33 +148,22 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 
 def run_trial(
-    params: ModelParams,
-    k: int,
-    seed: SeedSpec,
-    mode: str = "fixed-benchmark",
-    sampling: str = "fresh-universe",
-) -> tuple[float, Optional[float]]:
-    """One trial: equal-weighted net return of k random stocks.
+    params: ModelParams, k: int, seed: SeedSpec, mode: str = "fixed-benchmark"
+) -> tuple[float, float]:
+    """One trial: equal-weighted net return of k random stocks of a fresh universe.
 
     ``seed.stream_index`` is the trial's base stream; the drift, shock and
     subset-pick substreams sit at the documented offsets from it.  Returns
-    (portfolio_return, realized_index_return); the realized index return is
-    only available with fresh-universe sampling, otherwise None.
+    (portfolio_return, realized_index_return); ``mode`` is checked but does
+    not change the draw.
     """
     if not 1 <= k <= params.n_stocks:
         raise ValueError(f"subset size must lie in [1, {params.n_stocks}], got {k}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if sampling == "fresh-universe":
-        universe = draw_universe(params, seed)
-        realized = index_value(universe) - 1.0
-        return _pick_return(seed.substream(PICK_STREAM), universe.terminal_values, k), realized
-    if sampling == "direct-iid":
-        if mode == "realized-index":
-            raise ValueError("direct-iid sampling has no realized index to compare against")
-        small = draw_universe(replace(params, n_stocks=k), seed)
-        return index_value(small) - 1.0, None
-    raise ValueError(f"sampling must be one of {SAMPLINGS}, got {sampling!r}")
+    universe = draw_universe(params, seed)
+    realized = index_value(universe) - 1.0
+    return _pick_return(seed.substream(PICK_STREAM), universe.terminal_values, k), realized
 
 
 def _pick_return(pick: SeedSpec, values: np.ndarray, k: int) -> float:
@@ -204,7 +187,7 @@ def _tally_block(
     first = (size_idx * len(config.benchmarks) + bench_idx) * config.trials_per_size
     portfolio, realized = zip(*(
         run_trial(config.params, k, SeedSpec(config.master_seed, (first + t) * STREAM_STRIDE),
-                  config.mode, config.sampling)
+                  config.mode)
         for t in range(start, stop)
     ))
     if config.mode == "realized-index":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -71,36 +72,57 @@ def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int]
     """
     lines = [CSV_HEADER]
     for row in _sorted_rows(report):
-        lines.append(
-            ",".join(
-                (
-                    str(row.size),
-                    _format(row.over_threshold, precision),
-                    _format(row.under_threshold, precision),
-                    _format(row.over_freq, precision),
-                    _format(row.under_freq, precision),
-                    _format(row.over_ci, precision),
-                    _format(row.under_ci, precision),
-                    str(row.trials),
-                    str(report.master_seed),
-                )
-            )
-        )
+        floats = (row.over_threshold, row.under_threshold, row.over_freq, row.under_freq,
+                  row.over_ci, row.under_ci)
+        lines.append(",".join([str(row.size), *(_format(v, precision) for v in floats),
+                               str(row.trials), str(report.master_seed)]))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if destination is not None:
-        path = Path(destination)
-        try:
-            path.write_bytes(data)
-        except OSError as exc:
-            raise OSError(f"failed to write CSV to {path}: {exc}") from exc
+        write_all([(Path(destination), "CSV", data)])
     return data
+
+
+def write_all(outputs) -> None:
+    """Write every (path, what, data) or none of them.
+
+    Each payload goes to a temp file beside its destination; the temp files
+    replace their targets only once every write has succeeded, and are
+    removed if any write fails.
+    """
+    staged = []
+    try:
+        for n, (path, what, data) in enumerate(outputs):
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
+            try:
+                with open(tmp, "xb") as handle:
+                    staged.append(tmp)
+                    handle.write(data)
+            except OSError as exc:
+                raise OSError(f"failed to write {what} to {path}: {exc}") from exc
+        for tmp, (path, _, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _count(field: str, trials: int, decimals: Optional[int]) -> int:
+    """The count behind a printed frequency; ValueError when the field cannot pin it."""
+    count = round(float(field) * trials)
+    pinned = float(field) == count / trials if decimals is None else trials <= 10 ** decimals
+    if not pinned:
+        raise ValueError(f"frequency {field} cannot pin a count out of {trials} trials; "
+                         "emit the CSV with more decimals or at full precision")
+    return count
 
 
 def parse_csv(source) -> FrequencyReport:
     """Rebuild a FrequencyReport from emit_csv output (bytes, text or path).
 
-    Counts are recovered from the frequencies, so the round trip is exact
-    when the CSV was emitted at full precision.
+    Counts are recovered from the frequencies, or ValueError is raised
+    where they cannot be: d fixed-point decimals pin a count only when
+    trials <= 10**d, and a shortest repr (precision=None) pins it when it
+    equals count / trials exactly.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -118,9 +140,13 @@ def parse_csv(source) -> FrequencyReport:
         if len(fields) != 9:
             raise ValueError(f"malformed CSV row: {line!r}")
         trials = int(fields[7])
-        over_freq, under_freq = float(fields[3]), float(fields[4])
-        over = round(over_freq * trials)
-        under = round(under_freq * trials)
+        # fixed-point rows print every float field with the same decimals
+        floats = fields[1:7]
+        widths = {len(f.partition(".")[2]) for f in floats}
+        plain = all(f.lstrip("-").replace(".", "", 1).isdigit() for f in floats)
+        decimals = widths.pop() if plain and len(widths) == 1 else None
+        over = _count(fields[3], trials, decimals)
+        under = _count(fields[4], trials, decimals)
         rows.append(
             FrequencyRow(
                 size=int(fields[0]),
@@ -130,8 +156,8 @@ def parse_csv(source) -> FrequencyReport:
                 under_count=under,
                 between_count=trials - over - under,
                 trials=trials,
-                over_freq=over_freq,
-                under_freq=under_freq,
+                over_freq=float(fields[3]),
+                under_freq=float(fields[4]),
                 over_ci=float(fields[5]),
                 under_ci=float(fields[6]),
             )

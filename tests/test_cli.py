@@ -244,26 +244,41 @@ class TestSimulateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @staticmethod
+    def run_with_setting(tmp_path, where, key, value):
+        """simulate --paper-defaults with one setting given as a flag or in a config file."""
+        argv = ["simulate", "--paper-defaults", "--out", str(tmp_path / "x.csv")]
+        if where == "flag":
+            argv += ["--" + key, value]
+        else:
+            config = tmp_path / "run.config"
+            config.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(config)]
+        return run_cli(*argv)
+
     @pytest.mark.parametrize("where", ["flag", "file"])
     @pytest.mark.parametrize("value", ["-1", "six"])
     def test_invalid_precision_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
                                                       where, value):
         monkeypatch.setattr("indexsim.cli.run_experiment",
                             lambda *a, **k: pytest.fail("trials ran before precision was checked"))
-        out_csv = tmp_path / "x.csv"
-        argv = ["simulate", "--paper-defaults", "--out", str(out_csv)]
-        if where == "flag":
-            argv += ["--precision", value]
-        else:
-            config = tmp_path / "run.config"
-            config.write_text(f"precision = {value}\n")
-            argv += ["--config", str(config)]
-        code = run_cli(*argv)
+        code = self.run_with_setting(tmp_path, where, "precision", value)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid precision")
-        assert not out_csv.exists()
+        assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.csv.config").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_other_sampling_exits_2_before_running(self, tmp_path, capsys, monkeypatch, where):
+        # fresh-universe is the only sampling scheme; the key stays so that
+        # stored sidecars reload
+        monkeypatch.setattr("indexsim.cli.run_experiment",
+                            lambda *a, **k: pytest.fail("trials ran before sampling was checked"))
+        code = self.run_with_setting(tmp_path, where, "sampling", "direct-iid")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid sampling")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value,expected_code", [("yes", 2), ("TRUE", 0), ("0", 2)])
     def test_paper_defaults_config_value_is_strict(self, tmp_path, capsys, value, expected_code):
@@ -286,16 +301,29 @@ GOLDEN_500_TRIALS = {
     "r.svg": "d2d15edd3297c9e7a75f0b6d68613610537cf547ed83c06578033fa031d11d83",
 }
 
+GOLDEN_500_TRIALS_REALIZED = {
+    "r.csv": "4f09d1400f37b438228dad3a191f8b75fce8ff5a80ed162261b03a8eab3d0288",
+    "r.csv.config": "a00edd41163eec389d28d2f9b9167661c08652bf9ecfd730687f0e1b553fc677",
+    "r.svg": "900c316bd3ba0b3f0772b8843d590dd6b38f0458de0a7c7e64b49b9c1434b464",
+}
+
 
 @pytest.mark.parametrize(
-    "model_flags", [["--paper-defaults"], ["--median", "0.10", "--expected", "0.50"]]
+    "model_flags",
+    [
+        ["--paper-defaults"],
+        ["--median", "0.10", "--expected", "0.50"],
+        ["--paper-defaults", "--mode", "realized-index"],
+    ],
 )
 def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
     # --paper-defaults only sets the two calibration targets, so both spellings
-    # must give the pinned CSV, sidecar and SVG bytes.
+    # must give the pinned CSV, sidecar and SVG bytes; realized-index mode has
+    # its own pins.
+    golden = GOLDEN_500_TRIALS_REALIZED if "realized-index" in model_flags else GOLDEN_500_TRIALS
     code = run_cli("simulate", *model_flags, "--trials", "500", "--seed", "42",
                    "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"))
     assert code == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN_500_TRIALS}
-    assert digests == GOLDEN_500_TRIALS
+               for name in golden}
+    assert digests == golden

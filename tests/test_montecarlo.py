@@ -59,8 +59,8 @@ class TestExperimentConfig:
             dict(benchmarks=()),
             dict(benchmarks=((0.3, 0.7),)),
             dict(mode="other"),
-            dict(sampling="other"),
-            dict(mode="realized-index", sampling="direct-iid"),
+            dict(benchmarks=((math.inf, 0.5),)),
+            dict(master_seed=2 ** 64),
             dict(master_seed=-1),
             dict(sizes=(1, 1)),
             dict(benchmarks=((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))),
@@ -158,15 +158,6 @@ class TestRunTrial:
         portfolio, realized = run_trial(params, params.n_stocks, SeedSpec(4, 0))
         assert portfolio == realized
 
-    def test_direct_iid_has_no_realized_index(self):
-        portfolio, realized = run_trial(small_params(), 5, SeedSpec(4, 0), sampling="direct-iid")
-        assert realized is None
-        assert math.isfinite(portfolio)
-
-    def test_direct_iid_with_realized_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_trial(small_params(), 5, SeedSpec(4, 0), mode="realized-index", sampling="direct-iid")
-
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             run_trial(small_params(), 0, SeedSpec(4, 0))
@@ -182,8 +173,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(), dict(mode="realized-index"), dict(sampling="direct-iid")],
-        ids=["fixed-benchmark", "realized-index", "direct-iid"],
+        [dict(), dict(mode="realized-index")],
+        ids=["fixed-benchmark", "realized-index"],
     )
     def test_worker_count_invariance(self, overrides):
         config = small_config(sizes=(1, 3, 5), trials_per_size=600, **overrides)
@@ -283,20 +274,22 @@ class TestRunExperiment:
             assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / 10_000)
 
     def test_sampling_equivalence(self, reference_params):
-        trials = 10_000
+        # k stocks picked from a fresh 500-stock universe are k i.i.d. stocks:
+        # compare with an independent numpy sampler of k i.i.d. GBM stocks
+        trials, k, p = 10_000, 5, reference_params
         fresh = run_experiment(
             ExperimentConfig(
-                params=reference_params, sizes=(5,), trials_per_size=trials,
-                benchmarks=((0.7, 0.3),), sampling="fresh-universe", master_seed=11,
+                params=p, sizes=(k,), trials_per_size=trials,
+                benchmarks=((0.7, 0.3),), master_seed=11,
             )
         ).rows[0]
-        iid = run_experiment(
-            ExperimentConfig(
-                params=reference_params, sizes=(5,), trials_per_size=trials,
-                benchmarks=((0.7, 0.3),), sampling="direct-iid", master_seed=12,
-            )
-        ).rows[0]
-        for a, b in ((fresh.over_freq, iid.over_freq), (fresh.under_freq, iid.under_freq)):
+        rng = np.random.default_rng(12)
+        drifts = rng.normal(p.mu_hat, p.sigma_hat, size=(trials, k))
+        shocks = rng.normal(0.0, p.sigma * math.sqrt(p.horizon), size=(trials, k))
+        values = np.exp((drifts - 0.5 * p.sigma ** 2) * p.horizon + shocks)
+        iid = values.mean(axis=1) - 1.0
+        pairs = ((fresh.over_freq, np.mean(iid > 0.7)), (fresh.under_freq, np.mean(iid < 0.3)))
+        for a, b in pairs:
             se = math.sqrt(a * (1 - a) / trials + b * (1 - b) / trials)
             assert abs(a - b) <= 5.0 * se
 

@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indexsim import (
     FrequencyReport,
@@ -142,6 +144,8 @@ class TestEmitCsv:
         rows = [
             make_row(size=1, over=3469, under=6531),
             make_row(size=7, over_t=0.7, under_t=0.3, over=123, under=9871),
+            make_row(size=9, over=1_234_567, under=1_000_000, trials=3_000_000),
+            make_row(size=11, over=17, under=20, trials=50),
         ]
         report = make_report(rows, seed=99)
         parsed = parse_csv(emit_csv(report, precision=None))
@@ -152,6 +156,29 @@ class TestEmitCsv:
         report = make_report([make_row(), make_row(size=3, over=10, under=20, trials=100)])
         data = emit_csv(report, precision=6)
         assert emit_csv(parse_csv(data), precision=6) == data
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(1, 10 ** 8).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
+        precision=st.one_of(st.none(), st.integers(0, 9)),
+    )
+    # d fixed-point decimals pin a count only for trials <= 10**d; read by
+    # rounding alone, 1,234,567 of 3,000,000 comes back as 1,234,566 and 17
+    # of 50 as 15
+    @example(counts=(3_000_000, 1_234_567), precision=6)
+    @example(counts=(50, 17), precision=1)
+    @example(counts=(1_000_000, 123_457), precision=6)
+    @example(counts=(10, 7), precision=1)
+    def test_parse_is_exact_or_refuses(self, counts, precision):
+        trials, over = counts
+        report = make_report([make_row(over=over, under=trials - over, trials=trials)])
+        data = emit_csv(report, precision=precision)
+        if precision is not None and trials > 10 ** precision:
+            with pytest.raises(ValueError, match="cannot pin"):
+                parse_csv(data)
+        else:
+            row = parse_csv(data).rows[0]
+            assert (row.over_count, row.under_count) == (over, trials - over)
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
