@@ -24,7 +24,6 @@ from .enumeration import (
     EnumerationCapError,
     SubsetStats,
     enumerate_portfolios,
-    underperformance_fraction,
 )
 from .model import (
     ModelParams,
@@ -33,7 +32,6 @@ from .model import (
     draw_drifts,
     draw_universe,
     index_value,
-    portfolio_return,
     terminal_value,
 )
 from .montecarlo import (
@@ -74,7 +72,6 @@ __all__ = [
     "index_value",
     "median_stock_value",
     "parse_csv",
-    "portfolio_return",
     "run_experiment",
     "run_trial",
     "stock_log_law",
@@ -84,5 +81,4 @@ __all__ = [
     "tail_probability",
     "terminal_value",
     "underperformance_factor",
-    "underperformance_fraction",
 ]

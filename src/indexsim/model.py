@@ -295,15 +295,3 @@ def index_value(universe_or_values) -> float:
     values = _as_values(universe_or_values)
     return float(values.sum() / values.size)
 
-
-def portfolio_return(universe_or_values, subset) -> float:
-    """Equal-weighted net return of the stocks at the given distinct indices."""
-    values = _as_values(universe_or_values)
-    idx = np.asarray(subset, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("subset must be a non-empty sequence of indices")
-    if len(np.unique(idx)) != idx.size:
-        raise ValueError("subset indices must be distinct")
-    if np.any(idx < 0) or np.any(idx >= values.size):
-        raise ValueError(f"subset indices must lie in [0, {values.size})")
-    return float(np.mean(values[idx])) - 1.0

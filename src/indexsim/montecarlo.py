@@ -46,6 +46,8 @@ DEFAULT_TRIALS = 10_000
 
 MODES = ("fixed-benchmark", "realized-index")
 
+_LOW32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -131,9 +133,10 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Choose k distinct indices from range(n), uniform over all C(n, k) subsets.
 
     Partial Fisher-Yates: position i swaps with a uniform j in [i, n), and
-    the first k positions are the sample.  The k random integers are drawn
-    in one vectorized call from the given substream.  Only swapped slots
-    are stored (``moved``); every other slot still holds its own index.
+    the first k positions are the sample.  Only swapped slots are stored
+    (``moved``); every other slot still holds its own index.  The swap
+    targets come from ``_swap_targets``; on a fresh stream they are exactly
+    what ``rng.integers(np.arange(k), n)`` draws.
     """
     if not 1 <= k <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {k}")
@@ -141,10 +144,45 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         return np.arange(n)
     moved = {}
     picked = []
-    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+    for i, j in enumerate(_swap_targets(rng, n, k)):
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return np.array(picked)
+
+
+def _swap_targets(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """j_i uniform in [i, n) for i < k, as numpy's ``rng.integers(np.arange(k), n)``.
+
+    For n <= 2**32 numpy draws each j_i by 32-bit Lemire on the stream's
+    32-bit halves, low half of each 64-bit word first, rejecting when the
+    low product word falls below 2**32 mod (n - i).  The same arithmetic on
+    Python ints over ceil(k/2) raw words costs a fraction of numpy's
+    per-element call.  The stream is read in whole words, so a generator
+    reused afterwards may differ from one that numpy advanced.
+    """
+    if n > 2 ** 32:
+        return rng.integers(np.arange(k), n).tolist()
+    raw = rng.bit_generator.random_raw
+
+    def halves_of(words: int) -> list[int]:
+        return raw(words).astype("<u8").view("<u4").tolist()
+
+    halves = halves_of(-(-k // 2))
+    targets = []
+    pos = 0
+    for i in range(k):
+        span = n - i
+        product = halves[pos] * span
+        pos += 1
+        if product & _LOW32 < span:
+            threshold = (1 << 32) % span
+            while product & _LOW32 < threshold:
+                # one more word per rejection keeps a half for every later i
+                halves += halves_of(1)
+                product = halves[pos] * span
+                pos += 1
+        targets.append(i + (product >> 32))
+    return targets
 
 
 def run_trial(

@@ -31,7 +31,6 @@ from indexsim.cli import main
 from indexsim.model import STREAM_STRIDE
 from indexsim.montecarlo import DEFAULT_SIZE_GRID
 from indexsim.report import parse_csv
-from tests.conftest import REFERENCE_TARGET
 
 
 def check(criterion: int, description: str, ok: bool) -> None:
@@ -79,8 +78,8 @@ def test_criterion_1_exact_worked_example(capsys):
     assert "portfolios=15 mean=0.180000 median=0.100000 under_fraction=0.666667" in out
 
 
-def test_criterion_2_calibration(capsys):
-    mu_hat, sigma_hat = calibrate(REFERENCE_TARGET)
+def test_criterion_2_calibration(reference_target, capsys):
+    mu_hat, sigma_hat = calibrate(reference_target)
     with capsys.disabled():
         check(
             2,

@@ -16,7 +16,6 @@ from indexsim import (
     tail_probability,
     underperformance_factor,
 )
-from tests.conftest import REFERENCE_TARGET
 
 
 def make_params(**overrides):
@@ -92,8 +91,8 @@ class TestStockLogLaw:
 
 
 class TestCalibrate:
-    def test_reference_values(self):
-        mu_hat, sigma_hat = calibrate(REFERENCE_TARGET)
+    def test_reference_values(self, reference_target):
+        mu_hat, sigma_hat = calibrate(reference_target)
         assert mu_hat == pytest.approx(0.0390620, abs=1e-6)
         assert sigma_hat == pytest.approx(0.1296627, abs=1e-6)
         assert round(mu_hat * 100) == 4
@@ -115,8 +114,8 @@ class TestCalibrate:
             assert median_stock_value(params) == pytest.approx(1.0 + median, rel=1e-12)
             assert expected_index_value(params) == pytest.approx(1.0 + expected, rel=1e-12)
 
-    def test_boundary_yields_zero_dispersion(self):
-        mu_hat, _ = calibrate(REFERENCE_TARGET)
+    def test_boundary_yields_zero_dispersion(self, reference_target):
+        mu_hat, _ = calibrate(reference_target)
         boundary_expected = math.expm1(mu_hat * 5.0)
         # exp(log(1.1) + 0.1) - 1, the expected return carrying no dispersion
         assert boundary_expected == pytest.approx(0.2156880, abs=1e-6)

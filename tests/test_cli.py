@@ -13,6 +13,55 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# Exact stdout of `enumerate` over the universe of test_golden_oracle_universe.
+ORACLE_UNIVERSE_STDOUT = (
+    "return    count\n"
+    "0.100000  131071\n"
+    "0.122222  3\n"
+    "0.123529  51\n"
+    "0.125000  408\n"
+    "0.126667  2040\n"
+    "0.128571  7140\n"
+    "0.130769  18564\n"
+    "0.133333  37128\n"
+    "0.136364  58344\n"
+    "0.140000  72930\n"
+    "0.142105  3\n"
+    "0.144444  72981\n"
+    "0.147059  408\n"
+    "0.150000  60384\n"
+    "0.153333  7140\n"
+    "0.157143  55692\n"
+    "0.160000  1\n"
+    "0.161538  37128\n"
+    "0.163158  17\n"
+    "0.166667  77044\n"
+    "0.170588  680\n"
+    "0.172727  72930\n"
+    "0.175000  2380\n"
+    "0.180000  86258\n"
+    "0.185714  12376\n"
+    "0.188889  58344\n"
+    "0.192308  19448\n"
+    "0.200000  24310\n"
+    "0.200000  39168\n"
+    "0.209091  24310\n"
+    "0.214286  18564\n"
+    "0.220000  19448\n"
+    "0.233333  19924\n"
+    "0.250000  6188\n"
+    "0.260000  2040\n"
+    "0.271429  2380\n"
+    "0.300000  1139\n"
+    "0.340000  136\n"
+    "0.366667  51\n"
+    "0.400000  17\n"
+    "0.500000  7\n"
+    "benchmark=0.160000 below=524287 equal=1 above=524287\n"
+    "portfolios=1048575 mean=0.160000 median=0.160000 under_fraction=0.500000\n"
+)
+
+
 class TestCalibrateCommand:
     def test_reference_calibration(self, capsys):
         code = run_cli("calibrate", "--median", "0.10", "--expected", "0.50",
@@ -128,6 +177,17 @@ class TestEnumerateCommand:
         assert code == 0
         assert "portfolios=15" in out
         assert "under_fraction=0.666667" in out
+
+    def test_golden_oracle_universe(self, capsys):
+        # a 20-stock universe with three 50% winners, every size 1..20:
+        # 2**20 - 1 subsets, and two distinct returns that both print 0.200000
+        values = ["1.1"] * 20
+        for winner in (0, 3, 8):
+            values[winner] = "1.5"
+        code = run_cli("enumerate", "--values", ",".join(values),
+                       "--sizes", ",".join(str(k) for k in range(1, 21)))
+        assert code == 0
+        assert capsys.readouterr().out == ORACLE_UNIVERSE_STDOUT
 
     def test_cap_exceeded_exits_2(self, capsys):
         values = ",".join(["1.01"] * 30)
@@ -327,3 +387,4 @@ def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in golden}
     assert digests == golden
+

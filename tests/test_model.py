@@ -13,7 +13,6 @@ from indexsim import (
     draw_drifts,
     draw_universe,
     index_value,
-    portfolio_return,
     terminal_value,
 )
 from indexsim.model import (
@@ -273,25 +272,3 @@ class TestIndexValue:
 
     def test_symmetric_mean(self):
         assert index_value([1.0, 2.0, 3.0]) == 2.0
-
-
-class TestPortfolioReturn:
-    VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
-
-    def test_single_winner(self):
-        assert portfolio_return(self.VALUES, [4]) == pytest.approx(0.50, abs=1e-12)
-
-    def test_winner_plus_one(self):
-        assert portfolio_return(self.VALUES, [4, 0]) == pytest.approx(0.30, abs=1e-12)
-
-    def test_full_subset_matches_index(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            values = rng.lognormal(0.1, 0.8, size=rng.integers(1, 40))
-            full = portfolio_return(values, np.arange(values.size))
-            assert full == index_value(values) - 1.0
-
-    @pytest.mark.parametrize("subset", [[], [0, 0], [5], [-1]])
-    def test_rejects_bad_subsets(self, subset):
-        with pytest.raises(ValueError):
-            portfolio_return(self.VALUES, subset)

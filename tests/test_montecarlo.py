@@ -22,7 +22,7 @@ from indexsim import (
 )
 import indexsim.montecarlo as montecarlo
 from indexsim.model import PICK_STREAM, STREAM_STRIDE
-from indexsim.montecarlo import pick_subset
+from indexsim.montecarlo import _swap_targets, pick_subset
 
 WILSON_Z95 = 1.959963985  # 97.5th standard normal percentile
 
@@ -112,6 +112,34 @@ class TestPickSubset:
         picked = pick_subset(seed.generator(), n, k)
         assert picked.dtype == idx.dtype
         assert picked.tolist() == idx[:k].tolist()
+
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_fresh_streams_match_dense_swap_loop(self, k):
+        n = 500
+        for stream_index in range(0, 200, 4):
+            seed = SeedSpec(11, stream_index + PICK_STREAM)
+            idx = np.arange(n)
+            for i, j in enumerate(seed.generator().integers(np.arange(k), n)):
+                idx[i], idx[j] = idx[j], idx[i]
+            assert pick_subset(seed.generator(), n, k).tolist() == idx[:k].tolist()
+
+    @pytest.mark.parametrize("n", [2 ** 31 + 1, 2 ** 31 + 20, 2 ** 32, 2 ** 40])
+    def test_swap_targets_match_numpy_with_rejections(self, n):
+        # a draw on a span just above 2**31 is rejected about half the time:
+        # the first draw at n = 2**31 + 1, every draw at n = 2**31 + 20;
+        # n = 2**32 takes whole halves and n > 2**32 is numpy's own path
+        rejected = 0
+        for stream_index in range(60):
+            k = 1 + stream_index % 20
+            seed = SeedSpec(5, stream_index)
+            rng = seed.generator()
+            assert _swap_targets(rng, n, k) == seed.generator().integers(np.arange(k), n).tolist()
+            plain = seed.generator().bit_generator
+            plain.random_raw(-(-k // 2))
+            rejected += rng.bit_generator.state != plain.state
+        if n < 2 ** 32:
+            assert rejected > 20
 
 
 def _numpy_trial(params, k, master_seed, base):
