@@ -255,8 +255,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     values = tuple(float(v) for v in args.values.split(",") if v.strip())
     index = DeterministicIndex(values)
     sizes = _parse_sizes(args.sizes)
-    benchmark = float(args.benchmark) if args.benchmark is not None else index.mean_return()
-    stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,), cap=args.cap)
+    try:
+        benchmark = float(args.benchmark) if args.benchmark is not None else index.mean_return()
+        stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,), cap=args.cap)
+    except OverflowError as exc:
+        raise ValueError(f"a subset sum or mean overflows a float ({exc})") from exc
     _print_subset_stats(stats, benchmark)
     return 0
 

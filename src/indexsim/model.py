@@ -93,7 +93,7 @@ def _entropy_words(n: int) -> list[int]:
     return words
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _seed_window(master_seed: int, window: int) -> np.ndarray:
     """PCG64 seed words of the SEED_WINDOW stream indices from window * SEED_WINDOW.
 

@@ -132,11 +132,18 @@ class FrequencyReport:
 def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Choose k distinct indices from range(n), uniform over all C(n, k) subsets.
 
-    Partial Fisher-Yates: position i swaps with a uniform j in [i, n), and
-    the first k positions are the sample.  Only swapped slots are stored
-    (``moved``); every other slot still holds its own index.  The swap
-    targets come from ``_swap_targets``; on a fresh stream they are exactly
-    what ``rng.integers(np.arange(k), n)`` draws.
+    Partial Fisher-Yates in one pass: position i swaps with a uniform j in
+    [i, n), and the first k positions are the sample.  Only swapped slots
+    are stored (``moved``); every other slot still holds its own index.
+
+    On a fresh stream the j_i are exactly numpy's ``rng.integers(np.arange(k),
+    n)``.  For n <= 2**32 numpy draws each j_i by 32-bit Lemire on the
+    stream's 32-bit halves, low half of each 64-bit word first, rejecting
+    when the low product word falls below 2**32 mod (n - i); the same
+    arithmetic on Python ints over ceil(k/2) raw words costs a fraction of
+    numpy's per-element call.  The stream is read in whole words, so a
+    generator reused afterwards may differ from one that numpy advanced.
+    For n > 2**32 numpy draws the j_i itself.
     """
     if not 1 <= k <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {k}")
@@ -144,31 +151,13 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         return np.arange(n)
     moved = {}
     picked = []
-    for i, j in enumerate(_swap_targets(rng, n, k)):
-        picked.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return np.array(picked)
-
-
-def _swap_targets(rng: np.random.Generator, n: int, k: int) -> list[int]:
-    """j_i uniform in [i, n) for i < k, as numpy's ``rng.integers(np.arange(k), n)``.
-
-    For n <= 2**32 numpy draws each j_i by 32-bit Lemire on the stream's
-    32-bit halves, low half of each 64-bit word first, rejecting when the
-    low product word falls below 2**32 mod (n - i).  The same arithmetic on
-    Python ints over ceil(k/2) raw words costs a fraction of numpy's
-    per-element call.  The stream is read in whole words, so a generator
-    reused afterwards may differ from one that numpy advanced.
-    """
     if n > 2 ** 32:
-        return rng.integers(np.arange(k), n).tolist()
+        for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return np.array(picked)
     raw = rng.bit_generator.random_raw
-
-    def halves_of(words: int) -> list[int]:
-        return raw(words).astype("<u8").view("<u4").tolist()
-
-    halves = halves_of(-(-k // 2))
-    targets = []
+    halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
     pos = 0
     for i in range(k):
         span = n - i
@@ -178,11 +167,13 @@ def _swap_targets(rng: np.random.Generator, n: int, k: int) -> list[int]:
             threshold = (1 << 32) % span
             while product & _LOW32 < threshold:
                 # one more word per rejection keeps a half for every later i
-                halves += halves_of(1)
+                halves += raw(1).astype("<u8", copy=False).view("<u4").tolist()
                 product = halves[pos] * span
                 pos += 1
-        targets.append(i + (product >> 32))
-    return targets
+        j = i + (product >> 32)
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked)
 
 
 def run_trial(
@@ -201,12 +192,19 @@ def run_trial(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     universe = draw_universe(params, seed)
     realized = index_value(universe) - 1.0
-    return _pick_return(seed.substream(PICK_STREAM), universe.terminal_values, k), realized
+    values = universe.terminal_values
+    picked = values[pick_subset(seed.substream(PICK_STREAM).generator(), values.size, k)]
+    return float(_net_return(picked)), realized
 
 
-def _pick_return(pick: SeedSpec, values: np.ndarray, k: int) -> float:
-    """Net return of an equal-weighted pick of k values, drawn from ``pick``'s stream."""
-    return float(values[pick_subset(pick.generator(), values.size, k)].sum() / k) - 1.0
+def _net_return(picked: np.ndarray):
+    """Net return of equal-weighted picks: each last-axis row's sum / k - 1.0.
+
+    One pick is a 1-d array, a block of picks a C-contiguous (picks, k)
+    matrix; ``sum(axis=-1)`` gives each row numpy's pairwise ``row.sum()``,
+    so a block's returns equal its picks' one at a time.
+    """
+    return picked.sum(axis=-1) / picked.shape[-1] - 1.0
 
 
 def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
@@ -316,7 +314,10 @@ def subset_frequencies(
 
     Returns (below, equal, above) counts over ``trials`` independent draws
     from cell 0's pick streams.  This is the fixed-universe mode checked
-    against exhaustive enumeration.
+    against exhaustive enumeration.  Each pick still builds its own
+    generator and calls ``pick_subset`` once; the picks' indices fill one
+    (trials, k) matrix, whose returns are averaged and classified as a
+    block; the matrix and its values take 16 * trials * k bytes.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -327,7 +328,9 @@ def subset_frequencies(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not (np.isfinite(arr).all() and math.isfinite(benchmark)):
         raise ValueError("values and benchmark must be finite")
-    picks = (SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM) for t in range(trials))
-    returns = np.array([_pick_return(pick, arr, k) for pick in picks])
-    above, below, equal = _classify(returns, benchmark, benchmark)
+    picks = np.empty((trials, k), dtype=np.intp)
+    for t in range(trials):
+        rng = SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM).generator()
+        picks[t] = pick_subset(rng, arr.size, k)
+    above, below, equal = _classify(_net_return(arr[picks]), benchmark, benchmark)
     return below, equal, above

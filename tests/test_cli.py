@@ -189,6 +189,16 @@ class TestEnumerateCommand:
         assert code == 0
         assert capsys.readouterr().out == ORACLE_UNIVERSE_STDOUT
 
+    @pytest.mark.parametrize("extra", [("--sizes", "1"), ("--sizes", "2", "--benchmark", "0")])
+    def test_overflow_exits_2(self, capsys, extra):
+        # the default benchmark's mean, or the 2-subset sum, exceeds a float
+        code = run_cli("enumerate", "--values", "1e308,1e308", *extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_cap_exceeded_exits_2(self, capsys):
         values = ",".join(["1.01"] * 30)
         code = run_cli("enumerate", "--values", values, "--sizes", "15", "--cap", "100")

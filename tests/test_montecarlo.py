@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from indexsim import (
     DeterministicIndex,
@@ -21,8 +22,8 @@ from indexsim import (
     tail_probability,
 )
 import indexsim.montecarlo as montecarlo
-from indexsim.model import PICK_STREAM, STREAM_STRIDE
-from indexsim.montecarlo import _swap_targets, pick_subset
+from indexsim.model import PICK_STREAM, STREAM_STRIDE, _seed_window
+from indexsim.montecarlo import pick_subset
 
 WILSON_Z95 = 1.959963985  # 97.5th standard normal percentile
 
@@ -133,13 +134,31 @@ class TestPickSubset:
         for stream_index in range(60):
             k = 1 + stream_index % 20
             seed = SeedSpec(5, stream_index)
+            # sparse oracle: the swap loop over numpy's own targets
+            moved, expected = {}, []
+            for i, j in enumerate(seed.generator().integers(np.arange(k), n).tolist()):
+                expected.append(moved.get(j, j))
+                moved[j] = moved.get(i, i)
             rng = seed.generator()
-            assert _swap_targets(rng, n, k) == seed.generator().integers(np.arange(k), n).tolist()
+            assert pick_subset(rng, n, k).tolist() == expected
             plain = seed.generator().bit_generator
             plain.random_raw(-(-k // 2))
             rejected += rng.bit_generator.state != plain.state
         if n < 2 ** 32:
             assert rejected > 20
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6), (8, 3)])
+    def test_chi_square_uniform_on_fresh_pick_streams(self, n, k):
+        # each pick on its own fresh pick substream, the way callers draw them
+        cells = math.comb(n, k)
+        trials = 60 * cells
+        counts = Counter(
+            tuple(sorted(pick_subset(
+                SeedSpec(2024, t * STREAM_STRIDE + PICK_STREAM).generator(), n, k).tolist()))
+            for t in range(trials)
+        )
+        assert len(counts) == cells
+        assert chisquare(list(counts.values())).pvalue > 1e-4
 
 
 def _numpy_trial(params, k, master_seed, base):
@@ -411,6 +430,51 @@ class TestSubsetFrequencies:
                 above += 1
         assert subset_frequencies(values, k, trials, 0.5, master_seed=seed) == (below, equal, above)
         assert equal > 0 and below > 0 and above > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.25, 1.1, 1.1, 1.5, 1.75, 3.0, 1e-3, 123.456]),
+                        min_size=1, max_size=40),
+        r=st.integers(0, 2 ** 20),
+        trials=st.integers(1, 60),
+        seed=st.integers(0, 2 ** 64 - 1),
+        at=st.integers(0, 2 ** 20),
+    )
+    @example(values=[1.1] * 17 + [1.5] * 3, r=9, trials=60, seed=42, at=0)
+    @example(values=[0.25, 1.75] * 20, r=39, trials=40, seed=3, at=5)
+    def test_block_equals_pick_by_pick(self, values, r, trials, seed, at):
+        # repeated values make ties; the benchmark is a return that occurs
+        n = len(values)
+        k = 1 + r % n
+        arr = np.array(values)
+        returns = [
+            float(arr[pick_subset(SeedSpec(seed, t * STREAM_STRIDE + PICK_STREAM).generator(),
+                                  n, k)].sum() / k) - 1.0
+            for t in range(trials)
+        ]
+        benchmark = returns[at % trials]
+        expected = (
+            sum(ret < benchmark for ret in returns),
+            sum(ret == benchmark for ret in returns),
+            sum(ret > benchmark for ret in returns),
+        )
+        assert subset_frequencies(values, k, trials, benchmark, seed) == expected
+
+    def test_row_sums_equal_pairwise_sums(self):
+        # the block's sum(axis=1) must round like each pick's own .sum(),
+        # past k = 8 too, where numpy's pairwise sum runs 8 accumulators;
+        # magnitudes spread over 2**±40 make the summation order matter
+        rng = np.random.default_rng(40)
+        for k in range(1, 41):
+            m = rng.standard_normal((64, k)) * np.exp2(rng.integers(-40, 41, size=(64, k)))
+            assert m.sum(axis=1).tolist() == [row.sum() for row in m], k
+
+    def test_repeat_call_reuses_seed_windows(self):
+        # 5,000 picks use pick streams up to 19,998: ten seed windows
+        subset_frequencies(self.VALUES, 2, 5000, 0.18, master_seed=8)
+        misses = _seed_window.cache_info().misses
+        subset_frequencies(self.VALUES, 2, 5000, 0.18, master_seed=8)
+        assert _seed_window.cache_info().misses == misses
 
     def test_deterministic(self):
         a = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
