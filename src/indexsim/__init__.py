@@ -28,7 +28,6 @@ from .enumeration import (
 from .model import (
     ModelParams,
     SeedSpec,
-    UniverseDraw,
     draw_drifts,
     draw_universe,
     index_value,
@@ -60,7 +59,6 @@ __all__ = [
     "SampleSummary",
     "SeedSpec",
     "SubsetStats",
-    "UniverseDraw",
     "calibrate",
     "draw_drifts",
     "draw_universe",

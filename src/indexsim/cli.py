@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -361,6 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    0 success, 2 usage or configuration error, 3 output I/O failure, 4 a
+    worker process died, 130 interrupted; each failure is one ``error:`` line.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -370,6 +376,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool:
+        print("error: a worker process died before its trials finished", file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -218,29 +218,6 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
-class UniverseDraw:
-    """One sampled cross-section: per-stock drifts and gross terminal values."""
-
-    drifts: np.ndarray
-    terminal_values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("drifts", "terminal_values"):
-            arr = np.array(getattr(self, name), dtype=float)  # own copy, frozen below
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.drifts.shape != self.terminal_values.shape or self.drifts.ndim != 1:
-            raise ValueError("drifts and terminal_values must be 1-d arrays of equal length")
-        if self.terminal_values.size == 0:
-            raise ValueError("universe must contain at least one stock")
-        if not (self.terminal_values.min() > 0 and self.terminal_values.max() < np.inf):
-            raise ValueError("terminal values must be positive and finite")
-
-    def __len__(self) -> int:
-        return self.terminal_values.size
-
-
 def draw_drifts(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     """Sample the n_stocks per-year drifts, i.i.d. N(mu_hat, sigma_hat**2)."""
     rng = seed.generator()
@@ -263,35 +240,34 @@ def terminal_value(mu_i: float, sigma: float, horizon: float, z) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def draw_universe(params: ModelParams, seed: SeedSpec) -> UniverseDraw:
-    """Draw a full cross-section of terminal values.
+def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
+    """Draw a full cross-section: the n_stocks gross terminal values, read-only.
 
     Drift draws and shock draws come from disjoint substreams at offsets
     DRIFT_STREAM and SHOCK_STREAM from ``seed``; callers running many
-    trials should space their base stream indices by STREAM_STRIDE.
+    trials should space their base stream indices by STREAM_STRIDE.  The
+    drifts are ``draw_drifts(params, seed.substream(DRIFT_STREAM))``.
+    Parameters whose values overflow to inf or underflow to 0 raise
+    ValueError.
     """
     drifts = draw_drifts(params, seed.substream(DRIFT_STREAM))
     shock_rng = seed.substream(SHOCK_STREAM).generator()
     z = standard_normals(shock_rng, params.n_stocks)
     values = terminal_value(drifts, params.sigma, params.horizon, z)
-    return UniverseDraw(drifts=drifts, terminal_values=np.asarray(values, dtype=float))
+    if not (values.min() > 0 and values.max() < np.inf):
+        raise ValueError("terminal values must be positive and finite")
+    values.flags.writeable = False
+    return values
 
 
-def _as_values(universe_or_values) -> np.ndarray:
-    if isinstance(universe_or_values, UniverseDraw):
-        return universe_or_values.terminal_values
-    arr = np.asarray(universe_or_values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-d collection of gross values")
-    return arr
-
-
-def index_value(universe_or_values) -> float:
+def index_value(values) -> float:
     """Gross value of the index: the plain mean of the terminal values.
 
-    Summation is numpy's pairwise scheme over ascending index order, so the
-    result is reproducible run-to-run and across worker counts.
+    ``values`` is any non-empty 1-d collection.  Summation is numpy's
+    pairwise scheme over ascending index order, so the result is
+    reproducible run-to-run and across worker counts.
     """
-    values = _as_values(universe_or_values)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("expected a non-empty 1-d collection of gross values")
     return float(values.sum() / values.size)
-

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -93,10 +93,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FrequencyRow:
-    """Tally for one (size, benchmark) cell.
+    """Tally for one (size, benchmark) cell: over and under counts out of ``trials``.
 
-    over_freq / under_freq are the raw frequencies over_count/trials and
-    under_count/trials; over_ci / under_ci are 95% Wilson half-widths.
+    Everything else is derived on read: the between count, the raw
+    frequencies count / trials, and their 95% Wilson half-widths
+    (``frequency_ci``).
     """
 
     size: int
@@ -104,19 +105,33 @@ class FrequencyRow:
     under_threshold: float
     over_count: int
     under_count: int
-    between_count: int
     trials: int
-    over_freq: float
-    under_freq: float
-    over_ci: float
-    under_ci: float
+
+    @property
+    def between_count(self) -> int:
+        return self.trials - self.over_count - self.under_count
+
+    @property
+    def over_freq(self) -> float:
+        return self.over_count / self.trials
+
+    @property
+    def under_freq(self) -> float:
+        return self.under_count / self.trials
+
+    @property
+    def over_ci(self) -> float:
+        return frequency_ci(self.over_count, self.trials)[1]
+
+    @property
+    def under_ci(self) -> float:
+        return frequency_ci(self.under_count, self.trials)[1]
 
 
 @dataclass(frozen=True)
 class FrequencyReport:
     rows: tuple[FrequencyRow, ...]
     master_seed: int
-    config: Optional[ExperimentConfig] = None
 
     def row_for(self, size: int, over_threshold: float, under_threshold: float) -> FrequencyRow:
         for row in self.rows:
@@ -190,9 +205,8 @@ def run_trial(
         raise ValueError(f"subset size must lie in [1, {params.n_stocks}], got {k}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    universe = draw_universe(params, seed)
-    realized = index_value(universe) - 1.0
-    values = universe.terminal_values
+    values = draw_universe(params, seed)
+    realized = index_value(values) - 1.0
     picked = values[pick_subset(seed.substream(PICK_STREAM).generator(), values.size, k)]
     return float(_net_return(picked)), realized
 
@@ -216,8 +230,8 @@ def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
 
 def _tally_block(
     config: ExperimentConfig, size_idx: int, bench_idx: int, start: int, stop: int
-) -> tuple[int, int, int, int, int]:
-    """Tally trials [start, stop) of one cell; returns cell ids plus counts."""
+) -> tuple[int, int, int, int]:
+    """Tally trials [start, stop) of one cell: (size_idx, bench_idx, over, under)."""
     k = config.sizes[size_idx]
     hi, lo = config.benchmarks[bench_idx]
     first = (size_idx * len(config.benchmarks) + bench_idx) * config.trials_per_size
@@ -232,7 +246,8 @@ def _tally_block(
         expected = expected_index_value(config.params) - 1.0
         realized = np.array(realized)
         hi, lo = realized + (hi - expected), realized + (lo - expected)
-    return (size_idx, bench_idx, *_classify(np.array(portfolio), hi, lo))
+    over, under, _ = _classify(np.array(portfolio), hi, lo)
+    return size_idx, bench_idx, over, under
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyReport:
@@ -261,32 +276,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
             results = list(pool.map(_tally_block, *zip(*tasks)))
 
     counts = {}
-    for i, j, over, under, between in results:
-        o, u, b = counts.get((i, j), (0, 0, 0))
-        counts[(i, j)] = (o + over, u + under, b + between)
+    for i, j, over, under in results:
+        o, u = counts.get((i, j), (0, 0))
+        counts[(i, j)] = (o + over, u + under)
 
-    rows = []
-    for i, k in enumerate(config.sizes):
-        for j, (over_t, under_t) in enumerate(config.benchmarks):
-            over, under, between = counts[(i, j)]
-            _, over_hw = frequency_ci(over, trials)
-            _, under_hw = frequency_ci(under, trials)
-            rows.append(
-                FrequencyRow(
-                    size=k,
-                    over_threshold=over_t,
-                    under_threshold=under_t,
-                    over_count=over,
-                    under_count=under,
-                    between_count=between,
-                    trials=trials,
-                    over_freq=over / trials,
-                    under_freq=under / trials,
-                    over_ci=over_hw,
-                    under_ci=under_hw,
-                )
-            )
-    return FrequencyReport(rows=tuple(rows), master_seed=config.master_seed, config=config)
+    rows = tuple(
+        FrequencyRow(size=k, over_threshold=over_t, under_threshold=under_t,
+                     over_count=counts[(i, j)][0], under_count=counts[(i, j)][1], trials=trials)
+        for i, k in enumerate(config.sizes)
+        for j, (over_t, under_t) in enumerate(config.benchmarks)
+    )
+    return FrequencyReport(rows=rows, master_seed=config.master_seed)
 
 
 def frequency_ci(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:

@@ -117,19 +117,16 @@ def _count(field: str, trials: int, decimals: Optional[int]) -> int:
 
 
 def parse_csv(source) -> FrequencyReport:
-    """Rebuild a FrequencyReport from emit_csv output (bytes, text or path).
+    """Rebuild a FrequencyReport from emit_csv output (bytes or a path).
 
-    Counts are recovered from the frequencies, or ValueError is raised
-    where they cannot be: d fixed-point decimals pin a count only when
+    Each row keeps the counts its frequencies pin, and ValueError is raised
+    where they cannot: d fixed-point decimals pin a count only when
     trials <= 10**d, and a shortest repr (precision=None) pins it when it
-    equals count / trials exactly.
+    equals count / trials exactly.  The printed frequencies and half-widths
+    are not kept; a row derives them from its counts.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and source.startswith(CSV_HEADER):
-        text = source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    text = data.decode("utf-8")
     lines = [line for line in text.splitlines() if line]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {lines[0] if lines else ''!r}")
@@ -140,6 +137,8 @@ def parse_csv(source) -> FrequencyReport:
         if len(fields) != 9:
             raise ValueError(f"malformed CSV row: {line!r}")
         trials = int(fields[7])
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1: {line!r}")
         # fixed-point rows print every float field with the same decimals
         floats = fields[1:7]
         widths = {len(f.partition(".")[2]) for f in floats}
@@ -147,21 +146,11 @@ def parse_csv(source) -> FrequencyReport:
         decimals = widths.pop() if plain and len(widths) == 1 else None
         over = _count(fields[3], trials, decimals)
         under = _count(fields[4], trials, decimals)
-        rows.append(
-            FrequencyRow(
-                size=int(fields[0]),
-                over_threshold=float(fields[1]),
-                under_threshold=float(fields[2]),
-                over_count=over,
-                under_count=under,
-                between_count=trials - over - under,
-                trials=trials,
-                over_freq=float(fields[3]),
-                under_freq=float(fields[4]),
-                over_ci=float(fields[5]),
-                under_ci=float(fields[6]),
-            )
-        )
+        if not (over >= 0 and under >= 0 and over + under <= trials):
+            raise ValueError(f"frequencies do not fit {trials} trials: {line!r}")
+        rows.append(FrequencyRow(size=int(fields[0]), over_threshold=float(fields[1]),
+                                 under_threshold=float(fields[2]), over_count=over,
+                                 under_count=under, trials=trials))
         seeds.add(int(fields[8]))
     if len(seeds) > 1:
         raise ValueError(f"inconsistent master_seed values in CSV: {sorted(seeds)}")

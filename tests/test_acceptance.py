@@ -229,11 +229,9 @@ def test_criterion_10_skewness(reference_params, capsys):
         mu_hat=reference_params.mu_hat,
         sigma_hat=reference_params.sigma_hat,
     )
-    skew = summary_stats(draw_universe(params, SeedSpec(10, 0)).terminal_values).skewness
+    skew = summary_stats(draw_universe(params, SeedSpec(10, 0))).skewness
     degenerate = ModelParams(n_stocks=1000, horizon=5.0, sigma=0.0, mu_hat=0.04, sigma_hat=0.0)
-    degenerate_skew = summary_stats(
-        draw_universe(degenerate, SeedSpec(10, 0)).terminal_values
-    ).skewness
+    degenerate_skew = summary_stats(draw_universe(degenerate, SeedSpec(10, 0))).skewness
     with capsys.disabled():
         check(
             10,

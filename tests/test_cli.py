@@ -2,9 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from concurrent.futures import Executor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import indexsim.montecarlo as montecarlo
 from indexsim.cli import main
 from indexsim.report import parse_csv
 
@@ -313,6 +316,48 @@ class TestSimulateCommand:
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch):
+        class DeadPool(Executor):
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", DeadPool)
+        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1,2",
+                       "--n", "10", "--workers", "2", "--out", str(tmp_path / "r.csv"),
+                       "--svg", str(tmp_path / "r.svg"))
+        assert code == 4
+        assert capsys.readouterr().err == "error: a worker process died before its trials finished\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_exits_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("indexsim.cli.run_experiment", interrupted)
+        code = run_cli("simulate", "--paper-defaults", "--out", str(tmp_path / "r.csv"))
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers,sizes", [("1", "1"), ("2", "1"), ("2", "1,2")])
+    def test_overflowing_universe_exits_2(self, tmp_path, workers, sizes):
+        # exp(300 * 5) overflows to inf; with sizes 1,2 the check fails in a
+        # worker process and its ValueError reaches the parent
+        result = subprocess.run(
+            [sys.executable, "-m", "indexsim.cli", "simulate", "--mu-hat", "300",
+             "--sigma-hat", "0", "--sizes", sizes, "--trials", "3", "--benchmarks", "0.5:0.5",
+             "--workers", workers, "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1] == "error: terminal values must be positive and finite"
+        assert "RuntimeWarning: overflow" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def run_with_setting(tmp_path, where, key, value):

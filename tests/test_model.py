@@ -9,7 +9,6 @@ from scipy.special import ndtri
 from indexsim import (
     ModelParams,
     SeedSpec,
-    UniverseDraw,
     draw_drifts,
     draw_universe,
     index_value,
@@ -208,15 +207,13 @@ class TestTerminalValue:
 class TestDrawUniverse:
     def test_degenerate_universe(self):
         params = make_params(n_stocks=5, sigma=0.0, sigma_hat=0.0, mu_hat=0.04, horizon=5.0)
-        universe = draw_universe(params, SeedSpec(3, 0))
-        assert universe.terminal_values.tolist() == [math.exp(0.2)] * 5
+        assert draw_universe(params, SeedSpec(3, 0)).tolist() == [math.exp(0.2)] * 5
 
     def test_deterministic(self):
         params = make_params()
         a = draw_universe(params, SeedSpec(11, 4))
         b = draw_universe(params, SeedSpec(11, 4))
-        assert np.array_equal(a.drifts, b.drifts)
-        assert np.array_equal(a.terminal_values, b.terminal_values)
+        assert np.array_equal(a, b)
 
     def test_marginal_log_law(self, reference_params):
         n = 100_000
@@ -227,7 +224,7 @@ class TestDrawUniverse:
             mu_hat=reference_params.mu_hat,
             sigma_hat=reference_params.sigma_hat,
         )
-        logs = np.log(draw_universe(params, SeedSpec(5, 0)).terminal_values)
+        logs = np.log(draw_universe(params, SeedSpec(5, 0)))
         m = params.mu_hat * 5.0 - 0.5 * params.sigma ** 2 * 5.0
         v = params.sigma ** 2 * 5.0 + params.sigma_hat ** 2 * 25.0
         assert m == pytest.approx(math.log(1.1), rel=1e-12)
@@ -236,31 +233,33 @@ class TestDrawUniverse:
 
     def test_positivity(self):
         params = make_params(n_stocks=2000)
-        universe = draw_universe(params, SeedSpec(8, 0))
-        assert np.all(universe.terminal_values > 0)
-        assert index_value(universe) > 0
+        values = draw_universe(params, SeedSpec(8, 0))
+        assert np.all(values > 0)
+        assert index_value(values) > 0
 
     def test_values_immutable(self):
-        universe = draw_universe(make_params(), SeedSpec(1, 0))
+        values = draw_universe(make_params(), SeedSpec(1, 0))
+        assert values.dtype == np.float64
         with pytest.raises(ValueError):
-            universe.terminal_values[0] = 2.0
+            values[0] = 2.0
 
     def test_concurrent_draws_match_serial(self):
         from concurrent.futures import ThreadPoolExecutor
 
         params = make_params(n_stocks=200)
         seeds = [SeedSpec(13, t * STREAM_STRIDE) for t in range(32)]
-        serial = [draw_universe(params, s).terminal_values for s in seeds]
+        serial = [draw_universe(params, s) for s in seeds]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda s: draw_universe(params, s).terminal_values, seeds))
+            threaded = list(pool.map(lambda s: draw_universe(params, s), seeds))
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
 
-    def test_rejects_mismatched_arrays(self):
-        with pytest.raises(ValueError):
-            UniverseDraw(drifts=np.zeros(3), terminal_values=np.ones(4))
-        with pytest.raises(ValueError):
-            UniverseDraw(drifts=np.zeros(2), terminal_values=np.array([1.0, -0.5]))
+    @pytest.mark.parametrize("mu_hat", [300.0, -300.0], ids=["overflow", "underflow"])
+    def test_rejects_values_that_leave_the_floats(self, mu_hat):
+        # exp(1500) is inf and exp(-1500) is 0: the one check on a drawn universe
+        params = make_params(mu_hat=mu_hat, sigma=0.0, sigma_hat=0.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
+            draw_universe(params, SeedSpec(1, 0))
 
 
 class TestIndexValue:

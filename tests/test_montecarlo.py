@@ -229,6 +229,28 @@ class TestRunExperiment:
         parallel = run_experiment(config, workers=3)
         assert serial.rows == parallel.rows
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 30),
+        trials=st.integers(1, 60),
+        mode=st.sampled_from(["fixed-benchmark", "realized-index"]),
+        thresholds=st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2),
+        master_seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_block_partition_invariance(self, data, n, trials, mode, thresholds, master_seed):
+        # Below 2,000 trials per worker every worker count makes the same
+        # 500-trial blocks, so split the trial range itself: the summed
+        # counts of any partition equal those of one block.
+        k = data.draw(st.integers(1, n), label="k")
+        bounds = sorted({0, trials} | data.draw(st.sets(st.integers(1, trials)), label="cuts"))
+        config = small_config(params=small_params(n_stocks=n), sizes=(k,), trials_per_size=trials,
+                              benchmarks=(tuple(sorted(thresholds, reverse=True)),), mode=mode,
+                              master_seed=master_seed)
+        whole = montecarlo._tally_block(config, 0, 0, 0, trials)
+        parts = [montecarlo._tally_block(config, 0, 0, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert [sum(p[c] for p in parts) for c in (2, 3)] == list(whole[2:])
+
     @pytest.mark.parametrize(
         "sizes,trials,workers,expected",
         [

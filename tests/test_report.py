@@ -27,12 +27,7 @@ def make_row(size=1, over_t=0.5, under_t=0.5, over=3469, under=6531, trials=10_0
         under_threshold=under_t,
         over_count=over,
         under_count=under,
-        between_count=trials - over - under,
         trials=trials,
-        over_freq=over / trials,
-        under_freq=under / trials,
-        over_ci=0.0093,
-        under_ci=0.0093,
     )
 
 
@@ -70,7 +65,7 @@ class TestSummaryStats:
             n_stocks=n, horizon=5.0, sigma=0.2,
             mu_hat=reference_params.mu_hat, sigma_hat=reference_params.sigma_hat,
         )
-        values = draw_universe(params, SeedSpec(6, 0)).terminal_values
+        values = draw_universe(params, SeedSpec(6, 0))
         s = summary_stats(values)
         m, v = math.log(1.1), 0.2 + reference_params.sigma_hat ** 2 * 25.0
         true_var = (math.exp(v) - 1.0) * math.exp(2 * m + v)
@@ -85,7 +80,7 @@ class TestSummaryStats:
             params = ModelParams(
                 n_stocks=100_000, horizon=5.0, sigma=sigma, mu_hat=0.04, sigma_hat=sigma_hat
             )
-            s = summary_stats(draw_universe(params, SeedSpec(2, 0)).terminal_values)
+            s = summary_stats(draw_universe(params, SeedSpec(2, 0)))
             assert s.skewness is not None and s.skewness > 0
 
     def test_matches_compensated_two_pass_reference(self):
@@ -105,7 +100,7 @@ class TestSummaryStats:
 class TestEmitCsv:
     GOLDEN = (
         "k,over_threshold,under_threshold,over_freq,under_freq,over_ci,under_ci,trials,master_seed\n"
-        "1,0.500000,0.500000,0.346900,0.653100,0.009300,0.009300,10000,42\n"
+        "1,0.500000,0.500000,0.346900,0.653100,0.009328,0.009328,10000,42\n"
     )
 
     def test_golden_single_row(self):
@@ -169,20 +164,39 @@ class TestEmitCsv:
     @example(counts=(50, 17), precision=1)
     @example(counts=(1_000_000, 123_457), precision=6)
     @example(counts=(10, 7), precision=1)
+    @example(counts=(3, 1), precision=6)
     def test_parse_is_exact_or_refuses(self, counts, precision):
         trials, over = counts
-        report = make_report([make_row(over=over, under=trials - over, trials=trials)])
+        # integer thresholds print exactly at any precision, so a row that
+        # reads back pinned must equal the row that was written
+        row = make_row(over_t=1.0, under_t=0.0, over=over, under=trials - over, trials=trials)
+        report = make_report([row])
         data = emit_csv(report, precision=precision)
         if precision is not None and trials > 10 ** precision:
             with pytest.raises(ValueError, match="cannot pin"):
                 parse_csv(data)
         else:
-            row = parse_csv(data).rows[0]
-            assert (row.over_count, row.under_count) == (over, trials - over)
+            assert parse_csv(data).rows == report.rows
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_csv(b"k,nope\n1,2\n")
+
+    @pytest.mark.parametrize("row", [
+        "1,0.5,0.5,0.75,0.5,0.0,0.0,4,42",  # 3 over and 2 under out of 4
+        "1,0.5,0.5,-0.25,0.5,0.0,0.0,4,42",
+        "1,0.5,0.5,0.0,0.0,0.0,0.0,0,42",
+    ])
+    def test_parse_rejects_counts_that_do_not_fit(self, row):
+        with pytest.raises(ValueError, match="trials"):
+            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
+
+    def test_parse_reads_a_path_not_text(self, tmp_path):
+        data = emit_csv(make_report([make_row()]))
+        (tmp_path / "r.csv").write_bytes(data)
+        assert parse_csv(tmp_path / "r.csv") == parse_csv(str(tmp_path / "r.csv")) == parse_csv(data)
+        with pytest.raises(OSError):
+            parse_csv(data.decode())
 
 
 class TestEmitSvgChart:
