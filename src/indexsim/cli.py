@@ -151,20 +151,25 @@ _SIMULATE_SETTINGS = _MODEL_SETTINGS + _RUN_SETTINGS
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment, and a key may appear once.
+
+    An unreadable file is a configuration error, so it raises ValueError.
+    """
     entries = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read config file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        entries[key.strip()] = value.strip()
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -283,10 +288,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         + [f"{s.name} = {s.echo(values[s.name])}" for s in _SIMULATE_SETTINGS if s.echo]
     ) + "\n"
     out_path = Path(values["out"])
+    sidecar = Path(str(out_path) + ".config")
     svg_path = values["svg"]
+    if svg_path is not None and Path(svg_path).resolve() in (out_path.resolve(), sidecar.resolve()):
+        raise ValueError(f"the SVG path {svg_path} would overwrite the CSV or its .config sidecar")
 
     report = run_experiment(config, workers=values["workers"])
-    sidecar = Path(str(out_path) + ".config")
     outputs = [
         (out_path, "CSV", emit_csv(report, precision=values["precision"])),
         (sidecar, "config echo", effective.encode("utf-8")),

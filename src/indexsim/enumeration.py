@@ -142,6 +142,9 @@ def enumerate_portfolios(
     """
     n = len(index)
     sizes = _validate_sizes(n, k_set)
+    benchmarks = tuple(float(b) for b in benchmarks)
+    if not all(math.isfinite(b) for b in benchmarks):
+        raise ValueError(f"benchmarks must be finite, got {benchmarks}")
     total = sum(math.comb(n, k) for k in sizes)
     if total > cap:
         raise EnumerationCapError(
@@ -183,8 +186,7 @@ def enumerate_portfolios(
         median = float((ordered(mid - 1) + ordered(mid)) / 2.0)
 
     comparisons = {}
-    for benchmark in benchmarks:
-        b = float(benchmark)
+    for b in benchmarks:
         i = int(np.searchsorted(values, b, side="left"))
         below = int(cumulative[i - 1]) if i else 0
         equal = int(counts[i]) if i < values.size and values[i] == b else 0

@@ -55,34 +55,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) pairs of ``count`` successive SeedSequence hashmix calls.
-
-    hashmix(v) is ``v ^= h; h *= mult; v *= h; v ^= v >> 16`` with a running
-    constant h, so the n-th call xors with init*mult**n and multiplies by
-    init*mult**(n+1).  Returned as (count, 1) uint32 columns.
-    """
-    xors, mults, h = [], [], init
-    for _ in range(count):
-        xors.append(h)
-        h = h * mult & _MASK32
-        mults.append(h)
-    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
-
-
-# mix_entropy hashes the pool once, then 3 times per pool word in the cross-mix.
-_ENTROPY_XOR, _ENTROPY_MULT = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-# generate_state(4, uint64) hashes 8 uint32 words, cycling over the pool.
-_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    out = values ^ xor
-    out *= mult
-    out ^= out >> 16
-    return out
-
-
 def _entropy_words(n: int) -> list[int]:
     """numpy's little-endian uint32 words of a non-negative int; 0 gives [0]."""
     words = [n & _MASK32]
@@ -98,32 +70,42 @@ def _seed_window(master_seed: int, window: int) -> np.ndarray:
     """PCG64 seed words of the SEED_WINDOW stream indices from window * SEED_WINDOW.
 
     Row r equals ``SeedSequence([master_seed, window * SEED_WINDOW + r])
-    .generate_state(4, np.uint64)``: numpy's algorithm (entropy words, then
-    mix_entropy, then generate_state) with each step applied to the whole
-    window at once in wrapping uint32 arithmetic.
+    .generate_state(4, np.uint64)``.  The body follows numpy's two loops,
+    mix_entropy and then generate_state, line for line, with one running
+    ``hash_const`` as in numpy's ``hashmix(value, &hash_const)``; each value
+    is a row holding the whole window, in wrapping uint32 arithmetic.
     """
     start = window * SEED_WINDOW
-    # The entropy is the seed's words, then the index's; mix_entropy hashes
-    # 0 in place of the missing words when there are fewer than the pool size.
+    # Entropy: the seed's words, then the index's, four at most, so numpy's
+    # loop over words past the pool size never runs; missing words hash as 0.
     entropy = np.zeros((_POOL_SIZE, SEED_WINDOW), np.uint32)
     words = _entropy_words(int(master_seed))
     entropy[: len(words)] = np.array(words, np.uint32)[:, None]
     entropy[len(words)] = np.arange(SEED_WINDOW, dtype=np.uint32) + (start & _MASK32)
     if start >> 32:
         entropy[len(words) + 1] = start >> 32
-    # mix_entropy: hash each pool word, then cross-mix every ordered pair.
-    pool = _hashmix(entropy, _ENTROPY_XOR[:_POOL_SIZE], _ENTROPY_MULT[:_POOL_SIZE])
+
+    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
+    # mix_entropy: hash each pool word, then mix every word into every other.
+    hash_const = _INIT_A
+    pool = [hashmix(row, _MULT_A) for row in entropy]
     for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        calls = slice(_POOL_SIZE + src * len(dst), _POOL_SIZE + (src + 1) * len(dst))
-        hashed = _hashmix(pool[src], _ENTROPY_XOR[calls], _ENTROPY_MULT[calls])
-        mixed = pool[dst] * np.uint32(_MIX_MULT_L)
-        mixed -= hashed * np.uint32(_MIX_MULT_R)
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    # generate_state(4, uint64): 8 uint32 words read little-endian in pairs.
-    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT).astype(np.uint64)
-    seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = pool[dst] * np.uint32(_MIX_MULT_L)
+                mixed -= hashmix(pool[src], _MULT_A) * np.uint32(_MIX_MULT_R)
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, uint64): hash 8 words cycling over the pool, pair them little-endian.
+    hash_const = _INIT_B
+    state = np.stack([hashmix(word, _MULT_B) for word in pool + pool], axis=1)
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
     seeds.flags.writeable = False
     return seeds
 

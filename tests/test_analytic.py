@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from indexsim import (
@@ -113,6 +115,27 @@ class TestCalibrate:
             )
             assert median_stock_value(params) == pytest.approx(1.0 + median, rel=1e-12)
             assert expected_index_value(params) == pytest.approx(1.0 + expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        median=st.floats(-0.9, 2.0),
+        sigma=st.floats(0.01, 0.6),
+        horizon=st.floats(0.1, 20.0),
+        gap=st.floats(0.0, 1.0),
+    )
+    @example(median=0.10, sigma=0.20, horizon=5.0, gap=0.0)  # exactly sigma_hat = 0
+    @example(median=0.10, sigma=0.20, horizon=5.0, gap=1e-8)  # sigma_hat > 0 just above it
+    def test_summarize_returns_feasible_targets(self, median, sigma, horizon, gap):
+        # gap is how far log(1 + expected) lies above its feasibility floor,
+        # log(1 + median) + sigma**2 * horizon / 2, which sigma_hat = 0 reaches
+        expected = math.expm1(math.log1p(median) + 0.5 * sigma ** 2 * horizon + gap)
+        mu_hat, sigma_hat = calibrate(CalibrationTarget(median, expected, sigma, horizon))
+        summary = summarize(make_params(horizon=horizon, sigma=sigma, mu_hat=mu_hat,
+                                        sigma_hat=sigma_hat))
+        assert summary.median_stock_value - 1.0 == pytest.approx(median, abs=1e-9)
+        assert summary.expected_index_value - 1.0 == pytest.approx(expected, abs=1e-9)
+        if gap == 0.0:
+            assert sigma_hat == 0.0
 
     def test_boundary_yields_zero_dispersion(self, reference_target):
         mu_hat, _ = calibrate(reference_target)

@@ -16,6 +16,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def error_line(capsys):
+    """The one ``error:`` line a failed command printed; it must have printed nothing else."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 # Exact stdout of `enumerate` over the universe of test_golden_oracle_universe.
 ORACLE_UNIVERSE_STDOUT = (
     "return    count\n"
@@ -171,6 +179,11 @@ class TestDemoCommand:
         assert code == 0
         assert "under_fraction=0.000000" in out
 
+    def test_nan_benchmark_exits_2(self, capsys):
+        # a NaN used to count every subset as below it
+        assert run_cli("demo", "--benchmark", "nan") == 2
+        assert "finite" in error_line(capsys)
+
 
 class TestEnumerateCommand:
     def test_explicit_values(self, capsys):
@@ -201,6 +214,11 @@ class TestEnumerateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_nan_benchmark_exits_2(self, capsys):
+        code = run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", "--benchmark", "nan")
+        assert code == 2
+        assert "finite" in error_line(capsys)
 
     def test_cap_exceeded_exits_2(self, capsys):
         values = ",".join(["1.01"] * 30)
@@ -371,12 +389,16 @@ class TestSimulateCommand:
             argv += ["--config", str(config)]
         return run_cli(*argv)
 
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        """Fail the test if simulate starts its trials."""
+        monkeypatch.setattr("indexsim.cli.run_experiment",
+                            lambda *a, **k: pytest.fail("trials ran before the configuration was checked"))
+
     @pytest.mark.parametrize("where", ["flag", "file"])
     @pytest.mark.parametrize("value", ["-1", "six"])
-    def test_invalid_precision_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+    def test_invalid_precision_exits_2_before_running(self, tmp_path, capsys, no_trials,
                                                       where, value):
-        monkeypatch.setattr("indexsim.cli.run_experiment",
-                            lambda *a, **k: pytest.fail("trials ran before precision was checked"))
         code = self.run_with_setting(tmp_path, where, "precision", value)
         assert code == 2
         err = capsys.readouterr().err
@@ -385,15 +407,72 @@ class TestSimulateCommand:
         assert not (tmp_path / "x.csv.config").exists()
 
     @pytest.mark.parametrize("where", ["flag", "file"])
-    def test_other_sampling_exits_2_before_running(self, tmp_path, capsys, monkeypatch, where):
+    def test_other_sampling_exits_2_before_running(self, tmp_path, capsys, no_trials, where):
         # fresh-universe is the only sampling scheme; the key stays so that
         # stored sidecars reload
-        monkeypatch.setattr("indexsim.cli.run_experiment",
-                            lambda *a, **k: pytest.fail("trials ran before sampling was checked"))
         code = self.run_with_setting(tmp_path, where, "sampling", "direct-iid")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid sampling")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("svg", ["x.csv", "./x.csv", "x.csv.config"])
+    def test_svg_onto_csv_or_sidecar_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+                                                            no_trials, where, svg):
+        # the SVG used to replace the CSV or the sidecar it was written after
+        monkeypatch.chdir(tmp_path)
+        assert self.run_with_setting(tmp_path, where, "svg", svg) == 2
+        assert "would overwrite" in error_line(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == (["run.config"] if where == "file" else [])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, no_trials, kind):
+        # exit 3 is for output I/O; a config file that cannot be read is a
+        # configuration error
+        config = tmp_path / "missing.config" if kind == "missing" else tmp_path
+        code = run_cli("simulate", "--paper-defaults", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys).startswith(f"error: cannot read config file {config}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, no_trials):
+        # the last value used to win silently
+        config = tmp_path / "run.config"
+        config.write_text("seed = 5\nn_stocks = 10\nseed = 6\n")
+        code = run_cli("simulate", "--paper-defaults", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys) == f"error: {config}:3: repeated key 'seed'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.config"]
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys, no_trials):
+        config = tmp_path / "run.config"
+        config.write_text("# sizes\nsizes 1,2\n")
+        code = run_cli("simulate", "--paper-defaults", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys) == f"error: {config}:2: expected 'key = value', got 'sizes 1,2'\n"
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("sizes", "1,x", "invalid sizes list: '1,x'"),
+        ("benchmarks", "0.5", "benchmark pair must look like over:under, got '0.5'"),
+    ])
+    def test_unparsable_list_exits_2_before_running(self, tmp_path, capsys, no_trials,
+                                                    where, key, value, message):
+        assert self.run_with_setting(tmp_path, where, key, value) == 2
+        err = error_line(capsys)
+        assert err.startswith(f"error: invalid {key} from ")
+        assert err.endswith(f": {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--paper-defaults", "--workers", "0",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys) == "error: workers must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value,expected_code", [("yes", 2), ("TRUE", 0), ("0", 2)])
     def test_paper_defaults_config_value_is_strict(self, tmp_path, capsys, value, expected_code):

@@ -99,6 +99,13 @@ class TestEnumeratePortfolios:
         with pytest.raises(ValueError):
             enumerate_portfolios(ONE_WINNER, {6})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_benchmark(self, bad):
+        # a NaN compares false with every return, so it used to count
+        # every subset as below it
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_portfolios(ONE_WINNER, {1, 2}, benchmarks=(0.18, bad))
+
     def test_even_count_median_is_midpoint(self):
         index = DeterministicIndex((1.0, 2.0, 3.0, 4.0))
         stats = enumerate_portfolios(index, {1})

@@ -381,7 +381,7 @@ class TestRunExperiment:
 
 class TestFrequencyCI:
     def test_symmetric_center(self):
-        center, half_width = frequency_ci(5000, 10_000, 0.95)
+        center, half_width = frequency_ci(5000, 10_000)
         assert center == 0.5
         phat = 0.5
         n = 10_000
@@ -405,9 +405,7 @@ class TestFrequencyCI:
         center, half_width = frequency_ci(25, 25)
         assert center + half_width == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "args", [(-1, 10, 0.95), (11, 10, 0.95), (5, 0, 0.95), (5, 10, 0.0), (5, 10, 1.0)]
-    )
+    @pytest.mark.parametrize("args", [(-1, 10), (11, 10), (5, 0)])
     def test_rejects_invalid(self, args):
         with pytest.raises(ValueError):
             frequency_ci(*args)

@@ -191,6 +191,19 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="trials"):
             parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
 
+    @pytest.mark.parametrize("row", [
+        "1,0.5,0.5,0.75,0.25,0.0,0.0,4",  # no master_seed
+        "1,0.5,0.5,0.75,0.25,0.0,0.0,4,42,42",
+    ])
+    def test_parse_rejects_rows_without_nine_fields(self, row):
+        with pytest.raises(ValueError, match="malformed CSV row"):
+            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
+
+    def test_parse_rejects_mixed_master_seeds(self):
+        rows = ["1,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "2,0.5,0.5,0.75,0.25,0.0,0.0,4,7"]
+        with pytest.raises(ValueError, match=r"inconsistent master_seed values in CSV: \[7, 42\]"):
+            parse_csv("\n".join([CSV_HEADER, *rows, ""]).encode())
+
     def test_parse_reads_a_path_not_text(self, tmp_path):
         data = emit_csv(make_report([make_row()]))
         (tmp_path / "r.csv").write_bytes(data)
