@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--values", required=True, help="comma-separated gross terminal values")
     enu.add_argument("--sizes", required=True, help="comma-separated subset sizes")
     enu.add_argument("--benchmark", type=float, help="net return benchmark (default: index mean return)")
-    enu.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="max subsets to enumerate")
+    enu.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="max subsets to count")
     enu.set_defaults(handler=_cmd_enumerate)
 
     sim = sub.add_parser("simulate", help="Monte Carlo over/under frequency experiment")

@@ -6,17 +6,21 @@ exactly, because each stock appears in exactly C(N-1, k-1) subsets.
 
 A subset's return is defined as ``math.fsum(subset) / k - 1.0``.  It is
 computed without visiting subsets one at a time: every gross value is an
-integer multiple of one power of two (the smallest ulp among them), so the
-sums of all k-subsets are exact integers, built level by level with numpy
-and reduced to a histogram before any rounding.  Rounding each distinct sum
-once to a float gives exactly what ``math.fsum`` gives, and every statistic
-is taken from the histogram, so results do not depend on the input order.
+integer multiple of one power of two (the smallest ulp among them), so
+subset sums are exact integers.  Equal values form groups, and subsets that
+take the same number of stocks from each group have the same sum, so one
+sum is built per such split, with the number of subsets that give it.  The
+sums are built level by level with numpy and merged into a histogram before
+any rounding.  Rounding each distinct sum once to a float gives exactly
+what ``math.fsum`` gives, and every statistic is taken from the histogram,
+so results do not depend on the input order.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -83,48 +87,90 @@ def _units(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [p << (shift - q.bit_length() + 1) for p, q in ratios], shift
 
 
-def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype):
-    """Yield (k, sums of all k-subsets of units) for each k in sizes.
+def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
+    """Yield (k, sums, counts) for each k in sizes: one exact sum per split
+    of k picks over the groups of equal units, and the number of k-subsets
+    that give it.
 
-    Level j holds the j-subset sums in lexicographic order.  The
-    (j-1)-subsets of units[a+1:] are the last C(n-a-1, j-1) entries of
-    level j-1, so level j is their concatenation plus units[a] over a.
-    A k above n/2 is read off level n - k as the total minus each sum.
+    A group is a distinct unit u with its multiplicity m; taking c of its
+    copies adds c * u in comb(m, c) ways.  Groups keep the order of first
+    appearance: sorted by unit, the levels of distinct units take np.unique
+    about 40% longer.  Level j holds one sum per split of j picks, ordered
+    by the first group used, so the splits over the groups after a are the
+    last tail[a + 1][j] entries of level j.  Level j is the concatenation,
+    over a and c >= 1, of those entries of level j - c plus c * u_a, their
+    counts times comb(m_a, c).  With all units distinct this is the
+    lexicographic order of j-subsets.  A k above n/2 is read off level
+    n - k as the total minus each sum.
     """
+    groups = list(Counter(units).items())
     n = len(units)
-    column = np.array(units, dtype=dtype)
-    total = column.sum()
-    level = np.zeros(1, dtype=dtype)
-    for j in range(max(min(k, n - k) for k in sizes) + 1):
+    top = max(min(k, n - k) for k in sizes)
+    widest = max(m for _, m in groups)
+    tail = [[1] + [0] * top]
+    for _, m in reversed(groups):
+        tail.insert(0, [sum(tail[0][j - c] for c in range(min(m, j) + 1)) for j in range(top + 1)])
+    total = sum(units)
+    levels = {0: (np.zeros(1, dtype=dtype), np.ones(1, dtype=count_dtype))}
+    for j in range(top + 1):
         if j:
-            level = np.concatenate([
-                level[level.size - math.comb(n - a - 1, j - 1):] + column[a]
-                for a in range(n - j + 1)
-            ])
+            parts = []
+            for a, (u, m) in enumerate(groups):
+                for c in range(1, min(m, j) + 1):
+                    size = tail[a + 1][j - c]
+                    if size:  # most are empty when one group is large
+                        sums, counts = levels[j - c]
+                        parts.append((sums[sums.size - size:] + c * u,
+                                      counts[counts.size - size:] * math.comb(m, c)))
+            levels[j] = tuple(np.concatenate(column) for column in zip(*parts))
+            levels.pop(j - widest, None)  # no later level reads it
+        sums, counts = levels[j]
         for k in sizes:
             if min(k, n - k) == j:
-                yield k, level if k == j else total - level
+                yield k, sums if k == j else total - sums, counts
 
 
 def _exact_sum(values: np.ndarray, counts: np.ndarray) -> float:
-    """Correctly rounded sum of counts[i] * values[i], for counts below 2**52.
+    """Correctly rounded sum of counts[i] * values[i], for any counts.
 
-    A product with a count above one is split into exact float terms for
+    Raises OverflowError when the sum overflows a float, as math.fsum over
+    the expanded list would.  While every partial sum stays below 2**1000, a
+    product with a count above one is split into exact float terms for
     math.fsum: the value into Veltkamp halves of at most 26 significant bits
-    and the count into its bits above and below 2**26.  Magnitudes that
-    could overflow a term fall back to math.fsum over the expanded list,
-    which raises OverflowError exactly when the sum itself overflows.
+    and the count into 26-bit chunks.  Larger magnitudes are summed exactly
+    in Python ints and divided once.
     """
-    if float(np.abs(values).max()) * max(int(counts.sum()), 2 ** 27) >= 2.0 ** 1000:
-        return math.fsum(np.repeat(values, counts).tolist())
+    total = int(counts.sum())
+    if math.frexp(float(np.abs(values).max()))[1] + total.bit_length() >= 1000:
+        mantissas, exponents = np.frexp(values)
+        exponents -= 53
+        lowest = int(exponents.min())
+        # each value is an integer mantissa (53 bits at most) times 2**exponent
+        exact = (
+            np.ldexp(mantissas, 53).astype(np.int64).astype(object)
+            * counts.astype(object)
+            << (exponents - lowest).astype(object)
+        ).sum()
+        return exact / (1 << -lowest) if lowest < 0 else float(exact << lowest)
     repeated = counts > 1
     scaled = values[repeated] * (2.0 ** 27 + 1.0)
     high = scaled - (scaled - values[repeated])
     low = values[repeated] - high
     terms = [values[~repeated]]
-    for part in (counts[repeated] >> 26 << 26, counts[repeated] & (2 ** 26 - 1)):
+    rest, shift = counts[repeated], 0
+    while rest.any():
+        part = (rest & (2 ** 26 - 1)).astype(float) * 2.0 ** shift
         terms += [part * high, part * low]
+        rest, shift = rest >> 26, shift + 26
     return math.fsum(np.concatenate(terms).tolist())
+
+
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its counts."""
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def enumerate_portfolios(
@@ -137,8 +183,10 @@ def enumerate_portfolios(
 
     Equal to visiting each subset and taking ``math.fsum(subset) / k - 1.0``
     (see the module docstring), including an OverflowError when a sum or the
-    mean overflows, at about 10 ns per subset plus up to 0.5 µs per
-    distinct return.
+    mean overflows.  The cost is a few tens of ns per split of k picks over
+    the groups of equal values (one split per subset when all values differ)
+    plus up to 0.5 µs per distinct return; cap still bounds the number of
+    subsets counted.
     """
     n = len(index)
     sizes = _validate_sizes(n, k_set)
@@ -148,16 +196,23 @@ def enumerate_portfolios(
     total = sum(math.comb(n, k) for k in sizes)
     if total > cap:
         raise EnumerationCapError(
-            f"enumeration would visit {total} subsets, above the cap of {cap}"
+            f"enumeration would count {total} subsets, above the cap of {cap}"
         )
 
     units, shift = _units(index.gross_values)
     # int64 sums convert with one cast and an exact scaling while the result
-    # stays a normal float; otherwise Python ints, divided exactly.
+    # stays a normal float; otherwise Python ints, divided exactly.  Counts
+    # are int64 while every total fits.
     fits_int64 = sum(units) < 2 ** 63 and min(index.gross_values) >= sys.float_info.min
+    count_dtype = np.int64 if total < 2 ** 63 else object
     parts = []
-    for k, sums in _subset_sums(units, sizes, np.int64 if fits_int64 else object):
-        distinct, counts = np.unique(sums, return_counts=True)
+    for k, sums, weights in _subset_sums(units, sizes, np.int64 if fits_int64 else object, count_dtype):
+        if (weights == 1).all():
+            # one subset per split: np.unique sorts the sums alone, several
+            # times faster than the argsort that merging counts needs
+            distinct, counts = np.unique(sums, return_counts=True)
+        else:
+            distinct, counts = _merge(sums, weights)
         if fits_int64:
             gross = np.ldexp(distinct.astype(float), -shift)
         else:
@@ -165,12 +220,7 @@ def enumerate_portfolios(
             gross = np.array([s / scale for s in distinct.tolist()], dtype=float)
         parts.append((gross / k - 1.0, counts))
 
-    returns = np.concatenate([r for r, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(returns, kind="stable")
-    returns, counts = returns[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, returns[1:] != returns[:-1]])
-    values, counts = returns[starts], np.add.reduceat(counts, starts)
+    values, counts = _merge(*(np.concatenate(column) for column in zip(*parts)))
     histogram = tuple(zip(values.tolist(), counts.tolist()))
 
     mean = _exact_sum(values, counts) / total

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,3 +224,97 @@ class TestAgainstBruteForce:
         other = outcome(lambda: enumerate_portfolios(
             DeterministicIndex(tuple(shuffled)), sizes, benchmarks=benchmarks))
         assert other == base
+
+
+def multiset_oracle(groups, sizes, benchmarks):
+    """The definition over a multiset of (value, multiplicity) groups.
+
+    Each split vector (c_1, ..., c_g), c_i of the m_i copies of value i,
+    stands for prod comb(m_i, c_i) subsets with the same math.fsum; the
+    mean is taken exactly over Fractions, not over an expanded list.
+    """
+    histogram = Counter()
+    for split in itertools.product(*(range(m + 1) for _, m in groups)):
+        k = sum(split)
+        if k in sizes:
+            subset = [v for (v, _), c in zip(groups, split) for _ in range(c)]
+            ways = math.prod(math.comb(m, c) for (_, m), c in zip(groups, split))
+            histogram[math.fsum(subset) / k - 1.0] += ways
+    total = sum(histogram.values())
+    values = sorted(histogram)
+    cumulative = list(itertools.accumulate(histogram[v] for v in values))
+
+    def ordered(position):
+        return values[next(i for i, c in enumerate(cumulative) if c > position)]
+
+    mid = total // 2
+    median = ordered(mid) if total % 2 else (ordered(mid - 1) + ordered(mid)) / 2.0
+    comparisons = {}
+    for b in benchmarks:
+        below = sum(c for v, c in histogram.items() if v < b)
+        equal = histogram.get(b, 0)
+        comparisons[b] = (below, equal, total - below - equal)
+    return SubsetStats(
+        portfolio_count=total,
+        mean_return=float(sum(Fraction(v) * c for v, c in histogram.items())) / total,
+        median_return=median,
+        returns_histogram=tuple((v, histogram[v]) for v in values),
+        benchmark_comparisons=comparisons,
+    )
+
+
+@st.composite
+def multisets(draw):
+    """(groups, sizes, benchmarks): up to 3 distinct values, each up to 40 times."""
+    values = draw(st.lists(GROSS, min_size=1, max_size=3, unique=True))
+    groups = [(v, draw(st.integers(1, 40))) for v in values]
+    n = sum(m for _, m in groups)
+    sizes = draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
+    return groups, sizes, (0.1, draw(st.floats(-1.0, 2.0)))
+
+
+class TestAgainstMultisetOracle:
+    """Universes of few distinct values at sizes no subset-by-subset check reaches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multisets())
+    @example(([(1.1, 40), (1.5, 26)], {33}, (0.1,)))  # comb(66, 33) < 2**63: int64 counts
+    @example(([(1.1, 40), (1.5, 27)], {33, 34}, (0.1,)))  # comb(67, 33) > 2**63: Python ints
+    @example(([(1.25, 66)], {32, 33, 34}, (0.25,)))  # one return counted over 2**63 times
+    @example(([(1.1, 70), (1.5, 2)], {35}, (0.1,)))  # counts above 2**52
+    @example(([(1.1, 30), (1.25, 30), (1.5, 6)], {1, 33, 65}, (0.25,)))
+    @example(([(1e-30, 30), (1e30, 5), (1.0, 10)], {2, 22, 40}, (0.0,)))
+    @example(([(1e300, 70), (1.5e300, 2)], {35}, (0.0,)))  # only the mean overflows
+    @example(([(1e308, 3), (1.5e308, 1)], {2}, (0.0,)))  # a subset sum overflows
+    def test_equals_split_definition(self, multiset):
+        groups, sizes, benchmarks = multiset
+        values = tuple(v for v, m in groups for _ in range(m))
+        expected = outcome(lambda: multiset_oracle(groups, sizes, benchmarks))
+        got = outcome(lambda: enumerate_portfolios(
+            DeterministicIndex(values), sizes, benchmarks=benchmarks, cap=10 ** 40))
+        assert got == expected
+
+    def test_paper_sized_universe_in_closed_form(self):
+        # 497 ordinary stocks and 3 winners: each size-k subset with j
+        # winners returns the same, and there are comb(3, j) * comb(497, k - j)
+        sizes = (1, 20, 250)
+        histogram = Counter()
+        for k in sizes:
+            for j in range(min(3, k) + 1):
+                gross = math.fsum([1.5] * j + [1.1] * (k - j))
+                histogram[gross / k - 1.0] += math.comb(3, j) * math.comb(497, k - j)
+        # 1.1 - 1.0 is above 0.1, so 0.1 has every subset above it; the
+        # index mean and an occurring return split them
+        benchmarks = (0.1, 0.1024, (19 * 1.1 + 1.5) / 20 - 1.0)
+        stats = enumerate_portfolios(
+            DeterministicIndex((1.1,) * 497 + (1.5,) * 3), sizes, benchmarks, cap=10 ** 200)
+        total = sum(math.comb(500, k) for k in sizes)
+        assert stats.portfolio_count == total == sum(histogram.values())
+        assert stats.returns_histogram == tuple(sorted(histogram.items()))
+        for b in benchmarks:
+            below = sum(c for r, c in histogram.items() if r < b)
+            equal = histogram.get(b, 0)
+            assert stats.benchmark_comparisons[b] == (below, equal, total - below - equal)
+        assert stats.benchmark_comparisons[0.1] == (0, 0, total)
+        assert 0 not in stats.benchmark_comparisons[benchmarks[2]]
+        assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items())) / total
