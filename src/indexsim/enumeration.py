@@ -22,6 +22,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -109,7 +110,8 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
     widest = max(m for _, m in groups)
     tail = [[1] + [0] * top]
     for _, m in reversed(groups):
-        tail.insert(0, [sum(tail[0][j - c] for c in range(min(m, j) + 1)) for j in range(top + 1)])
+        tail.append([sum(tail[-1][j - c] for c in range(min(m, j) + 1)) for j in range(top + 1)])
+    tail.reverse()
     total = sum(units)
     levels = {0: (np.zeros(1, dtype=dtype), np.ones(1, dtype=count_dtype))}
     for j in range(top + 1):
@@ -134,14 +136,16 @@ def _exact_sum(values: np.ndarray, counts: np.ndarray) -> float:
     """Correctly rounded sum of counts[i] * values[i], for any counts.
 
     Raises OverflowError when the sum overflows a float, as math.fsum over
-    the expanded list would.  While every partial sum stays below 2**1000, a
-    product with a count above one is split into exact float terms for
-    math.fsum: the value into Veltkamp halves of at most 26 significant bits
-    and the count into 26-bit chunks.  Larger magnitudes are summed exactly
-    in Python ints and divided once.
+    the expanded list would.  With int64 counts and every partial sum below
+    2**1000, a product with a count above one is split into exact float terms
+    for math.fsum: the value into Veltkamp halves of at most 26 significant
+    bits and the count into 26-bit chunks.  The split scales the value by
+    2**27, hence the margin below.  Other sums are taken exactly in Python
+    ints and divided once.
     """
     total = int(counts.sum())
-    if math.frexp(float(np.abs(values).max()))[1] + total.bit_length() >= 1000:
+    scale = math.frexp(float(np.abs(values).max()))[1] + max(total, 2 ** 27).bit_length()
+    if counts.dtype == object or scale >= 1000:
         mantissas, exponents = np.frexp(values)
         exponents -= 53
         lowest = int(exponents.min())
@@ -223,7 +227,10 @@ def enumerate_portfolios(
     values, counts = _merge(*(np.concatenate(column) for column in zip(*parts)))
     histogram = tuple(zip(values.tolist(), counts.tolist()))
 
-    mean = _exact_sum(values, counts) / total
+    mean = _exact_sum(values, counts)
+    # float / int rounds the int to a float first, which fails past the
+    # float range although the mean does not
+    mean = mean / total if total <= sys.float_info.max else float(Fraction(mean) / total)
     cumulative = np.cumsum(counts)
 
     def ordered(position: int) -> np.float64:

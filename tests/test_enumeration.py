@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -256,11 +257,19 @@ def multiset_oracle(groups, sizes, benchmarks):
         comparisons[b] = (below, equal, total - below - equal)
     return SubsetStats(
         portfolio_count=total,
-        mean_return=float(sum(Fraction(v) * c for v, c in histogram.items())) / total,
+        mean_return=mean_of(float(sum(Fraction(v) * c for v, c in histogram.items())), total),
         median_return=median,
         returns_histogram=tuple((v, histogram[v]) for v in values),
         benchmark_comparisons=comparisons,
     )
+
+
+def mean_of(rounded_sum, total):
+    """rounded_sum / total as Python divides a float by an int, and past the
+    float range, where the int cannot be converted, the exact quotient rounded."""
+    if total <= sys.float_info.max:
+        return rounded_sum / total
+    return float(Fraction(rounded_sum) / total)
 
 
 @st.composite
@@ -286,12 +295,17 @@ class TestAgainstMultisetOracle:
     @example(([(1e-30, 30), (1e30, 5), (1.0, 10)], {2, 22, 40}, (0.0,)))
     @example(([(1e300, 70), (1.5e300, 2)], {35}, (0.0,)))  # only the mean overflows
     @example(([(1e308, 3), (1.5e308, 1)], {2}, (0.0,)))  # a subset sum overflows
+    # a Veltkamp split of this value overflows, although the sum does not
+    @example(([(math.nextafter(2.0 ** 997, 0), 2)], {1}, (0.0,)))
+    # about 2**1045 subsets of return 2**-52: the count and its float chunks
+    # pass the float range, the sum and the mean do not
+    @example(([(1.0000000000000002, 1050)], {525}, (0.0,)))
     def test_equals_split_definition(self, multiset):
         groups, sizes, benchmarks = multiset
         values = tuple(v for v, m in groups for _ in range(m))
         expected = outcome(lambda: multiset_oracle(groups, sizes, benchmarks))
         got = outcome(lambda: enumerate_portfolios(
-            DeterministicIndex(values), sizes, benchmarks=benchmarks, cap=10 ** 40))
+            DeterministicIndex(values), sizes, benchmarks=benchmarks, cap=10 ** 400))
         assert got == expected
 
     def test_paper_sized_universe_in_closed_form(self):
