@@ -18,6 +18,7 @@ configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -257,13 +258,27 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_cap(text: str, n: int) -> int:
+    """--cap read exactly, so 1e150 is 10**150; 1.5, -1, nan and inf are errors."""
+    try:
+        cap = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        cap = None
+    if cap is None or not cap.is_finite() or cap < 0 or cap != cap.to_integral_value():
+        raise ValueError(f"--cap must be a non-negative integral number, got {text!r}")
+    # 10**n is more than the 2**n - 1 subsets of n values, and int() of a cap
+    # such as 1e1000000 would take a minute
+    return int(cap) if cap.adjusted() < n else 1 << n
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     values = tuple(float(v) for v in args.values.split(",") if v.strip())
     index = DeterministicIndex(values)
     sizes = _parse_sizes(args.sizes)
+    cap = _parse_cap(args.cap, len(values))
     try:
         benchmark = float(args.benchmark) if args.benchmark is not None else index.mean_return()
-        stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,), cap=args.cap)
+        stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,), cap=cap)
     except OverflowError as exc:
         raise ValueError(f"a subset sum or mean overflows a float ({exc})") from exc
     _print_subset_stats(stats, benchmark)
@@ -356,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--values", required=True, help="comma-separated gross terminal values")
     enu.add_argument("--sizes", required=True, help="comma-separated subset sizes")
     enu.add_argument("--benchmark", type=float, help="net return benchmark (default: index mean return)")
-    enu.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="max subsets to count")
+    enu.add_argument("--cap", default=str(DEFAULT_ENUMERATION_CAP),
+                     help=f"max subsets to count, any integral number such as 1e150 "
+                          f"(default {DEFAULT_ENUMERATION_CAP})")
     enu.set_defaults(handler=_cmd_enumerate)
 
     sim = sub.add_parser("simulate", help="Monte Carlo over/under frequency experiment")

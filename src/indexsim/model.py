@@ -26,6 +26,7 @@ depend on how work is split across workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,6 +111,14 @@ def _seed_window(master_seed: int, window: int) -> np.ndarray:
     return seeds
 
 
+def as_integer(name: str, value) -> int:
+    """value as a Python int if it is an int or numpy integer; a float is an error, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class _SeedWords(ISeedSequence):
     """Precomputed PCG64 seed words, offered through numpy's seeding interface."""
 
@@ -168,6 +177,10 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
+        # every trial builds several, almost always from Python ints
+        if type(self.master_seed) is not int or type(self.stream_index) is not int:
+            object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
+            object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not 0 <= self.stream_index < 2 ** 64:

@@ -36,6 +36,7 @@ from .model import (
     STREAM_STRIDE,
     ModelParams,
     SeedSpec,
+    as_integer,
     draw_universe,
     index_value,
 )
@@ -61,7 +62,9 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        object.__setattr__(self, "sizes", tuple(as_integer("sizes", k) for k in self.sizes))
+        object.__setattr__(self, "trials_per_size", as_integer("trials_per_size", self.trials_per_size))
+        object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
         object.__setattr__(
             self, "benchmarks", tuple((float(o), float(u)) for o, u in self.benchmarks)
         )
@@ -321,6 +324,7 @@ def subset_frequencies(
     (trials, k) matrix, whose returns are averaged and classified as a
     block; the matrix and its values take 16 * trials * k bytes.
     """
+    k, trials = as_integer("k", k), as_integer("trials", trials)
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a non-empty 1-d collection")

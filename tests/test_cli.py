@@ -226,6 +226,24 @@ class TestEnumerateCommand:
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
+    # the README's 500-stock example, whose 1.2e149 subsets need a raised cap
+    PAPER_SIZED = ",".join(["1.1"] * 497 + ["1.5"] * 3)
+
+    @pytest.mark.parametrize("cap", ["1e150", "1E+500", "1e1000000"])
+    def test_cap_in_exponent_notation(self, capsys, cap):
+        # --cap used to take only digits, so this cap was typed as 151 of them
+        args = ("enumerate", "--values", self.PAPER_SIZED, "--sizes", "1,20,250")
+        assert run_cli(*args, "--cap", str(10 ** 150)) == 0
+        digits = capsys.readouterr().out
+        assert run_cli(*args, "--cap", cap) == 0
+        assert capsys.readouterr().out == digits
+
+    @pytest.mark.parametrize("cap", ["1.5", "abc", "nan", "inf", "-1"])
+    def test_non_integral_cap_exits_2(self, capsys, cap):
+        code = run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", f"--cap={cap}")
+        assert code == 2
+        assert "--cap must be a non-negative integral number" in error_line(capsys)
+
 
 class TestSimulateCommand:
     def test_single_trial_full_index(self, tmp_path, capsys):

@@ -274,9 +274,14 @@ def mean_of(rounded_sum, total):
 
 @st.composite
 def multisets(draw):
-    """(groups, sizes, benchmarks): up to 3 distinct values, each up to 40 times."""
-    values = draw(st.lists(GROSS, min_size=1, max_size=3, unique=True))
-    groups = [(v, draw(st.integers(1, 40))) for v in values]
+    """(groups, sizes, benchmarks): up to 6 distinct values, each up to 40 times.
+
+    Multiplicities are bounded so that the oracle's prod(m + 1) splits stay
+    at most 41**3: up to 40 copies for 3 values or fewer, 5 for 6 values.
+    """
+    values = draw(st.lists(GROSS, min_size=1, max_size=6, unique=True))
+    most = min(40, int(41 ** (3 / len(values))) - 1)
+    groups = [(v, draw(st.integers(1, most))) for v in values]
     n = sum(m for _, m in groups)
     sizes = draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
     return groups, sizes, (0.1, draw(st.floats(-1.0, 2.0)))
@@ -300,6 +305,10 @@ class TestAgainstMultisetOracle:
     # about 2**1045 subsets of return 2**-52: the count and its float chunks
     # pass the float range, the sum and the mean do not
     @example(([(1.0000000000000002, 1050)], {525}, (0.0,)))
+    # all values distinct, and many subsets share a sum
+    @example(([(float(v), 1) for v in range(1, 13)], {1, 6, 11, 12}, (0.1, 5.5)))
+    # many groups with several copies each, at sizes on both sides of n/2
+    @example(([(1.1, 2), (1.5, 3), (0.75, 4), (1.25, 5), (2.0, 3), (0.5, 2)], {3, 9, 10, 16}, (0.1, 0.25)))
     def test_equals_split_definition(self, multiset):
         groups, sizes, benchmarks = multiset
         values = tuple(v for v, m in groups for _ in range(m))

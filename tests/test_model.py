@@ -73,6 +73,17 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1, 2 ** 64)
 
+    def test_integers_only(self):
+        # a float seed or index used to be truncated or to fail in generator()
+        for args, name in (((1.5,), "master_seed"), ((1, 1.5), "stream_index"), (("1",), "master_seed")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SeedSpec(*args)
+        expected = SeedSpec(42, 7).generator().random(4)
+        for seed in (SeedSpec(np.int64(42), np.int64(7)), SeedSpec(np.uint64(42), np.uint64(7))):
+            assert seed == SeedSpec(42, 7)
+            assert type(seed.master_seed) is int and type(seed.stream_index) is int
+            np.testing.assert_array_equal(seed.generator().random(4), expected)
+
     def test_distinct_streams_differ(self):
         a = SeedSpec(42, 0).generator().random(8)
         b = SeedSpec(42, 1).generator().random(8)

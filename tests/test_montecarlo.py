@@ -49,6 +49,7 @@ def small_config(**overrides):
 class TestExperimentConfig:
     def test_accepts_valid(self):
         small_config()
+        assert small_config(sizes=(np.int64(1), 5), master_seed=np.uint64(42)) == small_config()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -65,6 +66,10 @@ class TestExperimentConfig:
             dict(master_seed=-1),
             dict(sizes=(1, 1)),
             dict(benchmarks=((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))),
+            # floats used to be truncated or to fail later in range()
+            dict(master_seed=1.5),
+            dict(sizes=(1.5, 2.9)),
+            dict(trials_per_size=2.5),
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -512,3 +517,9 @@ class TestSubsetFrequencies:
             subset_frequencies((1.1, float("nan")), 1, 10, 0.0, 1)
         with pytest.raises(ValueError):
             subset_frequencies(self.VALUES, 1, 10, float("nan"), 1)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            subset_frequencies(self.VALUES, 1.0, 10, 0.0, 1)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            subset_frequencies(self.VALUES, 1, 2.5, 0.0, 1)
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            subset_frequencies(self.VALUES, 1, 10, 0.0, 1.5)
