@@ -7,13 +7,12 @@ exactly, because each stock appears in exactly C(N-1, k-1) subsets.
 A subset's return is defined as ``math.fsum(subset) / k - 1.0``.  It is
 computed without visiting subsets one at a time: every gross value is an
 integer multiple of one power of two (the smallest ulp among them), so
-subset sums are exact integers.  Equal values form groups, and subsets that
-take the same number of stocks from each group have the same sum, so one
-sum is built per such split, with the number of subsets that give it.  The
-sums are built level by level with numpy and merged into a histogram before
-any rounding.  Rounding each distinct sum once to a float gives exactly
-what ``math.fsum`` gives, and every statistic is taken from the histogram,
-so results do not depend on the input order.
+subset sums are exact integers.  The sums are built with numpy, one group
+of equal values at a time, as histograms: each distinct sum is held once,
+with the number of subsets that give it, so the cost follows the number of
+distinct sums, not of subsets.  Rounding each distinct sum once to a float
+gives exactly what ``math.fsum`` gives, and every statistic is taken from
+the histogram, so results do not depend on the input order.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .model import as_integer
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -72,7 +73,7 @@ class SubsetStats:
 
 
 def _validate_sizes(n: int, k_set: Iterable[int]) -> tuple[int, ...]:
-    sizes = tuple(sorted(set(int(k) for k in k_set)))
+    sizes = tuple(sorted(set(as_integer("each size in k_set", k) for k in k_set)))
     if not sizes:
         raise ValueError("k_set must contain at least one subset size")
     if sizes[0] < 1 or sizes[-1] > n:
@@ -88,19 +89,31 @@ def _units(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [p << (shift - q.bit_length() + 1) for p, q in ratios], shift
 
 
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its counts
+    (callers pass sorted runs end to end, which a stable sort merges)."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    new = np.r_[True, keys[1:] != keys[:-1]]
+    if new.all():
+        return keys, counts
+    starts = np.flatnonzero(new)
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
 def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
-    """Yield (k, sums, counts) for each k in sizes: one exact sum per split
-    of k picks over the groups of equal units, and the number of k-subsets
-    that give it.
+    """Yield (k, sums, counts) for each k in sizes: the distinct exact sums
+    of k units in increasing order, each with the number of k-subsets that
+    give it.
 
     A group is a distinct unit u with its multiplicity m.  levels[j] holds
-    the splits of j picks over the groups seen so far, as (sums, counts)
-    pieces.  Each group extends level j by level j - c plus c * u, counts
-    times comb(m, c), for c = 1..min(m, j); j runs downwards, so no level it
-    reads holds the group yet.  A level gains up to m pieces per group and
-    is joined into one array only when read, so it is copied at most once
-    per group.  A k above n/2 is read off level n - k as the total minus
-    each sum.
+    the sums of j picks from the groups seen so far, as (sums, counts)
+    pieces, each with distinct sums in increasing order.  Each group extends
+    level j by level j - c plus c * u, counts times comb(m, c), for
+    c = 1..min(m, j); j runs downwards, so no level it reads holds the group
+    yet.  A level gains up to m pieces per group and is merged into one
+    histogram only when read, so it is copied at most once per group.  A k
+    above n/2 is read off level n - k as the total minus each sum.
     """
     n = len(units)
     top = max(min(k, n - k) for k in sizes)
@@ -111,13 +124,13 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
             for c in range(1, min(m, j) + 1):
                 pieces = levels[j - c]
                 if len(pieces) > 1:
-                    pieces[:] = [tuple(np.concatenate(column) for column in zip(*pieces))]
+                    pieces[:] = [_merge(*(np.concatenate(column) for column in zip(*pieces)))]
                 if pieces:  # most are empty while one large group fills the levels
                     sums, counts = pieces[0]
                     levels[j].append((sums + c * u, counts * math.comb(m, c)))
     for k in sizes:
-        sums, counts = (np.concatenate(column) for column in zip(*levels[min(k, n - k)]))
-        yield k, sums if k <= n - k else total - sums, counts
+        sums, counts = _merge(*(np.concatenate(column) for column in zip(*levels[min(k, n - k)])))
+        yield (k, sums, counts) if k <= n - k else (k, total - sums[::-1], counts[::-1])
 
 
 def _exact_sum(values: np.ndarray, counts: np.ndarray) -> float:
@@ -157,14 +170,6 @@ def _exact_sum(values: np.ndarray, counts: np.ndarray) -> float:
     return math.fsum(np.concatenate(terms).tolist())
 
 
-def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order, each with the sum of its counts."""
-    order = np.argsort(keys)
-    keys, counts = keys[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[starts], np.add.reduceat(counts, starts)
-
-
 def enumerate_portfolios(
     index: DeterministicIndex,
     k_set: Iterable[int],
@@ -175,10 +180,11 @@ def enumerate_portfolios(
 
     Equal to visiting each subset and taking ``math.fsum(subset) / k - 1.0``
     (see the module docstring), including an OverflowError when a sum or the
-    mean overflows.  The cost is a few tens of ns per split of k picks over
-    the groups of equal values (one split per subset when all values differ)
-    plus up to 0.5 µs per distinct return; cap still bounds the number of
-    subsets counted.
+    mean overflows.  Time and memory grow with the number of distinct sums
+    at each level, not with the number of subsets: 24 distinct integers at
+    size 12 take about 10 ms, 20 distinct lognormal values at every size
+    (about a million distinct returns) about 0.5 s.  cap still bounds the
+    number of subsets counted.
     """
     n = len(index)
     sizes = _validate_sizes(n, k_set)
@@ -198,13 +204,7 @@ def enumerate_portfolios(
     fits_int64 = sum(units) < 2 ** 63 and min(index.gross_values) >= sys.float_info.min
     count_dtype = np.int64 if total < 2 ** 63 else object
     parts = []
-    for k, sums, weights in _subset_sums(units, sizes, np.int64 if fits_int64 else object, count_dtype):
-        if (weights == 1).all():
-            # all values distinct: np.unique sorts the sums alone, 2-3x faster
-            # than _merge where many sums coincide, as for integer values
-            distinct, counts = np.unique(sums, return_counts=True)
-        else:
-            distinct, counts = _merge(sums, weights)
+    for k, distinct, counts in _subset_sums(units, sizes, np.int64 if fits_int64 else object, count_dtype):
         if fits_int64:
             gross = np.ldexp(distinct.astype(float), -shift)
         else:

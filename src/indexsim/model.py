@@ -151,7 +151,8 @@ class ModelParams:
     sigma_hat: float
 
     def __post_init__(self):
-        if not isinstance(self.n_stocks, int) or self.n_stocks < 1:
+        object.__setattr__(self, "n_stocks", as_integer("n_stocks", self.n_stocks))
+        if self.n_stocks < 1:
             raise ValueError(f"n_stocks must be a positive integer, got {self.n_stocks!r}")
         for name in ("horizon", "sigma", "mu_hat", "sigma_hat"):
             value = getattr(self, name)

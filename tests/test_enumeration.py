@@ -15,6 +15,7 @@ from indexsim import (
     SubsetStats,
     enumerate_portfolios,
 )
+from indexsim.enumeration import _subset_sums, _units
 
 ONE_WINNER = DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5))
 
@@ -100,6 +101,13 @@ class TestEnumeratePortfolios:
             enumerate_portfolios(ONE_WINNER, {0})
         with pytest.raises(ValueError):
             enumerate_portfolios(ONE_WINNER, {6})
+        # a float size used to be truncated: {1.5} counted the size-1 subsets
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            enumerate_portfolios(DeterministicIndex((1.1, 1.5, 2.0)), {1.5})
+
+    def test_accepts_numpy_sizes(self):
+        expected = enumerate_portfolios(ONE_WINNER, {2}, benchmarks=(0.18,))
+        assert enumerate_portfolios(ONE_WINNER, {np.int64(2)}, benchmarks=(0.18,)) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_benchmark(self, bad):
@@ -231,8 +239,7 @@ def multiset_oracle(groups, sizes, benchmarks):
     """The definition over a multiset of (value, multiplicity) groups.
 
     Each split vector (c_1, ..., c_g), c_i of the m_i copies of value i,
-    stands for prod comb(m_i, c_i) subsets with the same math.fsum; the
-    mean is taken exactly over Fractions, not over an expanded list.
+    stands for prod comb(m_i, c_i) subsets with the same math.fsum.
     """
     histogram = Counter()
     for split in itertools.product(*(range(m + 1) for _, m in groups)):
@@ -241,6 +248,12 @@ def multiset_oracle(groups, sizes, benchmarks):
             subset = [v for (v, _), c in zip(groups, split) for _ in range(c)]
             ways = math.prod(math.comb(m, c) for (_, m), c in zip(groups, split))
             histogram[math.fsum(subset) / k - 1.0] += ways
+    return stats_of(histogram, benchmarks)
+
+
+def stats_of(histogram, benchmarks):
+    """SubsetStats of a {return: count} histogram; the mean is taken exactly
+    over Fractions, not over an expanded list."""
     total = sum(histogram.values())
     values = sorted(histogram)
     cumulative = list(itertools.accumulate(histogram[v] for v in values))
@@ -341,3 +354,40 @@ class TestAgainstMultisetOracle:
         assert stats.benchmark_comparisons[0.1] == (0, 0, total)
         assert 0 not in stats.benchmark_comparisons[benchmarks[2]]
         assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items())) / total
+
+
+class TestMergedLevels:
+    """Splits that share a sum are held as one entry, so integer-valued
+    universes cost per distinct sum, not per subset."""
+
+    def test_each_sum_yielded_once(self):
+        units, shift = _units(tuple(float(v) for v in range(1, 25)))
+        assert (units, shift) == (list(range(1, 25)), 0)
+        # the 12-subsets of 1..24 sum to each of 78..222; one entry per
+        # split, here per subset, would be comb(24, 12) = 2,704,156 entries.
+        # Size 20 is read off level 4 as 300 minus each sum.
+        for (k, sums, counts), low, high in zip(
+                _subset_sums(units, (12, 20), np.int64, np.int64), (78, 210), (222, 290)):
+            assert sums.tolist() == list(range(low, high + 1))
+            assert int(counts.sum()) == math.comb(24, k)
+
+    def test_integers_in_closed_form(self):
+        # a build with one entry per split would try to hold 1.4e11 sums
+        # below, so fail first, on a small case, if sizes are not merged
+        [(_, sums, _)] = _subset_sums(list(range(1, 17)), (8,), np.int64, np.int64)
+        assert sums.size == 65
+        # comb(40, 20) > 10**11 subsets, 401 distinct sums: the j-subset sums
+        # of 1..40 by the textbook recurrence over one value at a time
+        levels = [Counter({0: 1})] + [Counter() for _ in range(20)]
+        for v in range(1, 41):
+            for j in range(20, 0, -1):
+                for s, c in levels[j - 1].items():
+                    levels[j][s + v] += c
+        histogram = Counter({s / 20 - 1.0: c for s, c in levels[20].items()})
+        benchmarks = (19.5, 0.0)
+        expected = stats_of(histogram, benchmarks)
+        got = enumerate_portfolios(
+            DeterministicIndex(tuple(float(v) for v in range(1, 41))), {20}, benchmarks, cap=10 ** 12)
+        assert got == expected
+        assert len(got.returns_histogram) == 401
+        assert got.benchmark_comparisons[19.5] == (68187965739, 1470597342, 68187965739)

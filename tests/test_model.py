@@ -48,11 +48,17 @@ class TestModelParams:
             dict(sigma_hat=-0.01),
             dict(mu_hat=float("nan")),
             dict(horizon=float("inf")),
+            dict(n_stocks=10.0),
         ],
     )
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             make_params(**overrides)
+
+    def test_accepts_numpy_n_stocks(self):
+        params = make_params(n_stocks=np.int64(10))
+        assert params == make_params()
+        assert type(params.n_stocks) is int
 
 
 class TestSeedSpec:
