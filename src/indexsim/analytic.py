@@ -69,10 +69,18 @@ def _norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _exp(quantity: str, x: float) -> float:
+    """math.exp(x); a result past the floats is a ValueError naming the quantity."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValueError(f"the {quantity} exp({x:.6g}) overflows a float") from None
+
+
 def expected_index_value(params: ModelParams) -> float:
     """Large-N limit of the index: the mean of one stock's terminal value."""
     t = params.horizon
-    return math.exp(params.mu_hat * t + 0.5 * params.sigma_hat ** 2 * t * t)
+    return _exp("expected index value", params.mu_hat * t + 0.5 * params.sigma_hat ** 2 * t * t)
 
 
 def median_stock_value(params: ModelParams) -> float:
@@ -84,7 +92,8 @@ def median_stock_value(params: ModelParams) -> float:
 def underperformance_factor(params: ModelParams) -> float:
     """Ratio by which the expected index value exceeds the median stock."""
     t = params.horizon
-    return math.exp(0.5 * params.sigma ** 2 * t + 0.5 * params.sigma_hat ** 2 * t * t)
+    return _exp("underperformance factor",
+                0.5 * params.sigma ** 2 * t + 0.5 * params.sigma_hat ** 2 * t * t)
 
 
 def stock_log_law(params: ModelParams) -> tuple[float, float]:

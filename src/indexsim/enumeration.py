@@ -136,8 +136,8 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
 def _exact_sum(values: np.ndarray, counts: np.ndarray) -> float:
     """Correctly rounded sum of counts[i] * values[i], for any counts.
 
-    Raises OverflowError when the sum overflows a float, as math.fsum over
-    the expanded list would.  With int64 counts and every partial sum below
+    Raises OverflowError when the correctly rounded sum overflows a float.
+    With int64 counts and every partial sum below
     2**1000, a product with a count above one is split into exact float terms
     for math.fsum: the value into Veltkamp halves of at most 26 significant
     bits and the count into 26-bit chunks.  The split scales the value by

@@ -42,6 +42,8 @@ SHOCK_STREAM = 1
 PICK_STREAM = 2
 
 _U52_SCALE = 2.0 ** -52
+# standard_normals' uniforms run from 2**-53 to 1 - 2**-53: |z| <= _Z_LIMIT.
+_Z_LIMIT = float(ndtri(1.0 - 2.0 ** -53))
 
 # Substream seeds are computed SEED_WINDOW stream indices at a time.  2**32
 # is a multiple of the window, so every index in a window has the same
@@ -137,7 +139,7 @@ class _SeedWords(ISeedSequence):
 class ModelParams:
     """The five constants governing the universe.
 
-    n_stocks: number of stocks N in the index.
+    n_stocks: number of stocks N in the index, at most 2**32.
     horizon: years T until the terminal date.
     sigma: annual volatility, shared by all stocks (per sqrt-year).
     mu_hat: mean of the cross-sectional drift distribution (per year).
@@ -152,8 +154,8 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n_stocks", as_integer("n_stocks", self.n_stocks))
-        if self.n_stocks < 1:
-            raise ValueError(f"n_stocks must be a positive integer, got {self.n_stocks!r}")
+        if not 1 <= self.n_stocks <= 2 ** 32:
+            raise ValueError(f"n_stocks must lie in [1, 2**32], got {self.n_stocks!r}")
         for name in ("horizon", "sigma", "mu_hat", "sigma_hat"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -164,6 +166,12 @@ class ModelParams:
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
         if self.sigma_hat < 0:
             raise ValueError(f"sigma_hat must be >= 0, got {self.sigma_hat!r}")
+        # A terminal value grows with both of its variates, so these two bound
+        # every value drawn, and n_stocks times the highest every sum of them.
+        z = np.array([-_Z_LIMIT, _Z_LIMIT])
+        low, high = terminal_value(self.mu_hat + self.sigma_hat * z, self.sigma, self.horizon, z).tolist()
+        if not (low > 0 and high * self.n_stocks < math.inf):
+            raise ValueError("terminal values must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -243,15 +251,12 @@ def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     DRIFT_STREAM and SHOCK_STREAM from ``seed``; callers running many
     trials should space their base stream indices by STREAM_STRIDE.  The
     drifts are ``draw_drifts(params, seed.substream(DRIFT_STREAM))``.
-    Parameters whose values overflow to inf or underflow to 0 raise
-    ValueError.
+    ModelParams guarantees that the values and their sum are positive and finite.
     """
     drifts = draw_drifts(params, seed.substream(DRIFT_STREAM))
     shock_rng = seed.substream(SHOCK_STREAM).generator()
     z = standard_normals(shock_rng, params.n_stocks)
     values = terminal_value(drifts, params.sigma, params.horizon, z)
-    if not (values.min() > 0 and values.max() < np.inf):
-        raise ValueError("terminal values must be positive and finite")
     values.flags.writeable = False
     return values
 

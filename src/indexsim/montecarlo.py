@@ -90,6 +90,9 @@ class ExperimentConfig:
                 )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "realized-index":
+            # the thresholds are offsets from it, so it must be a float
+            expected_index_value(self.params)
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
@@ -155,25 +158,19 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     are stored (``moved``); every other slot still holds its own index.
 
     On a fresh stream the j_i are exactly numpy's ``rng.integers(np.arange(k),
-    n)``.  For n <= 2**32 numpy draws each j_i by 32-bit Lemire on the
-    stream's 32-bit halves, low half of each 64-bit word first, rejecting
-    when the low product word falls below 2**32 mod (n - i); the same
-    arithmetic on Python ints over ceil(k/2) raw words costs a fraction of
-    numpy's per-element call.  The stream is read in whole words, so a
-    generator reused afterwards may differ from one that numpy advanced.
-    For n > 2**32 numpy draws the j_i itself.
+    n)``: for n <= 2**32, as ModelParams requires, numpy draws each j_i by
+    32-bit Lemire on the stream's 32-bit halves, low half of each 64-bit word
+    first, rejecting when the low product word falls below 2**32 mod (n - i);
+    the same arithmetic on Python ints over ceil(k/2) raw words costs a
+    fraction of numpy's per-element call.  The stream is read in whole words,
+    so a generator reused afterwards may differ from one that numpy advanced.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size must lie in [1, {n}], got {k}")
+    if not 1 <= k <= n <= 2 ** 32:
+        raise ValueError(f"need 1 <= k <= n <= 2**32, got k={k}, n={n}")
     if k == n:
         return np.arange(n)
     moved = {}
     picked = []
-    if n > 2 ** 32:
-        for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
-            picked.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return np.array(picked)
     raw = rng.bit_generator.random_raw
     halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
     pos = 0
@@ -204,8 +201,6 @@ def run_trial(
     (portfolio_return, realized_index_return); ``mode`` is checked but does
     not change the draw.
     """
-    if not 1 <= k <= params.n_stocks:
-        raise ValueError(f"subset size must lie in [1, {params.n_stocks}], got {k}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values = draw_universe(params, seed)

@@ -58,6 +58,13 @@ class TestClosedForms:
         params = make_params(sigma=0.2, sigma_hat=0.0, horizon=5.0)
         assert underperformance_factor(params) == pytest.approx(math.exp(0.1), rel=1e-12)
 
+    def test_overflow_names_the_quantity(self):
+        # every drawn value lies in [exp(-528), exp(128)], but the factor is exp(800)
+        params = make_params(horizon=1.0, sigma=0.0, mu_hat=-200.0, sigma_hat=40.0)
+        assert expected_index_value(params) == pytest.approx(math.exp(600.0), rel=1e-12)
+        with pytest.raises(ValueError, match="^the underperformance factor exp.800. overflows a float$"):
+            underperformance_factor(params)
+
     def test_identity_expected_equals_median_times_factor(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

@@ -140,6 +140,14 @@ class TestAnalyticCommand:
             '"underperformance_factor": 1.3636363636363635}\n'
         )
 
+    def test_overflowing_closed_form_exits_2(self, capsys):
+        # exp(0.5 * 7.6**2 * 5**2) = exp(722) is past the floats, though every
+        # drawn value, at most exp(315), is not
+        code = run_cli("analytic", "--mu-hat", "0", "--sigma-hat", "7.6", "--sigma", "0.2",
+                       "--horizon", "5")
+        assert code == 2
+        assert error_line(capsys) == "error: the expected index value exp(722) overflows a float\n"
+
     def test_underspecified_model_exits_2(self, capsys):
         code = run_cli("analytic")
         assert code == 2
@@ -381,8 +389,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("workers,sizes", [("1", "1"), ("2", "1"), ("2", "1,2")])
     def test_overflowing_universe_exits_2(self, tmp_path, workers, sizes):
-        # exp(300 * 5) overflows to inf; with sizes 1,2 the check fails in a
-        # worker process and its ValueError reaches the parent
+        # exp(300 * 5) overflows to inf: ModelParams rejects the model in the
+        # parent process, before any worker starts or any trial runs
         result = subprocess.run(
             [sys.executable, "-m", "indexsim.cli", "simulate", "--mu-hat", "300",
              "--sigma-hat", "0", "--sizes", sizes, "--trials", "3", "--benchmarks", "0.5:0.5",
@@ -484,6 +492,14 @@ class TestSimulateCommand:
         assert err.startswith(f"error: invalid {key} from ")
         assert err.endswith(f": {message}\n")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_expected_index_exits_2_before_running(self, tmp_path, capsys, no_trials):
+        # realized-index thresholds are offsets from the expected index value
+        code = run_cli("simulate", "--mu-hat", "0", "--sigma-hat", "7.6", "--sigma", "0.2",
+                       "--horizon", "5", "--mode", "realized-index", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys) == "error: the expected index value exp(722) overflows a float\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_workers_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--paper-defaults", "--workers", "0",

@@ -143,7 +143,12 @@ class TestUnderperformanceFraction:
 
 
 def brute_force(values, sizes, benchmarks):
-    """The definition: one math.fsum per subset, every statistic from the full list."""
+    """The definition: one math.fsum per subset, every statistic from the full list.
+
+    The mean is the correctly rounded sum of the returns over their count.
+    math.fsum would raise for a sum that rounds to the largest float when a
+    partial sum passes it ("intermediate overflow"), so the sum is exact.
+    """
     returns = [
         math.fsum(combo) / k - 1.0
         for k in sorted(sizes)
@@ -160,7 +165,7 @@ def brute_force(values, sizes, benchmarks):
         comparisons[b] = (below, equal, total - below - equal)
     return SubsetStats(
         portfolio_count=total,
-        mean_return=math.fsum(returns) / total,
+        mean_return=float(sum(map(Fraction, returns))) / total,
         median_return=median,
         returns_histogram=tuple(sorted(Counter(returns).items())),
         benchmark_comparisons=comparisons,
@@ -207,6 +212,7 @@ class TestAgainstBruteForce:
     @example(([1e308, 1e308], {2}, (0.0,)))  # a subset sum overflows
     @example(([1e308, 1.5e308], {1}, (0.0,)))  # only the mean overflows
     @example(([5e-324, 1.0, 2.2250738585072014e-308], {1, 2}, (0.0,)))
+    @example(([0.5] * 6 + [sys.float_info.max], {6}, (-0.5, 0.0)))  # the sum rounds to the largest float
     def test_equals_fsum_definition(self, universe):
         values, sizes, benchmarks = universe
         expected = outcome(lambda: brute_force(values, sizes, benchmarks))

@@ -1,8 +1,10 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -20,17 +22,57 @@ from indexsim.model import (
     SEED_WINDOW,
     SHOCK_STREAM,
     STREAM_STRIDE,
+    _Z_LIMIT,
     _seed_window,
     standard_normals,
 )
 
 U64 = st.integers(0, 2 ** 64 - 1)
+# 0 and 2**64 - 1 are the words that give z = -_Z_LIMIT and +_Z_LIMIT
+WORD = st.sampled_from([0, 2 ** 64 - 1]) | U64
+# exp overflows above LOG_MAX and underflows to 0 below about LOG_MIN
+LOG_MAX = math.log(sys.float_info.max)
+LOG_MIN = math.log(math.ulp(0.0))
 
 
 def make_params(**overrides):
     base = dict(n_stocks=10, horizon=5.0, sigma=0.2, mu_hat=0.04, sigma_hat=0.13)
     base.update(overrides)
     return ModelParams(**base)
+
+
+class RawWords:
+    """A stand-in generator whose bit generator returns the given 64-bit words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        return self.words[:count]
+
+
+@st.composite
+def near_limit_params(draw):
+    """ModelParams that construct, most with their highest or lowest value near a float limit."""
+    n = draw(st.integers(1, 8))
+    horizon = draw(st.floats(0.01, 40.0))
+    sigma = draw(st.floats(0.0, 3.0))
+    sigma_hat = draw(st.floats(0.0, 10.0))
+    slack = draw(st.floats(-2.0, 2.0))
+    shock = sigma * math.sqrt(horizon) * _Z_LIMIT
+    # the log of the highest value is (mu_hat + sigma_hat*Z - sigma**2/2)*T + shock
+    mu_hat = draw(st.one_of(
+        st.just((LOG_MAX - math.log(n) + slack - shock) / horizon + 0.5 * sigma ** 2
+                - sigma_hat * _Z_LIMIT),
+        st.just((LOG_MIN + slack + shock) / horizon + 0.5 * sigma ** 2 + sigma_hat * _Z_LIMIT),
+        st.floats(-100.0, 100.0),
+    ))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ModelParams(n, horizon, sigma, mu_hat, sigma_hat)
+    except ValueError:
+        reject()
 
 
 class TestModelParams:
@@ -49,11 +91,27 @@ class TestModelParams:
             dict(mu_hat=float("nan")),
             dict(horizon=float("inf")),
             dict(n_stocks=10.0),
+            dict(n_stocks=2 ** 32 + 1),
         ],
     )
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             make_params(**overrides)
+
+    def test_rejects_a_model_whose_extreme_draw_overflows(self):
+        # both variates at +_Z_LIMIT, each one word in 2**52, give exp(721.9):
+        # no fixed seed would show it, so the model is rejected when it is built
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
+            ModelParams(n_stocks=500, horizon=5.0, sigma=0.2, mu_hat=0.0, sigma_hat=17.5)
+
+    def test_limit_covers_the_index_sum(self):
+        # exp(709) fits a float, but a sum of ten of them does not
+        make_params(n_stocks=1, horizon=1.0, sigma=0.0, mu_hat=709.0, sigma_hat=0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_params(n_stocks=10, horizon=1.0, sigma=0.0, mu_hat=709.0, sigma_hat=0.0)
+
+    def test_accepts_the_largest_n_stocks(self):
+        assert make_params(n_stocks=2 ** 32).n_stocks == 2 ** 32
 
     def test_accepts_numpy_n_stocks(self):
         params = make_params(n_stocks=np.int64(10))
@@ -167,6 +225,11 @@ class TestStandardNormals:
             exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
             assert abs(float(ndtri(p)) - exact) <= 1e-9
 
+    def test_extreme_words_give_the_z_limit(self):
+        z = standard_normals(RawWords([0, 2 ** 64 - 1]), 2)
+        assert z.tolist() == [-_Z_LIMIT, _Z_LIMIT]
+        assert _Z_LIMIT == 8.209536151601387
+
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)
         assert np.all(np.isfinite(z))
@@ -273,10 +336,20 @@ class TestDrawUniverse:
 
     @pytest.mark.parametrize("mu_hat", [300.0, -300.0], ids=["overflow", "underflow"])
     def test_rejects_values_that_leave_the_floats(self, mu_hat):
-        # exp(1500) is inf and exp(-1500) is 0: the one check on a drawn universe
-        params = make_params(mu_hat=mu_hat, sigma=0.0, sigma_hat=0.0)
+        # exp(1500) is inf and exp(-1500) is 0: rejected before any universe is drawn
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
-            draw_universe(params, SeedSpec(1, 0))
+            make_params(mu_hat=mu_hat, sigma=0.0, sigma_hat=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=near_limit_params(), data=st.data())
+    def test_constructed_params_keep_every_draw_in_the_floats(self, params, data):
+        # every stock's drift and shock words, often the extreme ones
+        words = st.lists(WORD, min_size=params.n_stocks, max_size=params.n_stocks)
+        streams = {DRIFT_STREAM: data.draw(words), SHOCK_STREAM: data.draw(words)}
+        with mock.patch.object(SeedSpec, "generator", lambda seed: RawWords(streams[seed.stream_index])):
+            values = draw_universe(params, SeedSpec(1, 0))
+        assert np.all(values > 0) and np.all(np.isfinite(values))
+        assert math.isfinite(index_value(values))
 
 
 class TestIndexValue:

@@ -134,7 +134,11 @@ class TestPickSubset:
     def test_swap_targets_match_numpy_with_rejections(self, n):
         # a draw on a span just above 2**31 is rejected about half the time:
         # the first draw at n = 2**31 + 1, every draw at n = 2**31 + 20;
-        # n = 2**32 takes whole halves and n > 2**32 is numpy's own path
+        # n = 2**32 takes whole halves, the most that ModelParams allows
+        if n > 2 ** 32:
+            with pytest.raises(ValueError, match=r"n <= 2\*\*32, got k=1, n=1099511627776"):
+                pick_subset(SeedSpec(5, 0).generator(), n, 1)
+            return
         rejected = 0
         for stream_index in range(60):
             k = 1 + stream_index % 20
