@@ -42,7 +42,7 @@ from .montecarlo import (
     run_trial,
     subset_frequencies,
 )
-from .report import SampleSummary, emit_csv, emit_svg_chart, parse_csv, summary_stats
+from .report import emit_csv, emit_svg_chart, parse_csv
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "FrequencyReport",
     "FrequencyRow",
     "ModelParams",
-    "SampleSummary",
     "SeedSpec",
     "SubsetStats",
     "calibrate",
@@ -75,7 +74,6 @@ __all__ = [
     "stock_log_law",
     "subset_frequencies",
     "summarize",
-    "summary_stats",
     "tail_probability",
     "terminal_value",
     "underperformance_factor",

@@ -60,12 +60,8 @@ class AnalyticSummary:
     log_variance: float
 
 
-def _norm_cdf(x: float) -> float:
-    # Phi(x) via the complementary error function; accurate in both tails.
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _norm_sf(x: float) -> float:
+    # 1 - Phi(x) via the complementary error function; accurate in both tails.
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -85,8 +81,7 @@ def expected_index_value(params: ModelParams) -> float:
 
 def median_stock_value(params: ModelParams) -> float:
     """Median gross terminal value of a randomly picked stock."""
-    t = params.horizon
-    return math.exp(params.mu_hat * t - 0.5 * params.sigma ** 2 * t)
+    return math.exp(stock_log_law(params)[0])
 
 
 def underperformance_factor(params: ModelParams) -> float:
@@ -167,4 +162,4 @@ def tail_probability(params: ModelParams, threshold: float, direction: str) -> f
             return 1.0 if gap < 0 else 0.0
         return 1.0 if gap > 0 else 0.0
     x = gap / math.sqrt(v)
-    return _norm_sf(x) if direction == "above" else _norm_cdf(x)
+    return _norm_sf(x if direction == "above" else -x)

@@ -111,7 +111,6 @@ class Setting:
     default: Any
     help: str
     echo: Optional[Callable[[Any], str]] = None
-    choices: Optional[tuple[str, ...]] = None
     env: Optional[str] = None
 
 
@@ -138,7 +137,7 @@ _RUN_SETTINGS = (
     Setting("benchmarks", "--benchmarks", _parse_benchmarks, DEFAULT_BENCHMARKS,
             "comma-separated over:under pairs, e.g. 0.5:0.5,0.7:0.3",
             lambda pairs: ",".join(f"{over!r}:{under!r}" for over, under in pairs)),
-    Setting("mode", "--mode", str, "fixed-benchmark", "comparison mode", str, choices=MODES),
+    Setting("mode", "--mode", str, "fixed-benchmark", f"comparison mode: {' or '.join(MODES)}", str),
     Setting("sampling", "--sampling", _parse_sampling, "fresh-universe", "sampling scheme", str),
     Setting("seed", "--seed", int, 42, "master seed", str, env="INDEXSIM_SEED"),
     Setting("workers", "--workers", int, 1, "worker processes"),
@@ -341,7 +340,7 @@ def _add_setting_flags(parser: argparse.ArgumentParser, settings) -> None:
         help_text = s.help if s.default is None else f"{s.help} (default {shown})"
         if s.env:
             help_text += f"; env {s.env} replaces the default"
-        parser.add_argument(s.flag, dest=s.name, choices=s.choices, help=help_text)
+        parser.add_argument(s.flag, dest=s.name, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,9 +89,10 @@ def _units(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [p << (shift - q.bit_length() + 1) for p, q in ratios], shift
 
 
-def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order, each with the sum of its counts
-    (callers pass sorted runs end to end, which a stable sort merges)."""
+def _join(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram of sorted (keys, counts) pieces: the distinct keys in increasing
+    order, each with the sum of its counts (a stable sort merges the sorted runs)."""
+    keys, counts = (np.concatenate(column) for column in zip(*pieces))
     order = np.argsort(keys, kind="stable")
     keys, counts = keys[order], counts[order]
     new = np.r_[True, keys[1:] != keys[:-1]]
@@ -124,12 +125,12 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
             for c in range(1, min(m, j) + 1):
                 pieces = levels[j - c]
                 if len(pieces) > 1:
-                    pieces[:] = [_merge(*(np.concatenate(column) for column in zip(*pieces)))]
+                    pieces[:] = [_join(pieces)]
                 if pieces:  # most are empty while one large group fills the levels
                     sums, counts = pieces[0]
                     levels[j].append((sums + c * u, counts * math.comb(m, c)))
     for k in sizes:
-        sums, counts = _merge(*(np.concatenate(column) for column in zip(*levels[min(k, n - k)])))
+        sums, counts = _join(levels[min(k, n - k)])
         yield (k, sums, counts) if k <= n - k else (k, total - sums[::-1], counts[::-1])
 
 
@@ -212,7 +213,7 @@ def enumerate_portfolios(
             gross = np.array([s / scale for s in distinct.tolist()], dtype=float)
         parts.append((gross / k - 1.0, counts))
 
-    values, counts = _merge(*(np.concatenate(column) for column in zip(*parts)))
+    values, counts = _join(parts)
     histogram = tuple(zip(values.tolist(), counts.tolist()))
 
     mean = _exact_sum(values, counts)

@@ -64,7 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(as_integer("sizes", k) for k in self.sizes))
         object.__setattr__(self, "trials_per_size", as_integer("trials_per_size", self.trials_per_size))
-        object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
+        # SeedSpec coerces the seed and checks that it is a 64-bit unsigned integer
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         object.__setattr__(
             self, "benchmarks", tuple((float(o), float(u)) for o, u in self.benchmarks)
         )
@@ -93,8 +94,6 @@ class ExperimentConfig:
         if self.mode == "realized-index":
             # the thresholds are offsets from it, so it must be a float
             expected_index_value(self.params)
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,8 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     fraction of numpy's per-element call.  The stream is read in whole words,
     so a generator reused afterwards may differ from one that numpy advanced.
     """
+    # numpy integers would overflow the int64 products below
+    n, k = as_integer("n", n), as_integer("k", k)
     if not 1 <= k <= n <= 2 ** 32:
         raise ValueError(f"need 1 <= k <= n <= 2**32, got k={k}, n={n}")
     if k == n:

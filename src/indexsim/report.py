@@ -1,13 +1,10 @@
-"""Sample statistics and serialization of frequency reports (CSV and SVG)."""
+"""Serialization of frequency reports (CSV and SVG)."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .montecarlo import FrequencyReport, FrequencyRow
 
@@ -18,39 +15,6 @@ SVG_HEIGHT = 540
 
 # One color per (benchmark pair, direction) series, in emission order.
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Moments of a sample; skewness is None when the variance is zero."""
-
-    count: int
-    mean: float
-    median: float
-    variance: float
-    skewness: Optional[float]
-
-
-def summary_stats(samples: Sequence[float]) -> SampleSummary:
-    """Mean, median, unbiased variance and moment skewness m3 / m2**1.5."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("samples must be a non-empty 1-d collection")
-    n = arr.size
-    ordered = np.sort(arr, kind="stable")
-    mid = n // 2
-    median = float(ordered[mid]) if n % 2 else float((ordered[mid - 1] + ordered[mid]) / 2.0)
-    if ordered[0] == ordered[-1]:
-        # constant sample: exact moments, skewness undefined
-        return SampleSummary(
-            count=n, mean=float(ordered[0]), median=median, variance=0.0, skewness=None
-        )
-    mean = float(np.mean(arr))
-    centered = arr - mean
-    m2 = float(np.mean(centered ** 2))
-    variance = float(np.sum(centered ** 2) / (n - 1)) if n > 1 else 0.0
-    skewness = float(np.mean(centered ** 3) / m2 ** 1.5) if m2 > 0.0 else None
-    return SampleSummary(count=n, mean=mean, median=median, variance=variance, skewness=skewness)
 
 
 def _format(value: float, precision: Optional[int]) -> str:

@@ -273,6 +273,23 @@ class TestSimulateCommand:
         assert (tmp_path / "r.csv.config").exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_trailing_comma_in_benchmarks_is_ignored(self, tmp_path, capsys):
+        csvs = []
+        for benchmarks in ("0.5:0.5", "0.5:0.5,"):
+            out_csv = tmp_path / f"{len(csvs)}.csv"
+            code = run_cli("simulate", "--paper-defaults", "--trials", "20", "--sizes", "1,2",
+                           "--n", "20", "--benchmarks", benchmarks, "--out", str(out_csv))
+            assert code == 0
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_help_names_both_modes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside a mode name
+        with pytest.raises(SystemExit):
+            run_cli("simulate", "--help")
+        out = capsys.readouterr().out
+        assert all(mode in out for mode in montecarlo.MODES)
+
     def test_sidecar_reload_reproduces_csv(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         run_cli("simulate", "--paper-defaults", "--trials", "40", "--sizes", "1,3",
@@ -491,6 +508,15 @@ class TestSimulateCommand:
         err = error_line(capsys)
         assert err.startswith(f"error: invalid {key} from ")
         assert err.endswith(f": {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_unknown_mode_exits_2_before_running(self, tmp_path, capsys, no_trials, where):
+        # one check, ExperimentConfig's, for a flag and a config-file value alike
+        assert self.run_with_setting(tmp_path, where, "mode", "bogus") == 2
+        assert error_line(capsys) == (
+            "error: mode must be one of ('fixed-benchmark', 'realized-index'), got 'bogus'\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     def test_overflowing_expected_index_exits_2_before_running(self, tmp_path, capsys, no_trials):

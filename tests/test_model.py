@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import skew
 
 from indexsim import (
     ModelParams,
@@ -24,6 +25,7 @@ from indexsim.model import (
     STREAM_STRIDE,
     _Z_LIMIT,
     _seed_window,
+    _SeedWords,
     standard_normals,
 )
 
@@ -203,6 +205,14 @@ class TestWindowedSeeding:
         assert ours.integers(0, 2 ** 52, size=5).tolist() == theirs.integers(0, 2 ** 52, size=5).tolist()
 
 
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+    def test_seed_words_offer_only_pcg64_state(self, n_words, dtype):
+        seed_words = _SeedWords(_seed_window(42, 0)[0])
+        assert seed_words.generate_state(4, np.uint64) is seed_words.words
+        with pytest.raises(ValueError, match=r"only PCG64's generate_state\(4, np.uint64\)"):
+            seed_words.generate_state(n_words, dtype)
+
+
 class TestStandardNormals:
     @settings(max_examples=40, deadline=None)
     @given(master_seed=U64, stream_index=U64, count=st.integers(1, 600))
@@ -311,6 +321,28 @@ class TestDrawUniverse:
         assert abs(logs.mean() - m) < 4.0 * math.sqrt(v) / math.sqrt(n)
         assert abs(logs.var(ddof=1) - v) < 5.0 * v * math.sqrt(2.0 / (n - 1))
 
+    def test_terminal_draws_match_lognormal_moments(self, reference_params):
+        n = 100_000
+        params = ModelParams(
+            n_stocks=n, horizon=5.0, sigma=0.2,
+            mu_hat=reference_params.mu_hat, sigma_hat=reference_params.sigma_hat,
+        )
+        values = draw_universe(params, SeedSpec(6, 0))
+        m, v = math.log(1.1), 0.2 + reference_params.sigma_hat ** 2 * 25.0
+        true_var = (math.exp(v) - 1.0) * math.exp(2 * m + v)
+        assert abs(np.mean(values) - 1.5) < 5.0 * math.sqrt(true_var / n)
+        assert abs(np.median(values) - 1.1) < 0.02
+        assert skew(values) > 0
+
+    def test_skewness_positive_for_any_variance_source(self):
+        # either the shared volatility or the drift dispersion alone is
+        # enough to skew terminal values to the right
+        for sigma, sigma_hat in ((0.2, 0.0), (0.0, 0.13), (0.2, 0.13)):
+            params = ModelParams(
+                n_stocks=100_000, horizon=5.0, sigma=sigma, mu_hat=0.04, sigma_hat=sigma_hat
+            )
+            assert skew(draw_universe(params, SeedSpec(2, 0))) > 0
+
     def test_positivity(self):
         params = make_params(n_stocks=2000)
         values = draw_universe(params, SeedSpec(8, 0))
@@ -361,3 +393,8 @@ class TestIndexValue:
 
     def test_symmetric_mean(self):
         assert index_value([1.0, 2.0, 3.0]) == 2.0
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-d"])
+    def test_rejects_empty_and_2d(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            index_value(values)

@@ -11,6 +11,8 @@ from scipy.stats import chisquare
 from indexsim import (
     DeterministicIndex,
     ExperimentConfig,
+    FrequencyReport,
+    FrequencyRow,
     ModelParams,
     SeedSpec,
     enumerate_portfolios,
@@ -156,6 +158,15 @@ class TestPickSubset:
         if n < 2 ** 32:
             assert rejected > 20
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("n", [3_000_000_000, 2 ** 32])
+    def test_numpy_integers_pick_as_python_ints(self, n, dtype):
+        # a numpy n used to overflow the 64-bit products of the Lemire draw
+        for stream_index in range(10):
+            seed = SeedSpec(5, stream_index)
+            expected = pick_subset(seed.generator(), n, 3).tolist()
+            assert pick_subset(seed.generator(), dtype(n), dtype(3)).tolist() == expected
+
     @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6), (8, 3)])
     def test_chi_square_uniform_on_fresh_pick_streams(self, n, k):
         # each pick on its own fresh pick substream, the way callers draw them
@@ -219,6 +230,21 @@ class TestRunTrial:
             run_trial(small_params(), 0, SeedSpec(4, 0))
         with pytest.raises(ValueError):
             run_trial(small_params(), 21, SeedSpec(4, 0))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_trial(small_params(), 5, SeedSpec(4, 0), "other")
+
+
+class TestFrequencyReport:
+    def test_row_for_missing_cell_raises_key_error(self):
+        row = FrequencyRow(size=1, over_threshold=0.5, under_threshold=0.5,
+                           over_count=3, under_count=4, trials=10)
+        report = FrequencyReport(rows=(row,), master_seed=42)
+        assert report.row_for(1, 0.5, 0.5) is row
+        for cell in [(2, 0.5, 0.5), (1, 0.7, 0.5), (1, 0.5, 0.3)]:
+            with pytest.raises(KeyError, match="no row for size="):
+                report.row_for(*cell)
 
 
 class TestRunExperiment:

@@ -1,7 +1,5 @@
-import math
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,13 +7,9 @@ from hypothesis import strategies as st
 from indexsim import (
     FrequencyReport,
     FrequencyRow,
-    ModelParams,
-    SeedSpec,
-    draw_universe,
     emit_csv,
     emit_svg_chart,
     parse_csv,
-    summary_stats,
 )
 from indexsim.report import CSV_HEADER
 
@@ -33,68 +27,6 @@ def make_row(size=1, over_t=0.5, under_t=0.5, over=3469, under=6531, trials=10_0
 
 def make_report(rows, seed=42):
     return FrequencyReport(rows=tuple(rows), master_seed=seed)
-
-
-class TestSummaryStats:
-    def test_symmetric_sample(self):
-        s = summary_stats([-1.0, 0.0, 1.0])
-        assert s.count == 3
-        assert s.mean == 0.0
-        assert s.median == 0.0
-        assert s.variance == 1.0
-        assert s.skewness == 0.0
-
-    def test_constant_sample_flags_skewness_undefined(self):
-        s = summary_stats([2.5, 2.5, 2.5])
-        assert s.mean == 2.5
-        assert s.variance == 0.0
-        assert s.skewness is None
-
-    def test_single_value(self):
-        s = summary_stats([4.0])
-        assert s.count == 1
-        assert s.variance == 0.0
-        assert s.skewness is None
-
-    def test_even_count_median(self):
-        assert summary_stats([1.0, 2.0, 3.0, 4.0]).median == 2.5
-
-    def test_terminal_draws_match_lognormal_moments(self, reference_params):
-        n = 100_000
-        params = ModelParams(
-            n_stocks=n, horizon=5.0, sigma=0.2,
-            mu_hat=reference_params.mu_hat, sigma_hat=reference_params.sigma_hat,
-        )
-        values = draw_universe(params, SeedSpec(6, 0))
-        s = summary_stats(values)
-        m, v = math.log(1.1), 0.2 + reference_params.sigma_hat ** 2 * 25.0
-        true_var = (math.exp(v) - 1.0) * math.exp(2 * m + v)
-        assert abs(s.mean - 1.5) < 5.0 * math.sqrt(true_var / n)
-        assert abs(s.median - 1.1) < 0.02
-        assert s.skewness is not None and s.skewness > 0
-
-    def test_skewness_positive_for_any_variance_source(self):
-        # either the shared volatility or the drift dispersion alone is
-        # enough to skew terminal values to the right
-        for sigma, sigma_hat in ((0.2, 0.0), (0.0, 0.13), (0.2, 0.13)):
-            params = ModelParams(
-                n_stocks=100_000, horizon=5.0, sigma=sigma, mu_hat=0.04, sigma_hat=sigma_hat
-            )
-            s = summary_stats(draw_universe(params, SeedSpec(2, 0)))
-            assert s.skewness is not None and s.skewness > 0
-
-    def test_matches_compensated_two_pass_reference(self):
-        rng = np.random.default_rng(14)
-        values = rng.lognormal(0.2, 1.1, size=1_000_000) * 1e3
-        s = summary_stats(values)
-        ref_mean = math.fsum(values) / values.size
-        ref_var = math.fsum((x - ref_mean) ** 2 for x in values) / (values.size - 1)
-        assert s.mean == pytest.approx(ref_mean, rel=1e-10)
-        assert s.variance == pytest.approx(ref_var, rel=1e-10)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            summary_stats([])
 
 
 class TestEmitCsv:
