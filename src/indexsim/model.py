@@ -17,10 +17,11 @@ substream is bit-identical to numpy's
 ``PCG64(SeedSequence([master_seed, stream_index]))``; the SeedSequence hash
 is computed here, vectorised over a window of SEED_WINDOW consecutive
 stream indices at a time, so a trial's substreams cost one table lookup
-each instead of one hash each.  Normal variates are produced by the
-inverse-CDF transform of a 52-bit midpoint uniform, so each variate
-consumes exactly one 64-bit word from its substream and results never
-depend on how work is split across workers.
+each instead of one hash each, and ``seed.generator(offset)`` builds a
+substream's generator without a SeedSpec of its own.  Normal variates
+are produced by the inverse-CDF transform of a 52-bit midpoint uniform, so
+each variate consumes exactly one 64-bit word from its substream and
+results never depend on how work is split across workers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ DRIFT_STREAM = 0
 SHOCK_STREAM = 1
 PICK_STREAM = 2
 
-_U52_SCALE = 2.0 ** -52
+# _midpoint_uniforms: the bits of 1.0, and what maps 1 + j * 2**-52 to (j + 0.5) * 2**-52.
+_ONE_BITS = 0x3FF0000000000000
+_MIDPOINT_SHIFT = 1.0 - 2.0 ** -53
 # standard_normals' uniforms run from 2**-53 to 1 - 2**-53: |z| <= _Z_LIMIT.
 _Z_LIMIT = float(ndtri(1.0 - 2.0 ** -53))
 
@@ -199,9 +202,18 @@ class SeedSpec:
         """Return a copy shifted by a purpose offset (see STREAM_STRIDE)."""
         return SeedSpec(self.master_seed, self.stream_index + offset)
 
-    def generator(self) -> np.random.Generator:
-        """``Generator(PCG64(SeedSequence([master_seed, stream_index])))``, bit for bit."""
-        window, row = divmod(self.stream_index, SEED_WINDOW)
+    def generator(self, offset: int = 0) -> np.random.Generator:
+        """The generator of stream ``stream_index + offset``, without building its SeedSpec.
+
+        ``Generator(PCG64(SeedSequence([master_seed, stream_index + offset])))``,
+        bit for bit; ``generator(o)`` equals ``substream(o).generator()``.
+        """
+        if type(offset) is not int:
+            offset = as_integer("offset", offset)
+        index = self.stream_index + offset
+        if not 0 <= index < 2 ** 64:
+            raise ValueError(f"stream_index + offset must be a 64-bit unsigned integer, got {index!r}")
+        window, row = divmod(index, SEED_WINDOW)
         words = _seed_window(self.master_seed, window)[row]
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
@@ -216,17 +228,34 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     bounded method never rejects on a power-of-two range.  ``rng`` must
     have a 64-bit bit generator such as the PCG64 of SeedSpec.generator.
     """
-    u = (rng.bit_generator.random_raw(count) >> 12).astype(float)
-    u += 0.5
-    u *= _U52_SCALE
+    u = _midpoint_uniforms(rng.bit_generator.random_raw(count))
     return ndtri(u, out=u)
+
+
+def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:
+    """(j + 0.5) * 2**-52 for j = each uint64 word's top 52 bits, in the words' buffer.
+
+    j becomes the mantissa of the float 1 + j * 2**-52; subtracting
+    1 - 2**-53 from it is exact (Sterbenz), which leaves the midpoint.
+    """
+    words >>= 12
+    words |= _ONE_BITS
+    u = words.view(np.float64)
+    u -= _MIDPOINT_SHIFT
+    return u
 
 
 def draw_drifts(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     """Sample the n_stocks per-year drifts, i.i.d. N(mu_hat, sigma_hat**2)."""
-    rng = seed.generator()
+    return _drifts(params, seed.generator())
+
+
+def _drifts(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """draw_drifts from a generator: the normals scaled and shifted in place."""
     z = standard_normals(rng, params.n_stocks)
-    return params.mu_hat + params.sigma_hat * z
+    z *= params.sigma_hat
+    z += params.mu_hat
+    return z
 
 
 def terminal_value(mu_i: float, sigma: float, horizon: float, z) -> float:
@@ -238,10 +267,22 @@ def terminal_value(mu_i: float, sigma: float, horizon: float, z) -> float:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    drift_term = (mu_i - 0.5 * sigma * sigma) * horizon
-    shock_term = sigma * math.sqrt(horizon) * np.asarray(z, dtype=float)
-    out = np.exp(drift_term + shock_term)
+    drifts, shocks = (np.array(a, dtype=float) for a in np.broadcast_arrays(mu_i, z))
+    out = _grow(drifts, shocks, sigma, horizon)
     return float(out) if out.ndim == 0 else out
+
+
+def _grow(drifts: np.ndarray, shocks: np.ndarray, sigma: float, horizon: float) -> np.ndarray:
+    """terminal_value's formula on float arrays of one shape, computed in place.
+
+    exp((drifts - sigma*sigma/2) * horizon + sigma*sqrt(horizon) * shocks)
+    is written over ``drifts`` and returned; ``shocks`` is overwritten too.
+    """
+    drifts -= 0.5 * sigma * sigma
+    drifts *= horizon
+    shocks *= sigma * math.sqrt(horizon)
+    drifts += shocks
+    return np.exp(drifts, out=drifts)
 
 
 def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
@@ -253,10 +294,9 @@ def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     drifts are ``draw_drifts(params, seed.substream(DRIFT_STREAM))``.
     ModelParams guarantees that the values and their sum are positive and finite.
     """
-    drifts = draw_drifts(params, seed.substream(DRIFT_STREAM))
-    shock_rng = seed.substream(SHOCK_STREAM).generator()
-    z = standard_normals(shock_rng, params.n_stocks)
-    values = terminal_value(drifts, params.sigma, params.horizon, z)
+    drifts = _drifts(params, seed.generator(DRIFT_STREAM))
+    shocks = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
+    values = _grow(drifts, shocks, params.sigma, params.horizon)
     values.flags.writeable = False
     return values
 
@@ -271,4 +311,4 @@ def index_value(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d collection of gross values")
-    return float(values.sum() / values.size)
+    return float(np.add.reduce(values) / values.size)

@@ -206,7 +206,7 @@ def run_trial(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values = draw_universe(params, seed)
     realized = index_value(values) - 1.0
-    picked = values[pick_subset(seed.substream(PICK_STREAM).generator(), values.size, k)]
+    picked = values[pick_subset(seed.generator(PICK_STREAM), values.size, k)]
     return float(_net_return(picked)), realized
 
 
@@ -214,10 +214,10 @@ def _net_return(picked: np.ndarray):
     """Net return of equal-weighted picks: each last-axis row's sum / k - 1.0.
 
     One pick is a 1-d array, a block of picks a C-contiguous (picks, k)
-    matrix; ``sum(axis=-1)`` gives each row numpy's pairwise ``row.sum()``,
-    so a block's returns equal its picks' one at a time.
+    matrix; ``np.add.reduce(axis=-1)`` gives each row numpy's pairwise
+    ``row.sum()``, so a block's returns equal its picks' one at a time.
     """
-    return picked.sum(axis=-1) / picked.shape[-1] - 1.0
+    return np.add.reduce(picked, axis=-1) / picked.shape[-1] - 1.0
 
 
 def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
@@ -257,6 +257,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
     processes.  Tallies are integer sums per cell, so the report is
     bit-identical for any worker count.
     """
+    workers = as_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     trials = config.trials_per_size
@@ -294,6 +295,7 @@ _WILSON_Z = float(ndtri(0.5 + 0.95 / 2.0))
 
 def frequency_ci(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion: (center, half_width)."""
+    successes, trials = as_integer("successes", successes), as_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= successes <= trials:
@@ -330,9 +332,9 @@ def subset_frequencies(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not (np.isfinite(arr).all() and math.isfinite(benchmark)):
         raise ValueError("values and benchmark must be finite")
+    seed = SeedSpec(master_seed)
     picks = np.empty((trials, k), dtype=np.intp)
     for t in range(trials):
-        rng = SeedSpec(master_seed, t * STREAM_STRIDE + PICK_STREAM).generator()
-        picks[t] = pick_subset(rng, arr.size, k)
+        picks[t] = pick_subset(seed.generator(t * STREAM_STRIDE + PICK_STREAM), arr.size, k)
     above, below, equal = _classify(_net_return(arr[picks]), benchmark, benchmark)
     return below, equal, above

@@ -24,6 +24,7 @@ from indexsim.model import (
     SHOCK_STREAM,
     STREAM_STRIDE,
     _Z_LIMIT,
+    _midpoint_uniforms,
     _seed_window,
     _SeedWords,
     standard_normals,
@@ -51,7 +52,8 @@ class RawWords:
         self.words = np.array(words, dtype=np.uint64)
 
     def random_raw(self, count):
-        return self.words[:count]
+        # a fresh array, as numpy's: standard_normals overwrites it in place
+        return self.words[:count].copy()
 
 
 @st.composite
@@ -150,6 +152,20 @@ class TestSeedSpec:
             assert type(seed.master_seed) is int and type(seed.stream_index) is int
             np.testing.assert_array_equal(seed.generator().random(4), expected)
 
+    @pytest.mark.parametrize("master_seed", [42, 2 ** 40])
+    def test_generator_offset_is_the_substream(self, master_seed):
+        seed = SeedSpec(master_seed, 8)
+        for offset in range(4):
+            ours = seed.generator(offset).bit_generator.random_raw(8)
+            theirs = seed.substream(offset).generator().bit_generator.random_raw(8)
+            assert ours.tolist() == theirs.tolist()
+
+    def test_generator_offset_stays_in_64_bits(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            SeedSpec(1, 2 ** 64 - 1).generator(1)
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            SeedSpec(1, 0).generator(1.0)
+
     def test_distinct_streams_differ(self):
         a = SeedSpec(42, 0).generator().random(8)
         b = SeedSpec(42, 1).generator().random(8)
@@ -222,6 +238,15 @@ class TestStandardNormals:
         z = standard_normals(SeedSpec(master_seed, stream_index).generator(), count)
         j = _numpy_generator(master_seed, stream_index).integers(0, 2 ** 52, size=count)
         assert np.array_equal(z, ndtri((j + 0.5) * 2.0 ** -52))
+
+    @settings(max_examples=200, deadline=None)
+    @given(word=WORD)
+    @example(word=0)
+    @example(word=2 ** 64 - 1)
+    def test_midpoint_uniform_is_exact(self, word):
+        u = _midpoint_uniforms(np.array([word], dtype=np.uint64))
+        assert u.dtype == np.float64
+        assert u.tobytes() == np.float64(((word >> 12) + 0.5) * 2.0 ** -52).tobytes()
 
     def test_inverse_cdf_accuracy_bound(self):
         # the transform behind every normal draw must invert the CDF to
@@ -378,7 +403,8 @@ class TestDrawUniverse:
         # every stock's drift and shock words, often the extreme ones
         words = st.lists(WORD, min_size=params.n_stocks, max_size=params.n_stocks)
         streams = {DRIFT_STREAM: data.draw(words), SHOCK_STREAM: data.draw(words)}
-        with mock.patch.object(SeedSpec, "generator", lambda seed: RawWords(streams[seed.stream_index])):
+        with mock.patch.object(SeedSpec, "generator",
+                               lambda seed, offset=0: RawWords(streams[seed.stream_index + offset])):
             values = draw_universe(params, SeedSpec(1, 0))
         assert np.all(values > 0) and np.all(np.isfinite(values))
         assert math.isfinite(index_value(values))

@@ -286,6 +286,12 @@ class TestRunExperiment:
         parts = [montecarlo._tally_block(config, 0, 0, a, b) for a, b in zip(bounds, bounds[1:])]
         assert [sum(p[c] for p in parts) for c in (2, 3)] == list(whole[2:])
 
+    # a float count used to fail with TypeError inside the process pool
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
+    def test_rejects_invalid_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be"):
+            run_experiment(small_config(sizes=(1, 2)), workers=workers)
+
     @pytest.mark.parametrize(
         "sizes,trials,workers,expected",
         [
@@ -440,7 +446,8 @@ class TestFrequencyCI:
         center, half_width = frequency_ci(25, 25)
         assert center + half_width == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("args", [(-1, 10), (11, 10), (5, 0)])
+    # a fractional count used to give an interval: (0.5, 0.3747) for (1.5, 3)
+    @pytest.mark.parametrize("args", [(-1, 10), (11, 10), (5, 0), (1.5, 3), (1, 3.0)])
     def test_rejects_invalid(self, args):
         with pytest.raises(ValueError):
             frequency_ci(*args)
