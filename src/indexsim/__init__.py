@@ -28,7 +28,6 @@ from .enumeration import (
 from .model import (
     ModelParams,
     SeedSpec,
-    draw_drifts,
     draw_universe,
     index_value,
     terminal_value,
@@ -59,7 +58,6 @@ __all__ = [
     "SeedSpec",
     "SubsetStats",
     "calibrate",
-    "draw_drifts",
     "draw_universe",
     "emit_csv",
     "emit_svg_chart",

@@ -7,10 +7,12 @@ Subcommands:
     enumerate   exhaustive subset statistics for a given value list
     simulate    Monte Carlo frequency experiment, CSV (and SVG) output
 
-Each ``analytic``/``simulate`` setting is one row of the tables below.  A
-setting takes its value from, highest precedence first: a flag, a
-``key = value`` config file (simulate --config), --paper-defaults, an
-environment variable (seed only: INDEXSIM_SEED), the default.  Every
+Each ``calibrate``/``analytic``/``simulate`` setting is one row of the
+tables below; ``calibrate`` reads five of the model rows, with the same
+flags and defaults as ``analytic``.  A setting takes its value from,
+highest precedence first: a flag, a ``key = value`` config file (simulate
+--config), --paper-defaults, an environment variable (seed only:
+INDEXSIM_SEED), the default.  Every
 simulate run writes a ``<out>.config`` sidecar echoing the effective
 configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 """
@@ -23,7 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -40,15 +42,8 @@ from .enumeration import (
     enumerate_portfolios,
 )
 from .model import ModelParams
-from .montecarlo import (
-    DEFAULT_BENCHMARKS,
-    DEFAULT_SIZE_GRID,
-    DEFAULT_TRIALS,
-    MODES,
-    ExperimentConfig,
-    run_experiment,
-)
-from .report import emit_csv, emit_svg_chart, write_all
+from .montecarlo import MODES, ExperimentConfig, run_experiment
+from .report import check_destination, emit_csv, emit_svg_chart, write_all
 
 # One 50% winner hiding among four 10% stocks; picks of one or two stocks.
 FIVE_STOCK_VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
@@ -130,16 +125,25 @@ _MODEL_SETTINGS = (
             "target expected net return (calibrates the drifts)"),
 )
 
+_CALIBRATE_SETTINGS = tuple(
+    s for s in _MODEL_SETTINGS if s.name in ("paper_defaults", "horizon", "sigma", "median", "expected")
+)
+
+# ExperimentConfig is where the defaults of the run settings are written.
+_RUN_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
 _RUN_SETTINGS = (
-    Setting("sizes", "--sizes", _parse_sizes, DEFAULT_SIZE_GRID, "comma-separated subset sizes",
+    Setting("sizes", "--sizes", _parse_sizes, _RUN_DEFAULTS["sizes"], "comma-separated subset sizes",
             lambda sizes: ",".join(str(k) for k in sizes)),
-    Setting("trials", "--trials", int, DEFAULT_TRIALS, "trials per (size, benchmark) cell", str),
-    Setting("benchmarks", "--benchmarks", _parse_benchmarks, DEFAULT_BENCHMARKS,
+    Setting("trials", "--trials", int, _RUN_DEFAULTS["trials_per_size"],
+            "trials per (size, benchmark) cell", str),
+    Setting("benchmarks", "--benchmarks", _parse_benchmarks, _RUN_DEFAULTS["benchmarks"],
             "comma-separated over:under pairs, e.g. 0.5:0.5,0.7:0.3",
             lambda pairs: ",".join(f"{over!r}:{under!r}" for over, under in pairs)),
-    Setting("mode", "--mode", str, "fixed-benchmark", f"comparison mode: {' or '.join(MODES)}", str),
+    Setting("mode", "--mode", str, _RUN_DEFAULTS["mode"], f"comparison mode: {' or '.join(MODES)}",
+            str),
     Setting("sampling", "--sampling", _parse_sampling, "fresh-universe", "sampling scheme", str),
-    Setting("seed", "--seed", int, 42, "master seed", str, env="INDEXSIM_SEED"),
+    Setting("seed", "--seed", int, _RUN_DEFAULTS["master_seed"], "master seed", str, env="INDEXSIM_SEED"),
     Setting("workers", "--workers", int, 1, "worker processes"),
     Setting("out", "--out", str, "frequency_report.csv", "CSV output path"),
     Setting("svg", "--svg", str, None, "also write an SVG chart to this path"),
@@ -191,19 +195,23 @@ def _resolve(settings, args: argparse.Namespace, file_values: dict[str, str]) ->
     return values
 
 
+def _calibration_target(values: dict[str, Any]) -> CalibrationTarget:
+    """The target of the median, expected, sigma and horizon settings; ValueError if one is unset."""
+    if values["median"] is None or values["expected"] is None:
+        drifts = "--mu-hat and --sigma-hat, or " if "mu_hat" in values else ""
+        raise ValueError(
+            f"model is underspecified: give {drifts}--median and --expected (or --paper-defaults)"
+        )
+    return CalibrationTarget(
+        median_return=values["median"], expected_return=values["expected"],
+        sigma=values["sigma"], horizon=values["horizon"],
+    )
+
+
 def _model_params(values: dict[str, Any]) -> ModelParams:
     mu_hat, sigma_hat = values["mu_hat"], values["sigma_hat"]
     if mu_hat is None or sigma_hat is None:
-        if values["median"] is None or values["expected"] is None:
-            raise ValueError(
-                "model is underspecified: give --mu-hat and --sigma-hat, or "
-                "--median and --expected (or --paper-defaults)"
-            )
-        target = CalibrationTarget(
-            median_return=values["median"], expected_return=values["expected"],
-            sigma=values["sigma"], horizon=values["horizon"],
-        )
-        mu_hat, sigma_hat = calibrate(target)
+        mu_hat, sigma_hat = calibrate(_calibration_target(values))
     return ModelParams(
         n_stocks=values["n_stocks"], horizon=values["horizon"], sigma=values["sigma"],
         mu_hat=float(mu_hat), sigma_hat=float(sigma_hat),
@@ -211,11 +219,7 @@ def _model_params(values: dict[str, Any]) -> ModelParams:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    target = CalibrationTarget(
-        median_return=args.median, expected_return=args.expected,
-        sigma=args.sigma, horizon=args.horizon,
-    )
-    mu_hat, sigma_hat = calibrate(target)
+    mu_hat, sigma_hat = calibrate(_calibration_target(_resolve(_CALIBRATE_SETTINGS, args, {})))
     print(f"mu_hat    = {mu_hat:.10f}  (~ {round(mu_hat * 100):d}%)")
     print(f"sigma_hat = {sigma_hat:.10f}  (~ {round(sigma_hat * 100):d}%)")
     return 0
@@ -304,18 +308,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_path = Path(values["out"])
     sidecar = Path(str(out_path) + ".config")
     svg_path = values["svg"]
-    if svg_path is not None and Path(svg_path).resolve() in (out_path.resolve(), sidecar.resolve()):
-        raise ValueError(f"the SVG path {svg_path} would overwrite the CSV or its .config sidecar")
+    destinations = [(out_path, "CSV"), (sidecar, "config echo")]
+    if svg_path is not None:
+        if Path(svg_path).resolve() in (out_path.resolve(), sidecar.resolve()):
+            raise ValueError(f"the SVG path {svg_path} would overwrite the CSV or its .config sidecar")
+        destinations.append((Path(svg_path), "SVG"))
+    for path, what in destinations:
+        check_destination(path, what)
 
     report = run_experiment(config, workers=values["workers"])
-    outputs = [
-        (out_path, "CSV", emit_csv(report, precision=values["precision"])),
-        (sidecar, "config echo", effective.encode("utf-8")),
-    ]
+    payloads = [emit_csv(report, precision=values["precision"]), effective.encode("utf-8")]
     if svg_path is not None:
-        svg = emit_svg_chart(report, description=effective)
-        outputs.append((Path(svg_path), "SVG", svg.encode("utf-8")))
-    write_all(outputs)
+        payloads.append(emit_svg_chart(report, description=effective).encode("utf-8"))
+    write_all([(path, what, data) for (path, what), data in zip(destinations, payloads)])
 
     for row in report.rows:
         print(
@@ -351,10 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cal = sub.add_parser("calibrate", help="solve for mu_hat and sigma_hat from target returns")
-    cal.add_argument("--median", type=float, required=True, help="target median net return")
-    cal.add_argument("--expected", type=float, required=True, help="target expected net return")
-    cal.add_argument("--sigma", type=float, required=True, help="annual stock volatility")
-    cal.add_argument("--horizon", type=float, required=True, help="horizon in years")
+    _add_setting_flags(cal, _CALIBRATE_SETTINGS)
     cal.set_defaults(handler=_cmd_calibrate)
 
     ana = sub.add_parser("analytic", help="closed-form index, median and skew quantities")

@@ -198,15 +198,10 @@ class SeedSpec:
         if not 0 <= self.stream_index < 2 ** 64:
             raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {self.stream_index!r}")
 
-    def substream(self, offset: int) -> "SeedSpec":
-        """Return a copy shifted by a purpose offset (see STREAM_STRIDE)."""
-        return SeedSpec(self.master_seed, self.stream_index + offset)
-
     def generator(self, offset: int = 0) -> np.random.Generator:
-        """The generator of stream ``stream_index + offset``, without building its SeedSpec.
+        """The generator of stream ``stream_index + offset``; offsets are purposes (see STREAM_STRIDE).
 
-        ``Generator(PCG64(SeedSequence([master_seed, stream_index + offset])))``,
-        bit for bit; ``generator(o)`` equals ``substream(o).generator()``.
+        ``Generator(PCG64(SeedSequence([master_seed, stream_index + offset])))``, bit for bit.
         """
         if type(offset) is not int:
             offset = as_integer("offset", offset)
@@ -245,19 +240,6 @@ def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def draw_drifts(params: ModelParams, seed: SeedSpec) -> np.ndarray:
-    """Sample the n_stocks per-year drifts, i.i.d. N(mu_hat, sigma_hat**2)."""
-    return _drifts(params, seed.generator())
-
-
-def _drifts(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """draw_drifts from a generator: the normals scaled and shifted in place."""
-    z = standard_normals(rng, params.n_stocks)
-    z *= params.sigma_hat
-    z += params.mu_hat
-    return z
-
-
 def terminal_value(mu_i: float, sigma: float, horizon: float, z) -> float:
     """Exact GBM terminal value for one stock given its normal shock z.
 
@@ -288,13 +270,15 @@ def _grow(drifts: np.ndarray, shocks: np.ndarray, sigma: float, horizon: float) 
 def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     """Draw a full cross-section: the n_stocks gross terminal values, read-only.
 
-    Drift draws and shock draws come from disjoint substreams at offsets
-    DRIFT_STREAM and SHOCK_STREAM from ``seed``; callers running many
-    trials should space their base stream indices by STREAM_STRIDE.  The
-    drifts are ``draw_drifts(params, seed.substream(DRIFT_STREAM))``.
+    The drifts, i.i.d. N(mu_hat, sigma_hat**2), are ``mu_hat + sigma_hat * z``
+    for the normals z of ``seed.generator(DRIFT_STREAM)``, and the shocks are
+    the normals of ``seed.generator(SHOCK_STREAM)``; callers running many
+    trials should space their base stream indices by STREAM_STRIDE.
     ModelParams guarantees that the values and their sum are positive and finite.
     """
-    drifts = _drifts(params, seed.generator(DRIFT_STREAM))
+    drifts = standard_normals(seed.generator(DRIFT_STREAM), params.n_stocks)
+    drifts *= params.sigma_hat
+    drifts += params.mu_hat
     shocks = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
     values = _grow(drifts, shocks, params.sigma, params.horizon)
     values.flags.writeable = False

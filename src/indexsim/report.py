@@ -46,13 +46,22 @@ def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int]
     return data
 
 
+def check_destination(path: Path, what: str) -> None:
+    """ValueError unless ``path`` can be replaced by a file: it has a name and is no directory."""
+    if not path.name or path.is_dir():
+        raise ValueError(f"cannot write {what} to {path}: it is a directory or has an empty name")
+
+
 def write_all(outputs) -> None:
     """Write every (path, what, data) or none of them.
 
-    Each payload goes to a temp file beside its destination; the temp files
-    replace their targets only once every write has succeeded, and are
-    removed if any write fails.
+    Every destination is checked with check_destination first.  Each payload
+    then goes to a temp file beside its destination; the temp files replace
+    their targets only once every write has succeeded, and are removed if
+    any write fails.
     """
+    for path, what, _ in outputs:
+        check_destination(path, what)
     staged = []
     try:
         for n, (path, what, data) in enumerate(outputs):

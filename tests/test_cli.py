@@ -91,10 +91,27 @@ class TestCalibrateCommand:
         assert code == 2
         assert "log(1 + expected_return)" in err
 
-    def test_missing_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("calibrate", "--median", "0.10")
-        assert exc.value.code == 2
+    def test_missing_flag_exits_2(self, capsys):
+        assert run_cli("calibrate", "--median", "0.10") == 2
+        assert error_line(capsys).startswith("error: model is underspecified")
+
+    def test_unparsable_value_exits_2(self, capsys):
+        assert run_cli("calibrate", "--median", "abc") == 2
+        assert error_line(capsys).startswith("error: invalid median from --median")
+
+    def test_paper_defaults_match_explicit_flags_and_simulate(self, tmp_path, capsys):
+        # calibrate reads the model settings and defaults that analytic and simulate read
+        assert run_cli("calibrate", "--paper-defaults") == 0
+        out = capsys.readouterr().out
+        assert run_cli("calibrate", "--median", "0.10", "--expected", "0.50",
+                       "--sigma", "0.20", "--horizon", "5") == 0
+        assert capsys.readouterr().out == out
+        assert run_cli("simulate", "--paper-defaults", "--trials", "1", "--sizes", "1",
+                       "--n", "10", "--out", str(tmp_path / "r.csv")) == 0
+        sidecar = dict(line.split(" = ") for line in
+                       (tmp_path / "r.csv.config").read_text().splitlines()[1:])
+        printed = [line.split()[2] for line in out.splitlines()]
+        assert printed == [f"{float(sidecar[key]):.10f}" for key in ("mu_hat", "sigma_hat")]
 
 
 class TestAnalyticCommand:
@@ -467,6 +484,18 @@ class TestSimulateCommand:
         assert self.run_with_setting(tmp_path, where, "svg", svg) == 2
         assert "would overwrite" in error_line(capsys)
         assert [p.name for p in tmp_path.iterdir()] == (["run.config"] if where == "file" else [])
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    @pytest.mark.parametrize("path", ["taken", ""], ids=["directory", "empty"])
+    def test_output_path_that_is_no_file_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+                                                                 no_trials, flag, path):
+        # a directory used to fail its rename after the other outputs were
+        # written, and an empty name only after every trial had run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        assert run_cli("simulate", "--paper-defaults", "--out", "x.csv", f"{flag}={path}") == 2
+        assert "is a directory or has an empty name" in error_line(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, no_trials, kind):

@@ -12,7 +12,6 @@ from scipy.stats import skew
 from indexsim import (
     ModelParams,
     SeedSpec,
-    draw_drifts,
     draw_universe,
     index_value,
     terminal_value,
@@ -125,10 +124,11 @@ class TestModelParams:
 
 class TestSeedSpec:
     def test_substream_offsets(self):
+        # a purpose offset names stream stream_index + offset
         seed = SeedSpec(42, 8)
-        assert seed.substream(DRIFT_STREAM).stream_index == 8
-        assert seed.substream(SHOCK_STREAM).stream_index == 9
-        assert seed.substream(PICK_STREAM).stream_index == 10
+        for offset, index in ((DRIFT_STREAM, 8), (SHOCK_STREAM, 9), (PICK_STREAM, 10)):
+            ours = seed.generator(offset).bit_generator.random_raw(8)
+            assert ours.tolist() == SeedSpec(42, index).generator().bit_generator.random_raw(8).tolist()
         assert STREAM_STRIDE > PICK_STREAM
 
     def test_rejects_bad_values(self):
@@ -154,10 +154,13 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("master_seed", [42, 2 ** 40])
     def test_generator_offset_is_the_substream(self, master_seed):
-        seed = SeedSpec(master_seed, 8)
-        for offset in range(4):
-            ours = seed.generator(offset).bit_generator.random_raw(8)
-            theirs = seed.substream(offset).generator().bit_generator.random_raw(8)
+        # a trial's purpose offsets, from a base index whose offsets cross a SEED_WINDOW edge
+        assert PICK_STREAM < STREAM_STRIDE
+        index = SEED_WINDOW - 2
+        for offset in range(STREAM_STRIDE):
+            ours = SeedSpec(master_seed, index).generator(offset).bit_generator.random_raw(8)
+            numpy_seed = np.random.SeedSequence([master_seed, index + offset])
+            theirs = np.random.PCG64(numpy_seed).random_raw(8)
             assert ours.tolist() == theirs.tolist()
 
     def test_generator_offset_stays_in_64_bits(self):
@@ -272,22 +275,36 @@ class TestStandardNormals:
         assert abs(z.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / 199_999)
 
 
+def _drifts(params, seed):
+    """The drifts draw_universe draws for ``params`` at ``seed``.
+
+    With no volatility over one year a stock's value is exp(its drift), so the
+    log of the universe reads the drifts back to within a rounding.
+    """
+    no_shocks = ModelParams(params.n_stocks, 1.0, 0.0, params.mu_hat, params.sigma_hat)
+    return np.log(draw_universe(no_shocks, seed))
+
+
 class TestDrawDrifts:
     def test_zero_dispersion_is_exact(self):
+        # every drift is mu_hat itself, so only the shock stream moves the values
         params = make_params(n_stocks=3, mu_hat=0.0778, sigma_hat=0.0)
-        drifts = draw_drifts(params, SeedSpec(1, 0))
-        assert drifts.tolist() == [0.0778, 0.0778, 0.0778]
+        seed = SeedSpec(1, 0)
+        shocks = standard_normals(seed.generator(SHOCK_STREAM), 3)
+        expected = terminal_value(0.0778, params.sigma, params.horizon, shocks)
+        assert draw_universe(params, seed).tolist() == expected.tolist()
 
     def test_deterministic(self):
         params = make_params()
-        a = draw_drifts(params, SeedSpec(99, 5))
-        b = draw_drifts(params, SeedSpec(99, 5))
+        a = _drifts(params, SeedSpec(99, 5))
+        b = _drifts(params, SeedSpec(99, 5))
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, _drifts(params, SeedSpec(99, 5 + STREAM_STRIDE)))
 
     def test_sample_mean_clt_bound(self):
         mu_hat, sigma_hat = 0.0390620, 0.1296627
         params = make_params(n_stocks=1_000_000, mu_hat=mu_hat, sigma_hat=sigma_hat)
-        drifts = draw_drifts(params, SeedSpec(2024, 0))
+        drifts = _drifts(params, SeedSpec(2024, 0))
         bound = 4.0 * sigma_hat / 1000.0
         assert abs(drifts.mean() - mu_hat) < bound
         # independent sampler lands inside the same bound
@@ -329,6 +346,23 @@ class TestDrawUniverse:
         a = draw_universe(params, SeedSpec(11, 4))
         b = draw_universe(params, SeedSpec(11, 4))
         assert np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        params=st.builds(ModelParams, n_stocks=st.integers(1, 40), horizon=st.floats(0.1, 30.0),
+                         sigma=st.floats(0.0, 1.0), mu_hat=st.floats(-1.0, 1.0),
+                         sigma_hat=st.floats(0.0, 1.0)),
+        seed=st.builds(SeedSpec, U64, st.integers(0, 2 ** 64 - 1 - SHOCK_STREAM)),
+    )
+    @example(params=make_params(), seed=SeedSpec(42, 0))
+    @example(params=make_params(sigma_hat=0.0), seed=SeedSpec(7, 2 ** 40))
+    @example(params=make_params(n_stocks=500), seed=SeedSpec(2 ** 64 - 1, 2 ** 64 - 8))
+    def test_drifts_and_shocks_come_from_their_streams(self, params, seed):
+        # drifts mu_hat + sigma_hat * z from the drift stream, shocks from the shock stream
+        zd = standard_normals(seed.generator(DRIFT_STREAM), params.n_stocks)
+        zs = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
+        expected = terminal_value(params.mu_hat + params.sigma_hat * zd, params.sigma, params.horizon, zs)
+        assert np.array_equal(draw_universe(params, seed), expected)
 
     def test_marginal_log_law(self, reference_params):
         n = 100_000

@@ -11,7 +11,7 @@ from indexsim import (
     emit_svg_chart,
     parse_csv,
 )
-from indexsim.report import CSV_HEADER
+from indexsim.report import CSV_HEADER, write_all
 
 
 def make_row(size=1, over_t=0.5, under_t=0.5, over=3469, under=6531, trials=10_000, seed=42):
@@ -66,6 +66,16 @@ class TestEmitCsv:
         missing = tmp_path / "no-such-dir" / "report.csv"
         with pytest.raises(OSError, match="no-such-dir"):
             emit_csv(make_report([make_row()]), destination=missing)
+
+    def test_write_all_checks_every_destination_before_writing(self, tmp_path):
+        # the CSV used to be replaced before the SVG's rename onto a directory failed
+        first = tmp_path / "report.csv"
+        first.write_bytes(b"old")
+        (tmp_path / "chart.svg").mkdir()
+        with pytest.raises(ValueError, match="cannot write SVG to .*chart.svg: it is a directory"):
+            write_all([(first, "CSV", b"new"), (tmp_path / "chart.svg", "SVG", b"<svg/>")])
+        assert first.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg", "report.csv"]
 
     def test_full_precision_round_trip(self):
         rows = [
