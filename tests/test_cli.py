@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import Executor
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 import indexsim.montecarlo as montecarlo
@@ -229,6 +231,32 @@ class TestEnumerateCommand:
                        "--sizes", ",".join(str(k) for k in range(1, 21)))
         assert code == 0
         assert capsys.readouterr().out == ORACLE_UNIVERSE_STDOUT
+
+    # 12 lognormal values whose 4,095 subsets all give distinct returns
+    DISTINCT = np.random.default_rng(12).lognormal(0.0, 0.5, size=12).tolist()
+    DISTINCT_ARGS = ("enumerate", "--values", ",".join(map(repr, DISTINCT)),
+                     "--sizes", ",".join(str(k) for k in range(1, 13)))
+
+    def test_golden_all_distinct_universe(self, capsys):
+        # the other pins have many equal returns; here every line is its own
+        assert run_cli(*self.DISTINCT_ARGS) == 0
+        out = capsys.readouterr().out
+        assert out.count("  1\n") == 4095
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b331ca74afea330944f3c597c04c07e19810e55390e16ea4c189c0b554c85b27")
+
+    @pytest.mark.parametrize("level,split", [
+        ("-0.5", "below=0 equal=0 above=4095"),  # below every return
+        ("1.5", "below=4095 equal=0 above=0"),  # above every return
+        (repr(min(DISTINCT) - 1.0), "below=0 equal=1 above=4094"),  # the lowest return
+        (repr(math.fsum(DISTINCT) / 12 - 1.0), "below=2047 equal=1 above=2047"),  # the index mean
+    ])
+    def test_all_distinct_benchmark_split(self, capsys, level, split):
+        assert run_cli(*self.DISTINCT_ARGS, "--benchmark", level) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4098
+        assert lines[-2] == f"benchmark={float(level):.6f} {split}"
+        assert lines[-1].startswith("portfolios=4095 ")
 
     @pytest.mark.parametrize("extra", [("--sizes", "1"), ("--sizes", "2", "--benchmark", "0")])
     def test_overflow_exits_2(self, capsys, extra):
