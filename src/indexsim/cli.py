@@ -171,6 +171,8 @@ def load_config_file(path) -> dict[str, str]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if not key:
+            raise ValueError(f"{path}:{lineno}: empty key")
         if key in entries:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
         entries[key] = value
@@ -235,11 +237,14 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_subset_stats(stats, benchmark: float) -> None:
+def _print_subset_stats(stats, benchmark: float, *preamble: str) -> None:
+    # the split comes first, so a benchmark that compare rejects prints nothing
+    below, equal, above = stats.compare(benchmark)
+    for line in preamble:
+        print(line)
     print("return    count")
-    for value, count in stats.returns_histogram:
+    for value, count in zip(stats.returns.tolist(), stats.counts.tolist()):
         print(f"{value:.6f}  {count}")
-    below, equal, above = stats.benchmark_comparisons[benchmark]
     print(
         f"benchmark={benchmark:.6f} below={below} equal={equal} above={above}"
     )
@@ -253,11 +258,11 @@ def _print_subset_stats(stats, benchmark: float) -> None:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     index = DeterministicIndex(FIVE_STOCK_VALUES)
-    benchmark = float(args.benchmark)
-    stats = enumerate_portfolios(index, FIVE_STOCK_SIZES, benchmarks=(benchmark,))
-    print("gross values: " + " ".join(f"{v:.2f}" for v in index.gross_values))
-    print("subset sizes: " + " ".join(str(k) for k in FIVE_STOCK_SIZES))
-    _print_subset_stats(stats, benchmark)
+    _print_subset_stats(
+        enumerate_portfolios(index, FIVE_STOCK_SIZES), args.benchmark,
+        "gross values: " + " ".join(f"{v:.2f}" for v in index.gross_values),
+        "subset sizes: " + " ".join(str(k) for k in FIVE_STOCK_SIZES),
+    )
     return 0
 
 
@@ -281,7 +286,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     cap = _parse_cap(args.cap, len(values))
     try:
         benchmark = float(args.benchmark) if args.benchmark is not None else index.mean_return()
-        stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,), cap=cap)
+        stats = enumerate_portfolios(index, sizes, cap=cap)
     except OverflowError as exc:
         raise ValueError(f"a subset sum or mean overflows a float ({exc})") from exc
     _print_subset_stats(stats, benchmark)

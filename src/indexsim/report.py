@@ -24,6 +24,9 @@ def _format(value: float, precision: Optional[int]) -> str:
 
 
 def _sorted_rows(report: FrequencyReport) -> list[FrequencyRow]:
+    """The rows in output order; ValueError for a report without rows."""
+    if not report.rows:
+        raise ValueError("report must contain at least one row")
     return sorted(report.rows, key=lambda r: (r.size, r.over_threshold, r.under_threshold))
 
 
@@ -32,7 +35,8 @@ def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int]
 
     Rows are sorted by (k, over_threshold) and floats use fixed-point
     formatting with ``precision`` decimals; precision=None emits shortest
-    round-trippable representations (lossless for parse_csv).
+    round-trippable representations (lossless for parse_csv).  A report
+    without rows raises ValueError.
     """
     lines = [CSV_HEADER]
     for row in _sorted_rows(report):
@@ -96,7 +100,8 @@ def parse_csv(source) -> FrequencyReport:
     where they cannot: d fixed-point decimals pin a count only when
     trials <= 10**d, and a shortest repr (precision=None) pins it when it
     equals count / trials exactly.  The printed frequencies and half-widths
-    are not kept; a row derives them from its counts.
+    are not kept; a row derives them from its counts.  A CSV without rows,
+    which cannot give its master seed, raises ValueError too.
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     text = data.decode("utf-8")
@@ -125,9 +130,11 @@ def parse_csv(source) -> FrequencyReport:
                                  under_threshold=float(fields[2]), over_count=over,
                                  under_count=under, trials=trials))
         seeds.add(int(fields[8]))
+    if not rows:
+        raise ValueError("CSV has no rows, so it does not give the master seed")
     if len(seeds) > 1:
         raise ValueError(f"inconsistent master_seed values in CSV: {sorted(seeds)}")
-    return FrequencyReport(rows=tuple(rows), master_seed=seeds.pop() if seeds else 0)
+    return FrequencyReport(rows=tuple(rows), master_seed=seeds.pop())
 
 
 def _escape(text: str) -> str:
@@ -142,8 +149,6 @@ def emit_svg_chart(report: FrequencyReport, description: str = "") -> str:
     yield byte-identical documents.
     """
     rows = _sorted_rows(report)
-    if not rows:
-        raise ValueError("report must contain at least one row")
     pairs = sorted({(r.over_threshold, r.under_threshold) for r in rows})
     sizes = sorted({r.size for r in rows})
 

@@ -60,10 +60,8 @@ def paper_csv_runs(tmp_path_factory):
 
 
 def test_criterion_1_exact_worked_example(capsys):
-    stats = enumerate_portfolios(
-        DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5)), {1, 2}, benchmarks=(0.18,)
-    )
-    below, _, _ = stats.benchmark_comparisons[0.18]
+    stats = enumerate_portfolios(DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5)), {1, 2})
+    below, _, _ = stats.compare(0.18)
     with capsys.disabled():
         check(
             1,
@@ -195,8 +193,8 @@ def test_criterion_8_oracle_equivalence(capsys):
     ok = True
     details = []
     for k in (1, 2, 3):
-        stats = enumerate_portfolios(index, {k}, benchmarks=(benchmark,))
-        below_exact, _, _ = stats.benchmark_comparisons[benchmark]
+        stats = enumerate_portfolios(index, {k})
+        below_exact, _, _ = stats.compare(benchmark)
         p = below_exact / stats.portfolio_count
         below, _, _ = subset_frequencies(values, k, trials, benchmark, master_seed=42)
         se = math.sqrt(p * (1.0 - p) / trials)

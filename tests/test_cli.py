@@ -554,6 +554,15 @@ class TestSimulateCommand:
         assert code == 2
         assert error_line(capsys) == f"error: {config}:2: expected 'key = value', got 'sizes 1,2'\n"
 
+    def test_config_line_with_empty_key_exits_2(self, tmp_path, capsys, no_trials):
+        # it used to pass as the key '', reported as "unknown config file keys: "
+        config = tmp_path / "run.config"
+        config.write_text("seed = 5\n= 5\n")
+        code = run_cli("simulate", "--paper-defaults", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert error_line(capsys) == f"error: {config}:2: empty key\n"
+
     @pytest.mark.parametrize("where", ["flag", "file"])
     @pytest.mark.parametrize("key,value,message", [
         ("sizes", "1,x", "invalid sizes list: '1,x'"),

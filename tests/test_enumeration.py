@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,35 @@ from hypothesis import strategies as st
 from indexsim import (
     DeterministicIndex,
     EnumerationCapError,
-    SubsetStats,
     enumerate_portfolios,
 )
 from indexsim.enumeration import _subset_sums, _units
 
 ONE_WINNER = DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5))
+
+
+@dataclass(frozen=True)
+class Enumerated:
+    """What an enumeration must give, compared field by field: the count,
+    the bits of the mean and median, the (return, count) histogram and the
+    (below, equal, above) split at each benchmark, in order."""
+
+    portfolio_count: int
+    mean_bits: str
+    median_bits: str
+    histogram: tuple[tuple[float, int], ...]
+    splits: tuple[tuple[int, int, int], ...]
+
+
+def observed(stats, benchmarks):
+    """The Enumerated record of a SubsetStats."""
+    return Enumerated(
+        portfolio_count=stats.portfolio_count,
+        mean_bits=stats.mean_return.hex(),
+        median_bits=stats.median_return.hex(),
+        histogram=tuple(zip(stats.returns.tolist(), stats.counts.tolist())),
+        splits=tuple(stats.compare(b) for b in benchmarks),
+    )
 
 
 class TestDeterministicIndex:
@@ -35,14 +59,30 @@ class TestDeterministicIndex:
 
 class TestEnumeratePortfolios:
     def test_one_winner_example(self):
-        stats = enumerate_portfolios(ONE_WINNER, {1, 2}, benchmarks=(0.18,))
+        stats = enumerate_portfolios(ONE_WINNER, {1, 2})
         assert stats.portfolio_count == 15
         assert stats.mean_return == pytest.approx(0.18, abs=1e-12)
         assert stats.median_return == pytest.approx(0.10, abs=1e-12)
-        histogram = {round(v, 9): c for v, c in stats.returns_histogram}
+        histogram = {round(v, 9): c for v, c in zip(stats.returns.tolist(), stats.counts.tolist())}
         assert histogram == {0.10: 10, 0.30: 4, 0.50: 1}
-        below, equal, above = stats.benchmark_comparisons[0.18]
-        assert (below, equal, above) == (10, 0, 5)
+        assert stats.compare(0.18) == (10, 0, 5)
+
+    def test_histogram_is_read_only_arrays(self):
+        stats = enumerate_portfolios(ONE_WINNER, {1, 2})
+        assert stats.returns.dtype == np.float64 and stats.counts.dtype == np.int64
+        assert not stats.returns.flags.writeable and not stats.counts.flags.writeable
+        # 2.1e19 subsets, more than int64 can count, all share one return
+        huge = enumerate_portfolios(DeterministicIndex((1.25,) * 66), {32, 33, 34}, cap=10 ** 20)
+        assert huge.counts.dtype == object and not huge.counts.flags.writeable
+        assert huge.counts.tolist() == [sum(math.comb(66, k) for k in (32, 33, 34))]
+
+    @pytest.mark.parametrize("level,split", [
+        (0.05, (0, 0, 15)),  # below every return
+        (0.6, (15, 0, 0)),  # above every return
+        (math.fsum([1.1, 1.5]) / 2 - 1.0, (10, 4, 1)),  # an occurring return
+    ])
+    def test_compare(self, level, split):
+        assert enumerate_portfolios(ONE_WINNER, {1, 2}).compare(level) == split
 
     def test_full_index_subset(self):
         rng = np.random.default_rng(3)
@@ -66,24 +106,22 @@ class TestEnumeratePortfolios:
         sizes = {1, 4, 7, 11}
         stats = enumerate_portfolios(DeterministicIndex(values), sizes)
         assert stats.portfolio_count == sum(math.comb(11, k) for k in sizes)
-        assert sum(c for _, c in stats.returns_histogram) == stats.portfolio_count
+        assert sum(stats.counts.tolist()) == stats.portfolio_count
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(21)
         values = list(rng.lognormal(0.0, 0.7, size=9))
-        base = enumerate_portfolios(DeterministicIndex(tuple(values)), {2, 3}, benchmarks=(0.1,))
+        base = observed(enumerate_portfolios(DeterministicIndex(tuple(values)), {2, 3}), (0.1,))
         for _ in range(5):
             rng.shuffle(values)
-            other = enumerate_portfolios(
-                DeterministicIndex(tuple(values)), {2, 3}, benchmarks=(0.1,)
-            )
-            assert other == base
+            other = enumerate_portfolios(DeterministicIndex(tuple(values)), {2, 3})
+            assert observed(other, (0.1,)) == base
 
     def test_constant_index_equality_counts(self):
         index = DeterministicIndex((1.1,) * 6)
         benchmark = 1.1 - 1.0
-        stats = enumerate_portfolios(index, {1, 2, 3}, benchmarks=(benchmark,))
-        below, equal, above = stats.benchmark_comparisons[benchmark]
+        stats = enumerate_portfolios(index, {1, 2, 3})
+        below, equal, above = stats.compare(benchmark)
         assert below == 0
         assert above == 0
         assert equal == stats.portfolio_count
@@ -106,15 +144,16 @@ class TestEnumeratePortfolios:
             enumerate_portfolios(DeterministicIndex((1.1, 1.5, 2.0)), {1.5})
 
     def test_accepts_numpy_sizes(self):
-        expected = enumerate_portfolios(ONE_WINNER, {2}, benchmarks=(0.18,))
-        assert enumerate_portfolios(ONE_WINNER, {np.int64(2)}, benchmarks=(0.18,)) == expected
+        expected = observed(enumerate_portfolios(ONE_WINNER, {2}), (0.18,))
+        assert observed(enumerate_portfolios(ONE_WINNER, {np.int64(2)}), (0.18,)) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_benchmark(self, bad):
         # a NaN compares false with every return, so it used to count
         # every subset as below it
+        stats = enumerate_portfolios(ONE_WINNER, {1, 2})
         with pytest.raises(ValueError, match="finite"):
-            enumerate_portfolios(ONE_WINNER, {1, 2}, benchmarks=(0.18, bad))
+            stats.compare(bad)
 
     def test_even_count_median_is_midpoint(self):
         index = DeterministicIndex((1.0, 2.0, 3.0, 4.0))
@@ -123,12 +162,12 @@ class TestEnumeratePortfolios:
 
 
 class TestUnderperformanceFraction:
-    """The share of portfolios strictly below a benchmark, from the comparisons."""
+    """The share of portfolios strictly below a benchmark, from compare."""
 
     @staticmethod
     def fraction(index, sizes, benchmark):
-        stats = enumerate_portfolios(index, sizes, benchmarks=(benchmark,))
-        below, _, _ = stats.benchmark_comparisons[benchmark]
+        stats = enumerate_portfolios(index, sizes)
+        below, _, _ = stats.compare(benchmark)
         return below / stats.portfolio_count
 
     def test_one_winner_fraction(self):
@@ -158,17 +197,17 @@ def brute_force(values, sizes, benchmarks):
     ordered = sorted(returns)
     mid = total // 2
     median = ordered[mid] if total % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-    comparisons = {}
+    splits = []
     for b in benchmarks:
         below = sum(r < b for r in returns)
         equal = sum(r == b for r in returns)
-        comparisons[b] = (below, equal, total - below - equal)
-    return SubsetStats(
+        splits.append((below, equal, total - below - equal))
+    return Enumerated(
         portfolio_count=total,
-        mean_return=float(sum(map(Fraction, returns))) / total,
-        median_return=median,
-        returns_histogram=tuple(sorted(Counter(returns).items())),
-        benchmark_comparisons=comparisons,
+        mean_bits=(float(sum(map(Fraction, returns))) / total).hex(),
+        median_bits=median.hex(),
+        histogram=tuple(sorted(Counter(returns).items())),
+        splits=tuple(splits),
     )
 
 
@@ -216,8 +255,8 @@ class TestAgainstBruteForce:
     def test_equals_fsum_definition(self, universe):
         values, sizes, benchmarks = universe
         expected = outcome(lambda: brute_force(values, sizes, benchmarks))
-        got = outcome(lambda: enumerate_portfolios(
-            DeterministicIndex(tuple(values)), sizes, benchmarks=benchmarks))
+        got = outcome(lambda: observed(
+            enumerate_portfolios(DeterministicIndex(tuple(values)), sizes), benchmarks))
         assert got == expected
 
     def test_distinct_lognormal_values(self):
@@ -225,8 +264,8 @@ class TestAgainstBruteForce:
         values = rng.lognormal(0.0, 0.5, size=14).tolist()
         sizes = {1, 2, 7, 13, 14}
         benchmarks = (0.0, math.fsum(values[:7]) / 7 - 1.0)
-        got = enumerate_portfolios(DeterministicIndex(tuple(values)), sizes, benchmarks)
-        assert got == brute_force(values, sizes, benchmarks)
+        got = enumerate_portfolios(DeterministicIndex(tuple(values)), sizes)
+        assert observed(got, benchmarks) == brute_force(values, sizes, benchmarks)
 
     @settings(max_examples=100, deadline=None)
     @given(universes(), st.randoms(use_true_random=False))
@@ -234,10 +273,10 @@ class TestAgainstBruteForce:
         values, sizes, benchmarks = universe
         shuffled = list(values)
         random.shuffle(shuffled)
-        base = outcome(lambda: enumerate_portfolios(
-            DeterministicIndex(tuple(values)), sizes, benchmarks=benchmarks))
-        other = outcome(lambda: enumerate_portfolios(
-            DeterministicIndex(tuple(shuffled)), sizes, benchmarks=benchmarks))
+        base = outcome(lambda: observed(
+            enumerate_portfolios(DeterministicIndex(tuple(values)), sizes), benchmarks))
+        other = outcome(lambda: observed(
+            enumerate_portfolios(DeterministicIndex(tuple(shuffled)), sizes), benchmarks))
         assert other == base
 
 
@@ -258,8 +297,8 @@ def multiset_oracle(groups, sizes, benchmarks):
 
 
 def stats_of(histogram, benchmarks):
-    """SubsetStats of a {return: count} histogram; the mean is taken exactly
-    over Fractions, not over an expanded list."""
+    """The Enumerated record of a {return: count} histogram; the mean is
+    taken exactly over Fractions, not over an expanded list."""
     total = sum(histogram.values())
     values = sorted(histogram)
     cumulative = list(itertools.accumulate(histogram[v] for v in values))
@@ -269,17 +308,17 @@ def stats_of(histogram, benchmarks):
 
     mid = total // 2
     median = ordered(mid) if total % 2 else (ordered(mid - 1) + ordered(mid)) / 2.0
-    comparisons = {}
+    splits = []
     for b in benchmarks:
         below = sum(c for v, c in histogram.items() if v < b)
         equal = histogram.get(b, 0)
-        comparisons[b] = (below, equal, total - below - equal)
-    return SubsetStats(
+        splits.append((below, equal, total - below - equal))
+    return Enumerated(
         portfolio_count=total,
-        mean_return=mean_of(float(sum(Fraction(v) * c for v, c in histogram.items())), total),
-        median_return=median,
-        returns_histogram=tuple((v, histogram[v]) for v in values),
-        benchmark_comparisons=comparisons,
+        mean_bits=mean_of(float(sum(Fraction(v) * c for v, c in histogram.items())), total).hex(),
+        median_bits=median.hex(),
+        histogram=tuple((v, histogram[v]) for v in values),
+        splits=tuple(splits),
     )
 
 
@@ -332,8 +371,8 @@ class TestAgainstMultisetOracle:
         groups, sizes, benchmarks = multiset
         values = tuple(v for v, m in groups for _ in range(m))
         expected = outcome(lambda: multiset_oracle(groups, sizes, benchmarks))
-        got = outcome(lambda: enumerate_portfolios(
-            DeterministicIndex(values), sizes, benchmarks=benchmarks, cap=10 ** 400))
+        got = outcome(lambda: observed(
+            enumerate_portfolios(DeterministicIndex(values), sizes, cap=10 ** 400), benchmarks))
         assert got == expected
 
     def test_paper_sized_universe_in_closed_form(self):
@@ -349,16 +388,16 @@ class TestAgainstMultisetOracle:
         # index mean and an occurring return split them
         benchmarks = (0.1, 0.1024, (19 * 1.1 + 1.5) / 20 - 1.0)
         stats = enumerate_portfolios(
-            DeterministicIndex((1.1,) * 497 + (1.5,) * 3), sizes, benchmarks, cap=10 ** 200)
+            DeterministicIndex((1.1,) * 497 + (1.5,) * 3), sizes, cap=10 ** 200)
         total = sum(math.comb(500, k) for k in sizes)
         assert stats.portfolio_count == total == sum(histogram.values())
-        assert stats.returns_histogram == tuple(sorted(histogram.items()))
+        assert tuple(zip(stats.returns.tolist(), stats.counts.tolist())) == tuple(sorted(histogram.items()))
         for b in benchmarks:
             below = sum(c for r, c in histogram.items() if r < b)
             equal = histogram.get(b, 0)
-            assert stats.benchmark_comparisons[b] == (below, equal, total - below - equal)
-        assert stats.benchmark_comparisons[0.1] == (0, 0, total)
-        assert 0 not in stats.benchmark_comparisons[benchmarks[2]]
+            assert stats.compare(b) == (below, equal, total - below - equal)
+        assert stats.compare(0.1) == (0, 0, total)
+        assert 0 not in stats.compare(benchmarks[2])
         assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items())) / total
 
 
@@ -393,7 +432,7 @@ class TestMergedLevels:
         benchmarks = (19.5, 0.0)
         expected = stats_of(histogram, benchmarks)
         got = enumerate_portfolios(
-            DeterministicIndex(tuple(float(v) for v in range(1, 41))), {20}, benchmarks, cap=10 ** 12)
-        assert got == expected
-        assert len(got.returns_histogram) == 401
-        assert got.benchmark_comparisons[19.5] == (68187965739, 1470597342, 68187965739)
+            DeterministicIndex(tuple(float(v) for v in range(1, 41))), {20}, cap=10 ** 12)
+        assert observed(got, benchmarks) == expected
+        assert got.returns.size == 401
+        assert got.compare(19.5) == (68187965739, 1470597342, 68187965739)

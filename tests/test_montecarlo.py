@@ -458,8 +458,8 @@ class TestSubsetFrequencies:
 
     def test_matches_enumeration_oracle(self):
         trials = 10_000
-        stats = enumerate_portfolios(DeterministicIndex(self.VALUES), {2}, benchmarks=(0.18,))
-        exact_below, _, _ = stats.benchmark_comparisons[0.18]
+        stats = enumerate_portfolios(DeterministicIndex(self.VALUES), {2})
+        exact_below, _, _ = stats.compare(0.18)
         p = exact_below / stats.portfolio_count
         below, equal, above = subset_frequencies(self.VALUES, 2, trials, 0.18, master_seed=42)
         assert below + equal + above == trials

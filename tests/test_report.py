@@ -39,8 +39,15 @@ class TestEmitCsv:
         data = emit_csv(make_report([make_row()]))
         assert data == self.GOLDEN.encode("utf-8")
 
-    def test_empty_report_is_header_only(self):
-        assert emit_csv(make_report([])) == (CSV_HEADER + "\n").encode("utf-8")
+    def test_rejects_empty_report(self):
+        # its header-only CSV would parse back with another master seed
+        with pytest.raises(ValueError, match="at least one row"):
+            emit_csv(make_report([], seed=7))
+
+    def test_parse_rejects_csv_without_rows(self):
+        # a header-only CSV used to parse back with master_seed 0
+        with pytest.raises(ValueError, match="no rows"):
+            parse_csv((CSV_HEADER + "\n").encode("utf-8"))
 
     def test_rows_sorted_by_size_then_threshold(self):
         rows = [
