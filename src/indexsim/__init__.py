@@ -30,7 +30,6 @@ from .model import (
     SeedSpec,
     draw_universe,
     index_value,
-    terminal_value,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -73,6 +72,5 @@ __all__ = [
     "subset_frequencies",
     "summarize",
     "tail_probability",
-    "terminal_value",
     "underperformance_factor",
 ]

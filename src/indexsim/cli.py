@@ -240,20 +240,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _print_subset_stats(stats, benchmark: float, *preamble: str) -> None:
     # the split comes first, so a benchmark that compare rejects prints nothing
     below, equal, above = stats.compare(benchmark)
-    for line in preamble:
-        print(line)
-    print("return    count")
-    for value, count in zip(stats.returns.tolist(), stats.counts.tolist()):
-        print(f"{value:.6f}  {count}")
-    print(
-        f"benchmark={benchmark:.6f} below={below} equal={equal} above={above}"
-    )
-    print(
+    # a million histogram lines print in one write, not one print call each
+    lines = [*preamble, "return    count"]
+    lines += [f"{value:.6f}  {count}" for value, count in zip(stats.returns.tolist(), stats.counts.tolist())]
+    lines.append(f"benchmark={benchmark:.6f} below={below} equal={equal} above={above}")
+    lines.append(
         f"portfolios={stats.portfolio_count} "
         f"mean={stats.mean_return:.6f} "
         f"median={stats.median_return:.6f} "
         f"under_fraction={below / stats.portfolio_count:.6f}"
     )
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

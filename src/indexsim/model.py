@@ -7,6 +7,11 @@ matters to anything downstream, so the exact solution is sampled directly:
 
     S_T = exp((mu_i - sigma**2 / 2) * T + sigma * sqrt(T) * z),  z ~ N(0, 1)
 
+where ``mu_i = mu_hat + sigma_hat * x`` for a second standard normal x.  One
+kernel, ``_gross_values``, evaluates this formula: ``draw_universe`` on the
+normals it draws, and ``ModelParams`` on the extreme normals, to bound every
+value that can be drawn.
+
 Marginally (drift integrated out) the terminal value is lognormal with
 log-mean ``mu_hat*T - sigma**2*T/2`` and log-variance
 ``sigma**2*T + sigma_hat**2*T**2``.
@@ -172,7 +177,7 @@ class ModelParams:
         # A terminal value grows with both of its variates, so these two bound
         # every value drawn, and n_stocks times the highest every sum of them.
         z = np.array([-_Z_LIMIT, _Z_LIMIT])
-        low, high = terminal_value(self.mu_hat + self.sigma_hat * z, self.sigma, self.horizon, z).tolist()
+        low, high = _gross_values(self, z.copy(), z).tolist()
         if not (low > 0 and high * self.n_stocks < math.inf):
             raise ValueError("terminal values must be positive and finite")
 
@@ -240,29 +245,19 @@ def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def terminal_value(mu_i: float, sigma: float, horizon: float, z) -> float:
-    """Exact GBM terminal value for one stock given its normal shock z.
+def _gross_values(params: ModelParams, drifts: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """Gross terminal values from drift normals ``drifts`` and shock normals ``shocks``.
 
-    Accepts scalars or arrays for ``mu_i``/``z`` (numpy broadcasting).
+    The module's one value formula: each drift is ``mu_hat + sigma_hat * drifts``
+    and each value exp((drift - sigma*sigma/2) * horizon + sigma*sqrt(horizon) * shocks).
+    It is computed in place on float arrays of one shape: the values are written
+    over ``drifts`` and returned, and ``shocks`` is overwritten too.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    drifts, shocks = (np.array(a, dtype=float) for a in np.broadcast_arrays(mu_i, z))
-    out = _grow(drifts, shocks, sigma, horizon)
-    return float(out) if out.ndim == 0 else out
-
-
-def _grow(drifts: np.ndarray, shocks: np.ndarray, sigma: float, horizon: float) -> np.ndarray:
-    """terminal_value's formula on float arrays of one shape, computed in place.
-
-    exp((drifts - sigma*sigma/2) * horizon + sigma*sqrt(horizon) * shocks)
-    is written over ``drifts`` and returned; ``shocks`` is overwritten too.
-    """
-    drifts -= 0.5 * sigma * sigma
-    drifts *= horizon
-    shocks *= sigma * math.sqrt(horizon)
+    drifts *= params.sigma_hat
+    drifts += params.mu_hat
+    drifts -= 0.5 * params.sigma * params.sigma
+    drifts *= params.horizon
+    shocks *= params.sigma * math.sqrt(params.horizon)
     drifts += shocks
     return np.exp(drifts, out=drifts)
 
@@ -277,10 +272,8 @@ def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     ModelParams guarantees that the values and their sum are positive and finite.
     """
     drifts = standard_normals(seed.generator(DRIFT_STREAM), params.n_stocks)
-    drifts *= params.sigma_hat
-    drifts += params.mu_hat
     shocks = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
-    values = _grow(drifts, shocks, params.sigma, params.horizon)
+    values = _gross_values(params, drifts, shocks)
     values.flags.writeable = False
     return values
 

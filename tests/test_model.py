@@ -14,7 +14,6 @@ from indexsim import (
     SeedSpec,
     draw_universe,
     index_value,
-    terminal_value,
 )
 from indexsim.model import (
     DRIFT_STREAM,
@@ -23,6 +22,7 @@ from indexsim.model import (
     SHOCK_STREAM,
     STREAM_STRIDE,
     _Z_LIMIT,
+    _gross_values,
     _midpoint_uniforms,
     _seed_window,
     _SeedWords,
@@ -41,6 +41,17 @@ def make_params(**overrides):
     base = dict(n_stocks=10, horizon=5.0, sigma=0.2, mu_hat=0.04, sigma_hat=0.13)
     base.update(overrides)
     return ModelParams(**base)
+
+
+def reference_values(mu_i, sigma, horizon, z):
+    """GBM terminal values exp((mu_i - sigma*sigma/2)*horizon + sigma*sqrt(horizon)*z), step by step."""
+    return np.exp((mu_i - 0.5 * sigma * sigma) * horizon + sigma * math.sqrt(horizon) * z)
+
+
+def kernel_value(mu_i, sigma, horizon, z):
+    """_gross_values of one stock with drift mu_i and shock z, as a float."""
+    params = make_params(n_stocks=1, horizon=horizon, sigma=sigma, mu_hat=mu_i, sigma_hat=0.0)
+    return _gross_values(params, np.zeros(1), np.array([z], dtype=float)).item()
 
 
 class RawWords:
@@ -291,7 +302,7 @@ class TestDrawDrifts:
         params = make_params(n_stocks=3, mu_hat=0.0778, sigma_hat=0.0)
         seed = SeedSpec(1, 0)
         shocks = standard_normals(seed.generator(SHOCK_STREAM), 3)
-        expected = terminal_value(0.0778, params.sigma, params.horizon, shocks)
+        expected = reference_values(0.0778, params.sigma, params.horizon, shocks)
         assert draw_universe(params, seed).tolist() == expected.tolist()
 
     def test_deterministic(self):
@@ -315,25 +326,19 @@ class TestDrawDrifts:
 
 class TestTerminalValue:
     def test_drift_cancels_volatility_correction(self):
-        assert terminal_value(0.02, 0.2, 7.0, 0.0) == 1.0
+        assert kernel_value(0.02, 0.2, 7.0, 0.0) == 1.0
 
     def test_deterministic_drift_only(self):
-        assert terminal_value(0.04, 0.0, 5.0, 0.0) == pytest.approx(math.exp(0.2), rel=1e-12)
+        assert kernel_value(0.04, 0.0, 5.0, 0.0) == pytest.approx(math.exp(0.2), rel=1e-12)
 
     def test_shock_arithmetic(self):
         expected = math.exp(-0.1 + 0.2 * math.sqrt(5.0))
-        assert terminal_value(0.0, 0.2, 5.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert kernel_value(0.0, 0.2, 5.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_for_extreme_shocks(self):
         for z in (-38.0, -8.0, 8.0, 38.0):
-            v = terminal_value(0.04, 0.2, 5.0, z)
+            v = kernel_value(0.04, 0.2, 5.0, z)
             assert v > 0 and math.isfinite(v)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            terminal_value(0.04, 0.2, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            terminal_value(0.04, -0.2, 5.0, 0.0)
 
 
 class TestDrawUniverse:
@@ -361,7 +366,7 @@ class TestDrawUniverse:
         # drifts mu_hat + sigma_hat * z from the drift stream, shocks from the shock stream
         zd = standard_normals(seed.generator(DRIFT_STREAM), params.n_stocks)
         zs = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
-        expected = terminal_value(params.mu_hat + params.sigma_hat * zd, params.sigma, params.horizon, zs)
+        expected = reference_values(params.mu_hat + params.sigma_hat * zd, params.sigma, params.horizon, zs)
         assert np.array_equal(draw_universe(params, seed), expected)
 
     def test_marginal_log_law(self, reference_params):
