@@ -330,10 +330,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"(+/- {row.over_ci:.4f})  under<{row.under_threshold:.2f}: "
             f"{row.under_freq:.4f} (+/- {row.under_ci:.4f})"
         )
-    print(f"wrote {out_path}")
-    print(f"wrote {sidecar}")
-    if svg_path is not None:
-        print(f"wrote {svg_path}")
+    for path, _ in destinations:
+        print(f"wrote {path}")
     return 0
 
 

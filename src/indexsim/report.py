@@ -141,6 +141,17 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    """One line element; the caller formats each coordinate (ints print as they are)."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, body, size: int = 12, anchor: str = "", tail: str = "") -> str:
+    """One sans-serif text element; ``tail`` holds further attributes, each after a space."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-size="{size}" font-family="sans-serif"{tail}>{body}</text>'
+
+
 def emit_svg_chart(report: FrequencyReport, description: str = "") -> str:
     """Render the report as a standalone SVG line chart.
 
@@ -151,90 +162,49 @@ def emit_svg_chart(report: FrequencyReport, description: str = "") -> str:
     rows = _sorted_rows(report)
     pairs = sorted({(r.over_threshold, r.under_threshold) for r in rows})
     sizes = sorted({r.size for r in rows})
-
-    margin_left, margin_right, margin_top, margin_bottom = 70, 230, 40, 60
-    plot_w = SVG_WIDTH - margin_left - margin_right
-    plot_h = SVG_HEIGHT - margin_top - margin_bottom
-    x_min, x_max = sizes[0], sizes[-1]
-    x_span = x_max - x_min
+    # the edges of the plot area, in pixels
+    left, top, right, bottom = 70, 40, SVG_WIDTH - 230, SVG_HEIGHT - 60
+    x_min, x_span = sizes[0], sizes[-1] - sizes[0]
 
     def x_px(k: int) -> float:
         if x_span == 0:
-            return margin_left + plot_w / 2.0
-        return margin_left + (k - x_min) / x_span * plot_w
+            return (left + right) / 2
+        return left + (k - x_min) / x_span * (right - left)
 
     def y_px(freq: float) -> float:
-        return margin_top + (1.0 - freq) * plot_h
+        return top + (1.0 - freq) * (bottom - top)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f"<desc>{_escape(description)}</desc>" if description else "<desc>frequency chart</desc>",
+        f"<desc>{_escape(description) or 'frequency chart'}</desc>",
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
-
-    for i in range(5):
-        frac = i / 4.0
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_px(frac)
-        out.append(
-            f'<line x1="{margin_left}" y1="{y:.2f}" x2="{margin_left + plot_w}" y2="{y:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{margin_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{frac:.2f}</text>'
-        )
+        out += [_line(left, f"{y:.2f}", right, f"{y:.2f}", "#dddddd", 1),
+                _text(left - 8, f"{y + 4:.2f}", f"{frac:.2f}", anchor="end")]
     for k in sizes:
-        x = x_px(k)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{margin_top + plot_h}" x2="{x:.2f}" '
-            f'y2="{margin_top + plot_h + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{margin_top + plot_h + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{k}</text>'
-        )
-    out.append(
-        f'<line x1="{margin_left}" y1="{margin_top + plot_h}" x2="{margin_left + plot_w}" '
-        f'y2="{margin_top + plot_h}" stroke="#000000" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
-        f'y2="{margin_top + plot_h}" stroke="#000000" stroke-width="1.5"/>'
-    )
+        x = f"{x_px(k):.2f}"
+        out += [_line(x, bottom, x, bottom + 5, "#000000", 1), _text(x, bottom + 20, k, anchor="middle")]
+    out += [_line(left, bottom, right, bottom, "#000000", 1.5), _line(left, top, left, bottom, "#000000", 1.5)]
 
-    legend_x = margin_left + plot_w + 20
-    legend_y = margin_top + 10
-    series_idx = 0
-    for over_t, under_t in pairs:
-        pair_rows = [r for r in rows if (r.over_threshold, r.under_threshold) == (over_t, under_t)]
-        for direction, label in (("over", f"over &gt; {over_t:.0%}"), ("under", f"under &lt; {under_t:.0%}")):
-            color = _SERIES_COLORS[series_idx % len(_SERIES_COLORS)]
-            freqs = [(r.size, r.over_freq if direction == "over" else r.under_freq) for r in pair_rows]
-            points = " ".join(f"{x_px(k):.2f},{y_px(f):.2f}" for k, f in freqs)
-            out.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
-            )
-            for k, f in freqs:
-                out.append(f'<circle cx="{x_px(k):.2f}" cy="{y_px(f):.2f}" r="3" fill="{color}"/>')
-            ly = legend_y + series_idx * 22
-            out.append(
-                f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{legend_x + 30}" y="{ly + 4}" font-size="12" '
-                f'font-family="sans-serif">{label}</text>'
-            )
-            series_idx += 1
+    series = [(pair, field, label) for pair in pairs
+              for field, label in (("over_freq", f"over &gt; {pair[0]:.0%}"),
+                                   ("under_freq", f"under &lt; {pair[1]:.0%}"))]
+    for i, (pair, field, label) in enumerate(series):
+        color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
+        points = [(f"{x_px(r.size):.2f}", f"{y_px(getattr(r, field)):.2f}")
+                  for r in rows if (r.over_threshold, r.under_threshold) == pair]
+        path = " ".join(f"{x},{y}" for x, y in points)
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{path}"/>')
+        out += [f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>' for x, y in points]
+        legend_y = top + 10 + i * 22
+        out += [_line(right + 20, legend_y, right + 44, legend_y, color, 2),
+                _text(right + 50, legend_y + 4, label)]
 
-    out.append(
-        f'<text x="{margin_left + plot_w / 2:.2f}" y="{SVG_HEIGHT - 15}" text-anchor="middle" '
-        'font-size="14" font-family="sans-serif">portfolio size</text>'
-    )
-    out.append(
-        f'<text x="20" y="{margin_top + plot_h / 2:.2f}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 20 {margin_top + plot_h / 2:.2f})">frequency</text>'
-    )
-    out.append("</svg>")
+    mid_y = f"{(top + bottom) / 2:.2f}"
+    out += [_text(f"{(left + right) / 2:.2f}", SVG_HEIGHT - 15, "portfolio size", size=14, anchor="middle"),
+            _text(20, mid_y, "frequency", size=14, anchor="middle", tail=f' transform="rotate(-90 20 {mid_y})"'),
+            "</svg>"]
     return "\n".join(out) + "\n"

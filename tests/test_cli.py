@@ -318,6 +318,15 @@ class TestSimulateCommand:
         assert (tmp_path / "r.csv.config").exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_wrote_lines_spell_every_path_alike(self, tmp_path, capsys, monkeypatch):
+        # the SVG path used to be printed as given, "./y.svg", the others through Path
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
+                       "--n", "10", "--out", "./x.csv", "--svg", "./y.svg")
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == ["wrote x.csv", "wrote x.csv.config", "wrote y.svg"]
+
     def test_trailing_comma_in_benchmarks_is_ignored(self, tmp_path, capsys):
         csvs = []
         for benchmarks in ("0.5:0.5", "0.5:0.5,"):

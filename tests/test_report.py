@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -209,6 +210,27 @@ class TestEmitSvgChart:
         assert "frequency" in svg
         assert "over &gt; 70%" in svg
         assert "under &lt; 30%" in svg
+
+    def make_four_pair_report(self):
+        # eight series, so the colours wrap past the six in the palette
+        pairs = ((0.5, 0.5), (0.6, 0.4), (0.7, 0.3), (0.8, 0.2))
+        return make_report([make_row(size=k, over_t=o, under_t=u, over=900 * i + 37 * k, under=5000 - 101 * k)
+                            for i, (o, u) in enumerate(pairs) for k in (2, 4, 9)])
+
+    # sha256 of documents that the 500-trial CLI pins, six sizes by two pairs
+    # with a description, never produce
+    @pytest.mark.parametrize("case, description, digest", [
+        ("single size", "one size", "70d30853233405837f86c4ef70ad220207609d2018dff2039dbc065353e0b395"),
+        ("four pairs", "four pairs", "db68cee2606137059ebf455f13923d6b6eaef424f2f1e2b9f16c7f7f23f00996"),
+        ("two pairs", "", "b41a3069ce3a7f510927c4e7250032e5689fc8d3a52a49eb586cfe04686c18e5"),
+        ("two pairs", "a & b <c>\nd > e\n\n", "5bc339def18eb5911b06a49a1f9c55c70bd9cc47d419f9c227e8259b0e79cb40"),
+    ])
+    def test_golden_bytes(self, case, description, digest):
+        report = {"single size": make_report([make_row(size=7)]),
+                  "four pairs": self.make_four_pair_report(),
+                  "two pairs": self.make_dominance_report()}[case]
+        svg = emit_svg_chart(report, description=description)
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
     def test_rejects_empty_report(self):
         with pytest.raises(ValueError):
