@@ -43,7 +43,7 @@ from .enumeration import (
 )
 from .model import ModelParams
 from .montecarlo import MODES, ExperimentConfig, run_experiment
-from .report import check_destination, emit_csv, emit_svg_chart, write_all
+from .report import check_destinations, emit_csv, emit_svg_chart, write_all
 
 # One 50% winner hiding among four 10% stocks; picks of one or two stocks.
 FIVE_STOCK_VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
@@ -308,19 +308,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         + [f"{s.name} = {s.echo(values[s.name])}" for s in _SIMULATE_SETTINGS if s.echo]
     ) + "\n"
     out_path = Path(values["out"])
-    sidecar = Path(str(out_path) + ".config")
-    svg_path = values["svg"]
-    destinations = [(out_path, "CSV"), (sidecar, "config echo")]
-    if svg_path is not None:
-        if Path(svg_path).resolve() in (out_path.resolve(), sidecar.resolve()):
-            raise ValueError(f"the SVG path {svg_path} would overwrite the CSV or its .config sidecar")
-        destinations.append((Path(svg_path), "SVG"))
-    for path, what in destinations:
-        check_destination(path, what)
+    destinations = [(out_path, "CSV"), (Path(f"{out_path}.config"), "config echo")]
+    if values["svg"] is not None:
+        destinations.append((Path(values["svg"]), "SVG"))
+    check_destinations(destinations)
 
     report = run_experiment(config, workers=values["workers"])
     payloads = [emit_csv(report, precision=values["precision"]), effective.encode("utf-8")]
-    if svg_path is not None:
+    if values["svg"] is not None:
         payloads.append(emit_svg_chart(report, description=effective).encode("utf-8"))
     write_all([(path, what, data) for (path, what), data in zip(destinations, payloads)])
 

@@ -50,22 +50,29 @@ def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int]
     return data
 
 
-def check_destination(path: Path, what: str) -> None:
-    """ValueError unless ``path`` can be replaced by a file: it has a name and is no directory."""
-    if not path.name or path.is_dir():
-        raise ValueError(f"cannot write {what} to {path}: it is a directory or has an empty name")
+def check_destinations(outputs) -> None:
+    """ValueError unless each (path, what[, data]) output names a file of its own, after resolving;
+    FileNotFoundError when its directory is missing."""
+    earlier = {}
+    for path, what, *_ in outputs:
+        if not path.name or path.is_dir():
+            raise ValueError(f"cannot write {what} to {path}: it is a directory or has an empty name")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"failed to write {what} to {path}: there is no directory {path.parent}")
+        if (target := path.resolve()) in earlier:
+            raise ValueError(f"the {what} path {path} would overwrite the {earlier[target]}")
+        earlier[target] = f"{what} path {path}"
 
 
 def write_all(outputs) -> None:
     """Write every (path, what, data) or none of them.
 
-    Every destination is checked with check_destination first.  Each payload
+    The whole set is checked with check_destinations first.  Each payload
     then goes to a temp file beside its destination; the temp files replace
     their targets only once every write has succeeded, and are removed if
     any write fails.
     """
-    for path, what, _ in outputs:
-        check_destination(path, what)
+    check_destinations(outputs)
     staged = []
     try:
         for n, (path, what, data) in enumerate(outputs):

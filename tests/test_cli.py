@@ -534,6 +534,18 @@ class TestSimulateCommand:
         assert "is a directory or has an empty name" in error_line(capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    @pytest.mark.parametrize("directory", ["missing", "plain"], ids=["missing", "file"])
+    def test_output_directory_that_is_no_directory_exits_3_before_running(
+            self, tmp_path, capsys, monkeypatch, no_trials, flag, directory):
+        # every trial used to run first, and the error then named a .tmp staging file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plain").write_bytes(b"")
+        assert run_cli("simulate", "--paper-defaults", "--out", "x.csv", flag, f"{directory}/r.out") == 3
+        assert error_line(capsys).endswith(f": there is no directory {directory}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+        assert (tmp_path / "plain").read_bytes() == b""
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, no_trials, kind):
         # exit 3 is for output I/O; a config file that cannot be read is a

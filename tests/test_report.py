@@ -1,5 +1,6 @@
 import hashlib
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +85,13 @@ class TestEmitCsv:
             write_all([(first, "CSV", b"new"), (tmp_path / "chart.svg", "SVG", b"<svg/>")])
         assert first.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg", "report.csv"]
+
+    def test_write_all_rejects_two_outputs_onto_one_file(self, tmp_path, monkeypatch):
+        # the second payload used to replace the first
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="SVG path a.csv would overwrite the CSV path .*a.csv"):
+            write_all([(tmp_path / "a.csv", "CSV", b"first"), (Path("./a.csv"), "SVG", b"second")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_precision_round_trip(self):
         rows = [
