@@ -8,13 +8,13 @@ Subcommands:
     simulate    Monte Carlo frequency experiment, CSV (and SVG) output
 
 Each ``calibrate``/``analytic``/``simulate`` setting is one row of the
-tables below; ``calibrate`` reads five of the model rows, with the same
+tables below; ``calibrate`` reads four of the model rows, with the same
 flags and defaults as ``analytic``.  A setting takes its value from,
 highest precedence first: a flag, a ``key = value`` config file (simulate
---config), --paper-defaults, an environment variable (seed only:
-INDEXSIM_SEED), the default.  Every
-simulate run writes a ``<out>.config`` sidecar echoing the effective
-configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
+--config), the --paper-defaults flag (median and expected only), the
+default.  Every simulate run writes a ``<out>.config`` sidecar echoing the
+effective configuration; ``--config <sidecar>`` reproduces the CSV byte for
+byte.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
@@ -89,13 +88,6 @@ def _parse_sampling(text: str) -> str:
     return text
 
 
-def _parse_switch(text: str) -> bool:
-    value = text.lower()
-    if value not in ("true", "false", "1", "0"):
-        raise ValueError(f"expected true, false, 1 or 0, got {text!r}")
-    return value in ("true", "1")
-
-
 @dataclass(frozen=True)
 class Setting:
     """One setting; ``name`` is its config-file key, ``echo`` its sidecar format (None: not echoed)."""
@@ -106,15 +98,9 @@ class Setting:
     default: Any
     help: str
     echo: Optional[Callable[[Any], str]] = None
-    env: Optional[str] = None
 
 
 _MODEL_SETTINGS = (
-    # First, because whether the median and expected rows fall back to
-    # PAPER_TARGETS depends on it.
-    Setting("paper_defaults", "--paper-defaults", _parse_switch, False,
-            "calibrate to the published 10%% median and 50%% expected return; "
-            "the other published values are the defaults"),
     Setting("n_stocks", "--n", int, 500, "number of stocks in the index", str),
     Setting("horizon", "--horizon", float, 5.0, "horizon in years", str),
     Setting("sigma", "--sigma", float, 0.2, "annual stock volatility", str),
@@ -126,7 +112,7 @@ _MODEL_SETTINGS = (
 )
 
 _CALIBRATE_SETTINGS = tuple(
-    s for s in _MODEL_SETTINGS if s.name in ("paper_defaults", "horizon", "sigma", "median", "expected")
+    s for s in _MODEL_SETTINGS if s.name in ("horizon", "sigma", "median", "expected")
 )
 
 # ExperimentConfig is where the defaults of the run settings are written.
@@ -143,7 +129,7 @@ _RUN_SETTINGS = (
     Setting("mode", "--mode", str, _RUN_DEFAULTS["mode"], f"comparison mode: {' or '.join(MODES)}",
             str),
     Setting("sampling", "--sampling", _parse_sampling, "fresh-universe", "sampling scheme", str),
-    Setting("seed", "--seed", int, _RUN_DEFAULTS["master_seed"], "master seed", str, env="INDEXSIM_SEED"),
+    Setting("seed", "--seed", int, _RUN_DEFAULTS["master_seed"], "master seed", str),
     Setting("workers", "--workers", int, 1, "worker processes"),
     Setting("out", "--out", str, "frequency_report.csv", "CSV output path"),
     Setting("svg", "--svg", str, None, "also write an SVG chart to this path"),
@@ -186,8 +172,7 @@ def _resolve(settings, args: argparse.Namespace, file_values: dict[str, str]) ->
         sources = (
             (s.flag, getattr(args, s.name)),
             ("the config file", file_values.get(s.name)),
-            ("--paper-defaults", PAPER_TARGETS.get(s.name) if values.get("paper_defaults") else None),
-            (s.env, os.environ.get(s.env) if s.env else None),
+            ("--paper-defaults", PAPER_TARGETS.get(s.name) if args.paper_defaults else None),
         )
         source, raw = next(((src, raw) for src, raw in sources if raw is not None), ("", None))
         try:
@@ -333,13 +318,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _add_setting_flags(parser: argparse.ArgumentParser, settings) -> None:
     """Flags leave their setting unset (None) unless given."""
     for s in settings:
-        if s.parse is _parse_switch:
-            parser.add_argument(s.flag, dest=s.name, action="store_const", const="true", help=s.help)
-            continue
         shown = s.echo(s.default) if s.echo else s.default
         help_text = s.help if s.default is None else f"{s.help} (default {shown})"
-        if s.env:
-            help_text += f"; env {s.env} replaces the default"
         parser.add_argument(s.flag, dest=s.name, help=help_text)
 
 
@@ -349,12 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drift-mixture GBM index simulation and subset-picking experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag only, so a config file or sidecar never holds it
+    paper = argparse.ArgumentParser(add_help=False)
+    paper.add_argument("--paper-defaults", action="store_true",
+                       help="calibrate to the published 10%% median and 50%% expected return; "
+                            "the other published values are the defaults")
 
-    cal = sub.add_parser("calibrate", help="solve for mu_hat and sigma_hat from target returns")
+    cal = sub.add_parser("calibrate", parents=[paper],
+                         help="solve for mu_hat and sigma_hat from target returns")
     _add_setting_flags(cal, _CALIBRATE_SETTINGS)
     cal.set_defaults(handler=_cmd_calibrate)
 
-    ana = sub.add_parser("analytic", help="closed-form index, median and skew quantities")
+    ana = sub.add_parser("analytic", parents=[paper],
+                         help="closed-form index, median and skew quantities")
     _add_setting_flags(ana, _MODEL_SETTINGS)
     ana.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     ana.set_defaults(handler=_cmd_analytic)
@@ -372,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(default {DEFAULT_ENUMERATION_CAP})")
     enu.set_defaults(handler=_cmd_enumerate)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo over/under frequency experiment")
+    sim = sub.add_parser("simulate", parents=[paper],
+                         help="Monte Carlo over/under frequency experiment")
     _add_setting_flags(sim, _MODEL_SETTINGS)
     sim.add_argument("--config", help="flat key = value config file; flags override it")
     _add_setting_flags(sim, _RUN_SETTINGS)

@@ -50,8 +50,9 @@ PICK_STREAM = 2
 # _midpoint_uniforms: the bits of 1.0, and what maps 1 + j * 2**-52 to (j + 0.5) * 2**-52.
 _ONE_BITS = 0x3FF0000000000000
 _MIDPOINT_SHIFT = 1.0 - 2.0 ** -53
-# standard_normals' uniforms run from 2**-53 to 1 - 2**-53: |z| <= _Z_LIMIT.
-_Z_LIMIT = float(ndtri(1.0 - 2.0 ** -53))
+# standard_normals' uniforms run from 2**-53 to 1 - 2**-53: |z| <= _Z_LIMIT,
+# which is ndtri(1 - 2**-53).
+_Z_LIMIT = 8.209536151601387
 
 # Substream seeds are computed SEED_WINDOW stream indices at a time.  2**32
 # is a multiple of the window, so every index in a window has the same

@@ -371,16 +371,15 @@ class TestSimulateCommand:
         assert report.rows[0].trials == 20  # flag wins
         assert report.master_seed == 9  # file beats default
 
-    def test_env_seed_is_lowest_precedence(self, tmp_path, capsys, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, tmp_path, capsys, monkeypatch):
+        # no environment variable sets a setting, so the paper run keeps seed 42
         monkeypatch.setenv("INDEXSIM_SEED", "7")
         out_csv = tmp_path / "env.csv"
-        run_cli("simulate", "--paper-defaults", "--trials", "10", "--sizes", "1",
-                "--n", "10", "--out", str(out_csv))
-        assert parse_csv(out_csv).master_seed == 7
-        out2 = tmp_path / "flag.csv"
-        run_cli("simulate", "--paper-defaults", "--trials", "10", "--sizes", "1",
-                "--n", "10", "--seed", "3", "--out", str(out2))
-        assert parse_csv(out2).master_seed == 3
+        code = run_cli("simulate", "--paper-defaults", "--trials", "10", "--sizes", "1",
+                       "--n", "10", "--out", str(out_csv))
+        assert code == 0
+        assert parse_csv(out_csv).master_seed == 42
+        assert "seed = 42\n" in (tmp_path / "env.csv.config").read_text()
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "r.csv"
@@ -621,19 +620,11 @@ class TestSimulateCommand:
         assert error_line(capsys) == "error: workers must be >= 1, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value,expected_code", [("yes", 2), ("TRUE", 0), ("0", 2)])
-    def test_paper_defaults_config_value_is_strict(self, tmp_path, capsys, value, expected_code):
-        # "yes" is rejected rather than read as false; "0" turns the preset
-        # off, so median/expected stay unset and the model is underspecified.
-        config = tmp_path / "run.config"
-        config.write_text(f"paper_defaults = {value}\nn_stocks = 10\nsizes = 1\ntrials = 5\n")
-        code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"))
-        assert code == expected_code
-        err = capsys.readouterr().err
-        if value == "yes":
-            assert "paper_defaults" in err
-        elif value == "0":
-            assert "underspecified" in err
+    def test_paper_defaults_is_no_config_file_key(self, tmp_path, capsys, no_trials):
+        # --paper-defaults is a flag only, so a file that holds it is refused
+        assert self.run_with_setting(tmp_path, "file", "paper_defaults", "true") == 2
+        assert error_line(capsys) == "error: unknown config file keys: paper_defaults\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.config"]
 
 
 GOLDEN_500_TRIALS = {

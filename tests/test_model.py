@@ -15,6 +15,7 @@ from indexsim import (
     draw_universe,
     index_value,
 )
+import indexsim.montecarlo as montecarlo
 from indexsim.model import (
     DRIFT_STREAM,
     PICK_STREAM,
@@ -278,6 +279,12 @@ class TestStandardNormals:
         z = standard_normals(RawWords([0, 2 ** 64 - 1]), 2)
         assert z.tolist() == [-_Z_LIMIT, _Z_LIMIT]
         assert _Z_LIMIT == 8.209536151601387
+
+    def test_normal_quantile_literals_are_ndtri_bit_for_bit(self):
+        # model and montecarlo write these two ndtri values as literals, so
+        # that standard_normals is the one caller of scipy
+        assert _Z_LIMIT.hex() == float(ndtri(1 - 2 ** -53)).hex()
+        assert montecarlo._WILSON_Z.hex() == float(ndtri(0.975)).hex()
 
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)

@@ -4,7 +4,7 @@ from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -418,6 +418,35 @@ class TestRunExperiment:
         report = run_experiment(config)
         row = report.rows[0]
         assert row.between_count == row.trials
+
+    # a statistical check has no smaller failing case, so skip the shrink
+    @settings(max_examples=4, deadline=None, phases=(Phase.reuse, Phase.generate))
+    @given(
+        n=st.sampled_from([8, 10, 12]),
+        horizon=st.floats(1.0, 10.0),
+        sigma=st.floats(0.05, 0.5),
+        mu_hat=st.floats(-0.1, 0.2),
+        sigma_hat=st.floats(0.0, 0.3),
+        master_seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_realized_index_complement_identity(self, n, horizon, sigma, mu_hat, sigma_hat,
+                                                master_seed):
+        # k picks beat the index mean exactly when the other n - k trail it,
+        # so with zero offsets over(k) + over(n - k) = 1 and over(n / 2) = 1/2
+        params = ModelParams(n_stocks=n, horizon=horizon, sigma=sigma, mu_hat=mu_hat,
+                             sigma_hat=sigma_hat)
+        expected = expected_index_value(params) - 1.0
+        report = run_experiment(ExperimentConfig(
+            params=params, sizes=tuple(range(1, n)), trials_per_size=1000,
+            benchmarks=((expected, expected),), mode="realized-index", master_seed=master_seed,
+        ))
+        rows = {row.size: row for row in report.rows}
+        for k in range(1, n // 2):
+            a, b = rows[k], rows[n - k]
+            bound = 4.0 * math.hypot(a.over_ci, b.over_ci)
+            assert abs(a.over_freq + b.over_freq - 1.0) <= bound
+        half = rows[n // 2]
+        assert abs(half.over_freq - 0.5) <= 4.0 * half.over_ci
 
 
 class TestFrequencyCI:
