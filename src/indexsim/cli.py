@@ -7,14 +7,15 @@ Subcommands:
     enumerate   exhaustive subset statistics for a given value list
     simulate    Monte Carlo frequency experiment, CSV (and SVG) output
 
-Each ``calibrate``/``analytic``/``simulate`` setting is one row of the
-tables below; ``calibrate`` reads four of the model rows, with the same
-flags and defaults as ``analytic``.  A setting takes its value from,
+Each value option of each subcommand is one row of the setting tables
+below; ``calibrate`` reads four of the model rows, with the same flags and
+defaults as ``analytic``.  ``main`` resolves the chosen command's rows once
+and hands the values to its handler.  A setting takes its value from,
 highest precedence first: a flag, a ``key = value`` config file (simulate
---config), the --paper-defaults flag (median and expected only), the
-default.  Every simulate run writes a ``<out>.config`` sidecar echoing the
-effective configuration; ``--config <sidecar>`` reproduces the CSV byte for
-byte.
+--config), the --paper-defaults flag (the published targets that the median
+and expected rows hold), the default.  Every simulate run writes a
+``<out>.config`` sidecar echoing the effective configuration;
+``--config <sidecar>`` reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .analytic import (
-    CalibrationError,
-    CalibrationTarget,
-    calibrate,
-    summarize,
-)
+from .analytic import CalibrationTarget, calibrate, summarize
 from .enumeration import (
     DEFAULT_ENUMERATION_CAP,
     DeterministicIndex,
@@ -47,10 +43,6 @@ from .report import check_destinations, emit_csv, emit_svg_chart, write_all
 # One 50% winner hiding among four 10% stocks; picks of one or two stocks.
 FIVE_STOCK_VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
 FIVE_STOCK_SIZES = (1, 2)
-
-# What --paper-defaults changes; every other value of the paper's setup is
-# the built-in default.
-PAPER_TARGETS = {"median": "0.10", "expected": "0.50"}
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -98,6 +90,7 @@ class Setting:
     default: Any
     help: str
     echo: Optional[Callable[[Any], str]] = None
+    paper: Optional[str] = None  # what --paper-defaults sets; the rest of the paper's setup is the default
 
 
 _MODEL_SETTINGS = (
@@ -106,9 +99,10 @@ _MODEL_SETTINGS = (
     Setting("sigma", "--sigma", float, 0.2, "annual stock volatility", str),
     Setting("mu_hat", "--mu-hat", float, None, "mean of the drift distribution", str),
     Setting("sigma_hat", "--sigma-hat", float, None, "std dev of the drift distribution", str),
-    Setting("median", "--median", float, None, "target median net return (calibrates the drifts)"),
+    Setting("median", "--median", float, None, "target median net return (calibrates the drifts)",
+            paper="0.10"),
     Setting("expected", "--expected", float, None,
-            "target expected net return (calibrates the drifts)"),
+            "target expected net return (calibrates the drifts)", paper="0.50"),
 )
 
 _CALIBRATE_SETTINGS = tuple(
@@ -139,6 +133,19 @@ _RUN_SETTINGS = (
 
 _SIMULATE_SETTINGS = _MODEL_SETTINGS + _RUN_SETTINGS
 
+_DEMO_SETTINGS = (Setting("benchmark", "--benchmark", float, 0.18, "net return benchmark"),)
+
+# --values and --sizes have no default, since _cmd_enumerate requires both; it
+# reads --cap with _parse_cap, which needs the number of values
+_ENUMERATE_SETTINGS = (
+    Setting("values", "--values", lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
+            None, "comma-separated gross terminal values"),
+    Setting("sizes", "--sizes", _parse_sizes, None, "comma-separated subset sizes"),
+    Setting("benchmark", "--benchmark", float, None, "net return benchmark (default: index mean return)"),
+    Setting("cap", "--cap", str, str(DEFAULT_ENUMERATION_CAP),
+            "max subsets to count, any integral number such as 1e150"),
+)
+
 
 def load_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment, and a key may appear once.
@@ -165,14 +172,18 @@ def load_config_file(path) -> dict[str, str]:
     return entries
 
 
-def _resolve(settings, args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, Any]:
-    """The value of each setting from the first source that gives one."""
-    values: dict[str, Any] = {}
+def _resolve(settings, args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed options, with each setting's value taken from the first source that gives one."""
+    values = dict(vars(args))
+    file_values = load_config_file(values["config"]) if values.get("config") else {}
+    unknown = sorted(set(file_values) - {s.name for s in settings})
+    if unknown:
+        raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
     for s in settings:
         sources = (
-            (s.flag, getattr(args, s.name)),
+            (s.flag, values[s.name]),
             ("the config file", file_values.get(s.name)),
-            ("--paper-defaults", PAPER_TARGETS.get(s.name) if args.paper_defaults else None),
+            ("--paper-defaults", s.paper if values.get("paper_defaults") else None),
         )
         source, raw = next(((src, raw) for src, raw in sources if raw is not None), ("", None))
         try:
@@ -205,16 +216,16 @@ def _model_params(values: dict[str, Any]) -> ModelParams:
     )
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    mu_hat, sigma_hat = calibrate(_calibration_target(_resolve(_CALIBRATE_SETTINGS, args, {})))
+def _cmd_calibrate(values: dict[str, Any]) -> int:
+    mu_hat, sigma_hat = calibrate(_calibration_target(values))
     print(f"mu_hat    = {mu_hat:.10f}  (~ {round(mu_hat * 100):d}%)")
     print(f"sigma_hat = {sigma_hat:.10f}  (~ {round(sigma_hat * 100):d}%)")
     return 0
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    summary = asdict(summarize(_model_params(_resolve(_MODEL_SETTINGS, args, {}))))
-    if args.json:
+def _cmd_analytic(values: dict[str, Any]) -> int:
+    summary = asdict(summarize(_model_params(values)))
+    if values["json"]:
         print(json.dumps(summary, sort_keys=True))
     else:
         for name, value in summary.items():
@@ -238,10 +249,10 @@ def _print_subset_stats(stats, benchmark: float, *preamble: str) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(values: dict[str, Any]) -> int:
     index = DeterministicIndex(FIVE_STOCK_VALUES)
     _print_subset_stats(
-        enumerate_portfolios(index, FIVE_STOCK_SIZES), args.benchmark,
+        enumerate_portfolios(index, FIVE_STOCK_SIZES), values["benchmark"],
         "gross values: " + " ".join(f"{v:.2f}" for v in index.gross_values),
         "subset sizes: " + " ".join(str(k) for k in FIVE_STOCK_SIZES),
     )
@@ -261,26 +272,21 @@ def _parse_cap(text: str, n: int) -> int:
     return int(cap) if cap.adjusted() < n else 1 << n
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    values = tuple(float(v) for v in args.values.split(",") if v.strip())
-    index = DeterministicIndex(values)
-    sizes = _parse_sizes(args.sizes)
-    cap = _parse_cap(args.cap, len(values))
+def _cmd_enumerate(values: dict[str, Any]) -> int:
+    if values["values"] is None or values["sizes"] is None:
+        raise ValueError("enumerate needs --values and --sizes")
+    index = DeterministicIndex(values["values"])
+    cap = _parse_cap(values["cap"], len(values["values"]))
     try:
-        benchmark = float(args.benchmark) if args.benchmark is not None else index.mean_return()
-        stats = enumerate_portfolios(index, sizes, cap=cap)
+        benchmark = index.mean_return() if values["benchmark"] is None else values["benchmark"]
+        stats = enumerate_portfolios(index, values["sizes"], cap=cap)
     except OverflowError as exc:
         raise ValueError(f"a subset sum or mean overflows a float ({exc})") from exc
     _print_subset_stats(stats, benchmark)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - {s.name for s in _SIMULATE_SETTINGS})
-    if unknown:
-        raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
-    values = _resolve(_SIMULATE_SETTINGS, args, file_values)
+def _cmd_simulate(values: dict[str, Any]) -> int:
     params = _model_params(values)
     # The sidecar records the calibrated drifts, so reloading it skips calibration.
     values.update(mu_hat=params.mu_hat, sigma_hat=params.sigma_hat)
@@ -315,57 +321,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_setting_flags(parser: argparse.ArgumentParser, settings) -> None:
-    """Flags leave their setting unset (None) unless given."""
-    for s in settings:
-        shown = s.echo(s.default) if s.echo else s.default
-        help_text = s.help if s.default is None else f"{s.help} (default {shown})"
-        parser.add_argument(s.flag, dest=s.name, help=help_text)
+# name: (help, settings, handler) of each subcommand
+_COMMANDS = {
+    "calibrate": ("solve for mu_hat and sigma_hat from target returns", _CALIBRATE_SETTINGS, _cmd_calibrate),
+    "analytic": ("closed-form index, median and skew quantities", _MODEL_SETTINGS, _cmd_analytic),
+    "demo": ("exact five-stock worked example", _DEMO_SETTINGS, _cmd_demo),
+    "enumerate": ("exhaustive subset statistics for a value list", _ENUMERATE_SETTINGS, _cmd_enumerate),
+    "simulate": ("Monte Carlo over/under frequency experiment", _SIMULATE_SETTINGS, _cmd_simulate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags leave their setting unset (None) unless given."""
     parser = argparse.ArgumentParser(
         prog="indexsim",
         description="Drift-mixture GBM index simulation and subset-picking experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag only, so a config file or sidecar never holds it
-    paper = argparse.ArgumentParser(add_help=False)
-    paper.add_argument("--paper-defaults", action="store_true",
-                       help="calibrate to the published 10%% median and 50%% expected return; "
-                            "the other published values are the defaults")
-
-    cal = sub.add_parser("calibrate", parents=[paper],
-                         help="solve for mu_hat and sigma_hat from target returns")
-    _add_setting_flags(cal, _CALIBRATE_SETTINGS)
-    cal.set_defaults(handler=_cmd_calibrate)
-
-    ana = sub.add_parser("analytic", parents=[paper],
-                         help="closed-form index, median and skew quantities")
-    _add_setting_flags(ana, _MODEL_SETTINGS)
-    ana.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    ana.set_defaults(handler=_cmd_analytic)
-
-    demo = sub.add_parser("demo", help="exact five-stock worked example")
-    demo.add_argument("--benchmark", type=float, default=0.18, help="net return benchmark (default 0.18)")
-    demo.set_defaults(handler=_cmd_demo)
-
-    enu = sub.add_parser("enumerate", help="exhaustive subset statistics for a value list")
-    enu.add_argument("--values", required=True, help="comma-separated gross terminal values")
-    enu.add_argument("--sizes", required=True, help="comma-separated subset sizes")
-    enu.add_argument("--benchmark", type=float, help="net return benchmark (default: index mean return)")
-    enu.add_argument("--cap", default=str(DEFAULT_ENUMERATION_CAP),
-                     help=f"max subsets to count, any integral number such as 1e150 "
-                          f"(default {DEFAULT_ENUMERATION_CAP})")
-    enu.set_defaults(handler=_cmd_enumerate)
-
-    sim = sub.add_parser("simulate", parents=[paper],
-                         help="Monte Carlo over/under frequency experiment")
-    _add_setting_flags(sim, _MODEL_SETTINGS)
-    sim.add_argument("--config", help="flat key = value config file; flags override it")
-    _add_setting_flags(sim, _RUN_SETTINGS)
-    sim.set_defaults(handler=_cmd_simulate)
-
+    for name, (text, settings, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        if any(s.paper for s in settings):
+            # a flag only, so a config file or sidecar never holds it
+            command.add_argument("--paper-defaults", action="store_true",
+                                 help="calibrate to the published 10%% median and 50%% expected "
+                                      "return; the other published values are the defaults")
+        for s in settings:
+            shown = s.echo(s.default) if s.echo else s.default
+            command.add_argument(s.flag, dest=s.name,
+                                 help=s.help if s.default is None else f"{s.help} (default {shown})")
+    sub.choices["analytic"].add_argument("--json", action="store_true",
+                                         help="emit a JSON object instead of text")
+    sub.choices["simulate"].add_argument("--config",
+                                         help="flat key = value config file; flags override it")
     return parser
 
 
@@ -376,9 +363,10 @@ def main(argv=None) -> int:
     worker process died, 130 interrupted; each failure is one ``error:`` line.
     """
     args = build_parser().parse_args(argv)
+    _, settings, handler = _COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except (CalibrationError, EnumerationCapError, ValueError) as exc:
+        return handler(_resolve(settings, args))
+    except (EnumerationCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtri
 
 # Substream layout: callers that draw a universe and pick a subset reserve
 # STREAM_STRIDE consecutive stream indices per trial and add a purpose offset.
@@ -219,6 +218,13 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+@lru_cache(maxsize=None)
+def _ndtri():
+    """scipy's ndtri, imported on the first draw: a command that draws no variate never loads scipy."""
+    from scipy.special import ndtri
+    return ndtri
+
+
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw standard normals by inverse CDF of open-interval uniforms.
 
@@ -230,7 +236,7 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     have a 64-bit bit generator such as the PCG64 of SeedSpec.generator.
     """
     u = _midpoint_uniforms(rng.bit_generator.random_raw(count))
-    return ndtri(u, out=u)
+    return _ndtri()(u, out=u)
 
 
 def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:

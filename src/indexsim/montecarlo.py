@@ -35,6 +35,7 @@ from .model import (
     STREAM_STRIDE,
     ModelParams,
     SeedSpec,
+    _ndtri,
     as_integer,
     draw_universe,
     index_value,
@@ -271,6 +272,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
     if processes == 1:
         results = [_tally_block(*task) for task in tasks]
     else:
+        _ndtri()  # imported once here, not once in each forked worker
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_tally_block, *zip(*tasks)))
 

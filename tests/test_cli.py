@@ -298,6 +298,18 @@ class TestEnumerateCommand:
         assert "--cap must be a non-negative integral number" in error_line(capsys)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("demo", "--benchmark", "abc"), "invalid benchmark from --benchmark: "),
+    (("enumerate", "--values", "1.1,1.5", "--sizes", "1", "--benchmark", "abc"),
+     "invalid benchmark from --benchmark: "),
+    (("enumerate", "--sizes", "1"), "enumerate needs --values and --sizes"),
+], ids=["demo-benchmark", "enumerate-benchmark", "enumerate-without-values"])
+def test_demo_and_enumerate_option_errors_are_one_line(capsys, argv, message):
+    # argparse used to print its usage block for these and exit from inside main
+    assert run_cli(*argv) == 2
+    assert message in error_line(capsys)
+
+
 class TestSimulateCommand:
     def test_single_trial_full_index(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"

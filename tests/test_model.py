@@ -1,5 +1,7 @@
 import math
+import subprocess
 import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -285,6 +287,23 @@ class TestStandardNormals:
         # that standard_normals is the one caller of scipy
         assert _Z_LIMIT.hex() == float(ndtri(1 - 2 ** -53)).hex()
         assert montecarlo._WILSON_Z.hex() == float(ndtri(0.975)).hex()
+
+    def test_scipy_is_imported_on_the_first_draw(self):
+        # a fresh process, since this one imported scipy long ago: commands
+        # that draw no variate start without scipy's import
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from indexsim import ModelParams, SeedSpec, draw_universe
+            from indexsim.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main(["demo"]), main(["analytic", "--paper-defaults"])]
+            print(codes, "scipy.special" in sys.modules)
+            draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
+            print("scipy.special" in sys.modules)
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[0, 0] False\nTrue\n"
 
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)
