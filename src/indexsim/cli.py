@@ -24,7 +24,7 @@ import argparse
 import decimal
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -331,8 +331,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Flags leave their setting unset (None) unless given."""
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """Flags leave their setting unset (None) unless given.
+
+    Every subcommand is registered, so the usage line and its errors name
+    them all; given ``only``, a command name, only that command gets its
+    arguments, since a run parses one command and adding every command's
+    arguments costs more than the parse.
+    """
     parser = argparse.ArgumentParser(
         prog="indexsim",
         description="Drift-mixture GBM index simulation and subset-picking experiments.",
@@ -340,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, settings, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=text)
+        if only not in (None, name):
+            continue
         if any(s.paper for s in settings):
             # a flag only, so a config file or sidecar never holds it
             command.add_argument("--paper-defaults", action="store_true",
@@ -349,10 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
             shown = s.echo(s.default) if s.echo else s.default
             command.add_argument(s.flag, dest=s.name,
                                  help=s.help if s.default is None else f"{s.help} (default {shown})")
-    sub.choices["analytic"].add_argument("--json", action="store_true",
-                                         help="emit a JSON object instead of text")
-    sub.choices["simulate"].add_argument("--config",
-                                         help="flat key = value config file; flags override it")
+    if only in (None, "analytic"):
+        sub.choices["analytic"].add_argument("--json", action="store_true",
+                                             help="emit a JSON object instead of text")
+    if only in (None, "simulate"):
+        sub.choices["simulate"].add_argument("--config",
+                                             help="flat key = value config file; flags override it")
     return parser
 
 
@@ -362,7 +372,8 @@ def main(argv=None) -> int:
     0 success, 2 usage or configuration error, 3 output I/O failure, 4 a
     worker process died, 130 interrupted; each failure is one ``error:`` line.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     _, settings, handler = _COMMANDS[args.command]
     try:
         return handler(_resolve(settings, args))
@@ -372,7 +383,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool:
+    except BrokenExecutor:
         print("error: a worker process died before its trials finished", file=sys.stderr)
         return 4
     except KeyboardInterrupt:

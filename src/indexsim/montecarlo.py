@@ -23,7 +23,6 @@ PICK_STREAM``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -272,6 +271,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
     if processes == 1:
         results = [_tally_block(*task) for task in tasks]
     else:
+        # imported here, so that a run without a pool loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         _ndtri()  # imported once here, not once in each forked worker
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_tally_block, *zip(*tasks)))

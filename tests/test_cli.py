@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -8,9 +10,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import indexsim.cli as cli
 import indexsim.montecarlo as montecarlo
-from indexsim.cli import main
+from indexsim.cli import build_parser, main
 from indexsim.report import parse_csv
 
 
@@ -451,7 +456,7 @@ class TestSimulateCommand:
             def submit(self, fn, *args):
                 raise BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", DeadPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", DeadPool)
         code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1,2",
                        "--n", "10", "--workers", "2", "--out", str(tmp_path / "r.csv"),
                        "--svg", str(tmp_path / "r.svg"))
@@ -672,3 +677,80 @@ def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
                for name in golden}
     assert digests == golden
 
+
+# (exit code, sha256 of the text) of each help page (stdout) and usage error
+# (stderr) at COLUMNS=80, as the parser of every command's arguments renders them
+HELP_PAGES = {
+    ("--help",): (0, "9f375ee46c55ce10a3256f178ace6a36bafc6f84bad15cdd90653887d1152b3b"),
+    ("calibrate", "--help"): (0, "20f6bf948acecf715bce1e12927fd46db67bc51352808060cf1ef34e81919067"),
+    ("analytic", "--help"): (0, "68c2cb69d9f947786577cccdea643b97f8650dda4dfc0fc8a36ee9758aa40ca4"),
+    ("demo", "--help"): (0, "c37b1196a473d8774db67b056d2958d298d2bd6fb509bf3d1abdd331297f92ed"),
+    ("enumerate", "--help"): (0, "9045f7ca8c4dacfc231c6e26c9ac169505e5d5f668f71e150bc701846b635cc1"),
+    ("simulate", "--help"): (0, "e5598fbfa7702915b6c3baf12ad5e2e93a160573d9e13f6950d32462102bafef"),
+    ("bogus",): (2, "a55963d379f19b50e1664a9557a6b2823657b36055aa199e6e5fc955e79be519"),
+    ("simulate", "--bogus"): (2, "9285f79d39bad58d058d9ef76c6c9387a21273d40a4a442a44b4496dde35578c"),
+}
+
+
+@pytest.mark.parametrize("argv", HELP_PAGES, ids=" ".join)
+def test_help_page_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    captured = capsys.readouterr()
+    page, other = (captured.out, captured.err) if exit_info.value.code == 0 else (captured.err, captured.out)
+    assert other == ""
+    assert (exit_info.value.code, hashlib.sha256(page.encode()).hexdigest()) == HELP_PAGES[argv]
+
+
+def parse_outcome(command, argv):
+    """The Namespace that build_parser(command) parses argv into, or the error it prints."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            return build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, stderr.getvalue()
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a list of its options in any order, with sample values."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    settings_ = cli._COMMANDS[name][1]
+    options = [(s.flag, True) for s in settings_]
+    if any(s.paper for s in settings_):
+        options.append(("--paper-defaults", False))
+    options += {"analytic": [("--json", False)], "simulate": [("--config", True)]}.get(name, [])
+    values = st.sampled_from(["1", "0.1", "-1", "1,2,5", "0.5:0.5", "full", "1e150", "r.csv", ""]) | st.text(
+        alphabet="0123456789.,:-=e ", max_size=5)
+    argv = [name]
+    for flag, takes_value in draw(st.lists(st.sampled_from(options), max_size=len(options) + 1)):
+        argv += [flag, draw(values)] if takes_value else [flag]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_command_parser_parses_like_full_parser(argv):
+    # main adds only the running command's arguments; that must parse (or
+    # reject) every command line exactly as the parser of all commands does
+    assert parse_outcome(argv[0], argv) == parse_outcome(None, argv)
+
+
+def test_main_builds_only_the_running_command(monkeypatch, capsys):
+    built = []
+
+    def recording(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run_cli("demo") == 0
+    with pytest.raises(SystemExit):
+        run_cli("bogus")
+    assert built == ["demo", None]
+    # the demo-only parser knows no flag of another command
+    with pytest.raises(SystemExit):
+        build_parser("demo").parse_args(["simulate", "--n", "3"])
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err

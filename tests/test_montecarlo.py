@@ -313,7 +313,7 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         config = small_config(sizes=sizes, trials_per_size=trials)
         report = run_experiment(config, workers=workers)
         assert pools == ([] if expected is None else [expected])
