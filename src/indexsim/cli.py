@@ -13,9 +13,10 @@ defaults as ``analytic``.  ``main`` resolves the chosen command's rows once
 and hands the values to its handler.  A setting takes its value from,
 highest precedence first: a flag, a ``key = value`` config file (simulate
 --config), the --paper-defaults flag (the published targets that the median
-and expected rows hold), the default.  Every simulate run writes a
-``<out>.config`` sidecar echoing the effective configuration;
-``--config <sidecar>`` reproduces the CSV byte for byte.
+and expected rows hold, unless a drift row is set), the default.  The
+model is given by both drift rows or both targets, never by a mix.  Every
+simulate run writes a ``<out>.config`` sidecar echoing the effective
+configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .analytic import CalibrationTarget, calibrate, summarize
-from .enumeration import (
-    DEFAULT_ENUMERATION_CAP,
-    DeterministicIndex,
-    EnumerationCapError,
-    enumerate_portfolios,
-)
+from .enumeration import DEFAULT_ENUMERATION_CAP, DeterministicIndex, enumerate_portfolios
 from .model import ModelParams
 from .montecarlo import MODES, ExperimentConfig, run_experiment
 from .report import check_destinations, emit_csv, emit_svg_chart, write_all
@@ -180,10 +176,12 @@ def _resolve(settings, args: argparse.Namespace) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
     for s in settings:
+        # rows resolve in table order, so the drifts are known when a target resolves
+        drifts_unset = values.get("mu_hat") is None and values.get("sigma_hat") is None
         sources = (
             (s.flag, values[s.name]),
             ("the config file", file_values.get(s.name)),
-            ("--paper-defaults", s.paper if values.get("paper_defaults") else None),
+            ("--paper-defaults", s.paper if values.get("paper_defaults") and drifts_unset else None),
         )
         source, raw = next(((src, raw) for src, raw in sources if raw is not None), ("", None))
         try:
@@ -207,9 +205,16 @@ def _calibration_target(values: dict[str, Any]) -> CalibrationTarget:
 
 
 def _model_params(values: dict[str, Any]) -> ModelParams:
+    """The model of both drift rows, or of both targets; ValueError for any other mix of the four."""
     mu_hat, sigma_hat = values["mu_hat"], values["sigma_hat"]
-    if mu_hat is None or sigma_hat is None:
+    if (mu_hat is None) != (sigma_hat is None):
+        given = "mu_hat" if sigma_hat is None else "sigma_hat"
+        raise ValueError(f"mu_hat and sigma_hat are given together or not at all; only {given} is given")
+    if mu_hat is None:
         mu_hat, sigma_hat = calibrate(_calibration_target(values))
+    elif values["median"] is not None or values["expected"] is not None:
+        raise ValueError("median and expected calibrate mu_hat and sigma_hat, "
+                         "so neither is given beside them")
     return ModelParams(
         n_stocks=values["n_stocks"], horizon=values["horizon"], sigma=values["sigma"],
         mu_hat=float(mu_hat), sigma_hat=float(sigma_hat),
@@ -335,9 +340,9 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """Flags leave their setting unset (None) unless given.
 
     Every subcommand is registered, so the usage line and its errors name
-    them all; given ``only``, a command name, only that command gets its
-    arguments, since a run parses one command and adding every command's
-    arguments costs more than the parse.
+    them all, but only the command named ``only`` gets its arguments: a run
+    parses one command, and adding every command's arguments costs more
+    than the parse.
     """
     parser = argparse.ArgumentParser(
         prog="indexsim",
@@ -346,7 +351,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, settings, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=text)
-        if only not in (None, name):
+        if name != only:
             continue
         if any(s.paper for s in settings):
             # a flag only, so a config file or sidecar never holds it
@@ -357,12 +362,10 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
             shown = s.echo(s.default) if s.echo else s.default
             command.add_argument(s.flag, dest=s.name,
                                  help=s.help if s.default is None else f"{s.help} (default {shown})")
-    if only in (None, "analytic"):
-        sub.choices["analytic"].add_argument("--json", action="store_true",
-                                             help="emit a JSON object instead of text")
-    if only in (None, "simulate"):
-        sub.choices["simulate"].add_argument("--config",
-                                             help="flat key = value config file; flags override it")
+        if name == "analytic":
+            command.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        if name == "simulate":
+            command.add_argument("--config", help="flat key = value config file; flags override it")
     return parser
 
 
@@ -373,11 +376,11 @@ def main(argv=None) -> int:
     worker process died, 130 interrupted; each failure is one ``error:`` line.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     _, settings, handler = _COMMANDS[args.command]
     try:
         return handler(_resolve(settings, args))
-    except (EnumerationCapError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -33,7 +33,7 @@ from .model import as_integer
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """Raised when the requested subset count exceeds the enumeration cap."""
 
 

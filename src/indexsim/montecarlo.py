@@ -220,10 +220,10 @@ def _net_return(picked: np.ndarray):
 
 
 def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
-    """(over, under, between) counts of returns > hi, < lo and the rest; hi >= lo."""
-    over = int(np.count_nonzero(returns > hi))
+    """(under, between, over) counts of returns < lo, the rest and > hi; hi >= lo."""
     under = int(np.count_nonzero(returns < lo))
-    return over, under, returns.size - over - under
+    over = int(np.count_nonzero(returns > hi))
+    return under, returns.size - under - over, over
 
 
 def _tally_block(
@@ -244,7 +244,7 @@ def _tally_block(
         expected = expected_index_value(config.params) - 1.0
         realized = np.array(realized)
         hi, lo = realized + (hi - expected), realized + (lo - expected)
-    over, under, _ = _classify(np.array(portfolio), hi, lo)
+    under, _, over = _classify(np.array(portfolio), hi, lo)
     return size_idx, bench_idx, over, under
 
 
@@ -339,5 +339,4 @@ def subset_frequencies(
     picks = np.empty((trials, k), dtype=np.intp)
     for t in range(trials):
         picks[t] = pick_subset(seed.generator(t * STREAM_STRIDE + PICK_STREAM), arr.size, k)
-    above, below, equal = _classify(_net_return(arr[picks]), benchmark, benchmark)
-    return below, equal, above
+    return _classify(_net_return(arr[picks]), benchmark, benchmark)

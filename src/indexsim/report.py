@@ -30,8 +30,8 @@ def _sorted_rows(report: FrequencyReport) -> list[FrequencyRow]:
     return sorted(report.rows, key=lambda r: (r.size, r.over_threshold, r.under_threshold))
 
 
-def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int] = 6) -> bytes:
-    """Serialize a report to CSV bytes; optionally write them to a path.
+def emit_csv(report: FrequencyReport, precision: Optional[int] = 6) -> bytes:
+    """Serialize a report to CSV bytes; write_all writes them to a file.
 
     Rows are sorted by (k, over_threshold) and floats use fixed-point
     formatting with ``precision`` decimals; precision=None emits shortest
@@ -44,10 +44,7 @@ def emit_csv(report: FrequencyReport, destination=None, precision: Optional[int]
                   row.over_ci, row.under_ci)
         lines.append(",".join([str(row.size), *(_format(v, precision) for v in floats),
                                str(row.trials), str(report.master_seed)]))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if destination is not None:
-        write_all([(Path(destination), "CSV", data)])
-    return data
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def check_destinations(outputs) -> None:
@@ -65,13 +62,14 @@ def check_destinations(outputs) -> None:
 
 
 def write_all(outputs) -> None:
-    """Write every (path, what, data) or none of them.
+    """Write every (path, what, data) or none of them; a path is a str or a Path.
 
     The whole set is checked with check_destinations first.  Each payload
     then goes to a temp file beside its destination; the temp files replace
     their targets only once every write has succeeded, and are removed if
     any write fails.
     """
+    outputs = [(Path(path), what, data) for path, what, data in outputs]
     check_destinations(outputs)
     staged = []
     try:

@@ -1,8 +1,7 @@
-import contextlib
 import hashlib
-import io
 import json
 import math
+import os
 import subprocess
 import sys
 from concurrent.futures import Executor
@@ -10,8 +9,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import indexsim.cli as cli
 import indexsim.montecarlo as montecarlo
@@ -176,6 +173,20 @@ class TestAnalyticCommand:
         code = run_cli("analytic")
         assert code == 2
         assert "underspecified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["mu_hat", "sigma_hat"])
+    def test_half_drift_pair_exits_2(self, capsys, given):
+        # --paper-defaults used to fill the targets, which then replaced the drift given
+        assert run_cli("analytic", f"--{given.replace('_', '-')}", "0.9", "--paper-defaults") == 2
+        assert error_line(capsys) == ("error: mu_hat and sigma_hat are given together or not at all; "
+                                      f"only {given} is given\n")
+
+    def test_drift_pair_with_paper_defaults_is_the_drift_model(self, capsys):
+        # --paper-defaults fills the targets only when no drift is given
+        assert run_cli("analytic", "--mu-hat", "0.04", "--sigma-hat", "0.13") == 0
+        alone = capsys.readouterr().out
+        assert run_cli("analytic", "--mu-hat", "0.04", "--sigma-hat", "0.13", "--paper-defaults") == 0
+        assert capsys.readouterr().out == alone
 
 
 class TestDemoCommand:
@@ -370,6 +381,34 @@ class TestSimulateCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.fixture
+    def sidecar(self, tmp_path, capsys):
+        """The config sidecar of a small paper run; its drifts are the calibrated ones."""
+        assert run_cli("simulate", "--paper-defaults", "--trials", "20", "--sizes", "1,2",
+                       "--n", "20", "--out", str(tmp_path / "a.csv")) == 0
+        capsys.readouterr()
+        return tmp_path / "a.csv.config"
+
+    @pytest.mark.parametrize("targets", [["--median", "0.3", "--expected", "0.9"], ["--median", "0.3"],
+                                         ["--paper-defaults", "--expected", "0.9"]])
+    def test_targets_beside_sidecar_drifts_exit_2_before_running(self, tmp_path, capsys, sidecar,
+                                                                 monkeypatch, targets):
+        # the targets used to be dropped, and the sidecar's drifts run unchanged
+        monkeypatch.setattr("indexsim.cli.run_experiment",
+                            lambda *a, **k: pytest.fail("trials ran before the configuration was checked"))
+        code = run_cli("simulate", "--config", str(sidecar), *targets, "--out", str(tmp_path / "b.csv"))
+        assert code == 2
+        assert error_line(capsys) == ("error: median and expected calibrate mu_hat and sigma_hat, "
+                                      "so neither is given beside them\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.csv.config"]
+
+    def test_sidecar_with_paper_defaults_reproduces_csv(self, tmp_path, capsys, sidecar):
+        # --paper-defaults fills the targets only when no drift is given
+        code = run_cli("simulate", "--config", str(sidecar), "--paper-defaults",
+                       "--out", str(tmp_path / "b.csv"))
+        assert code == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.config"
         config.write_text(
@@ -412,6 +451,18 @@ class TestSimulateCommand:
         assert code == 3
         assert "failed to write SVG" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_failed_staging_write_leaves_no_outputs(self, tmp_path, capsys):
+        # every destination passes its checks, and the SVG's temp file then cannot be created
+        out_csv, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        blocker = tmp_path / f".r.svg.{os.getpid()}.2.tmp"
+        blocker.write_bytes(b"not ours")
+        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
+                       "--n", "10", "--out", str(out_csv), "--svg", str(svg))
+        assert code == 3
+        assert error_line(capsys).startswith(f"error: failed to write SVG to {svg}: ")
+        assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
+        assert blocker.read_bytes() == b"not ours"
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--paper-defaults", "--trials", "0",
@@ -679,7 +730,7 @@ def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
 
 
 # (exit code, sha256 of the text) of each help page (stdout) and usage error
-# (stderr) at COLUMNS=80, as the parser of every command's arguments renders them
+# (stderr) at COLUMNS=80, as main renders them
 HELP_PAGES = {
     ("--help",): (0, "9f375ee46c55ce10a3256f178ace6a36bafc6f84bad15cdd90653887d1152b3b"),
     ("calibrate", "--help"): (0, "20f6bf948acecf715bce1e12927fd46db67bc51352808060cf1ef34e81919067"),
@@ -703,39 +754,23 @@ def test_help_page_bytes(capsys, monkeypatch, argv):
     assert (exit_info.value.code, hashlib.sha256(page.encode()).hexdigest()) == HELP_PAGES[argv]
 
 
-def parse_outcome(command, argv):
-    """The Namespace that build_parser(command) parses argv into, or the error it prints."""
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        try:
-            return build_parser(command).parse_args(argv)
-        except SystemExit as exc:
-            return exc.code, stderr.getvalue()
+# each command's options that are no Setting row, with a sample value (True: a switch)
+EXTRA_OPTIONS = {"analytic": {"--paper-defaults": True, "--json": True},
+                 "calibrate": {"--paper-defaults": True},
+                 "simulate": {"--paper-defaults": True, "--config": "run.config"}}
 
 
-@st.composite
-def command_lines(draw):
-    """A command and a list of its options in any order, with sample values."""
-    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    settings_ = cli._COMMANDS[name][1]
-    options = [(s.flag, True) for s in settings_]
-    if any(s.paper for s in settings_):
-        options.append(("--paper-defaults", False))
-    options += {"analytic": [("--json", False)], "simulate": [("--config", True)]}.get(name, [])
-    values = st.sampled_from(["1", "0.1", "-1", "1,2,5", "0.5:0.5", "full", "1e150", "r.csv", ""]) | st.text(
-        alphabet="0123456789.,:-=e ", max_size=5)
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_command_parser_sets_every_setting(name):
+    # each option's value lands on its setting's name, and each switch is set
+    rows = cli._COMMANDS[name][1]
+    extra = EXTRA_OPTIONS.get(name, {})
     argv = [name]
-    for flag, takes_value in draw(st.lists(st.sampled_from(options), max_size=len(options) + 1)):
-        argv += [flag, draw(values)] if takes_value else [flag]
-    return argv
-
-
-@settings(max_examples=200, deadline=None)
-@given(command_lines())
-def test_command_parser_parses_like_full_parser(argv):
-    # main adds only the running command's arguments; that must parse (or
-    # reject) every command line exactly as the parser of all commands does
-    assert parse_outcome(argv[0], argv) == parse_outcome(None, argv)
+    for flag, value in [*((s.flag, f"{s.name} value") for s in rows), *extra.items()]:
+        argv += [flag] if value is True else [flag, value]
+    expected = {"command": name, **{s.name: f"{s.name} value" for s in rows},
+                **{flag[2:].replace("-", "_"): value for flag, value in extra.items()}}
+    assert vars(build_parser(name).parse_args(argv)) == expected
 
 
 def test_main_builds_only_the_running_command(monkeypatch, capsys):
@@ -749,7 +784,7 @@ def test_main_builds_only_the_running_command(monkeypatch, capsys):
     assert run_cli("demo") == 0
     with pytest.raises(SystemExit):
         run_cli("bogus")
-    assert built == ["demo", None]
+    assert built == ["demo", "bogus"]
     # the demo-only parser knows no flag of another command
     with pytest.raises(SystemExit):
         build_parser("demo").parse_args(["simulate", "--n", "3"])

@@ -66,15 +66,18 @@ class TestEmitCsv:
         report = make_report([make_row(), make_row(size=2)])
         assert emit_csv(report) == emit_csv(report)
 
-    def test_writes_to_path(self, tmp_path):
+    @pytest.mark.parametrize("spell", [Path, str])
+    def test_write_all_writes_to_path(self, tmp_path, spell):
         out = tmp_path / "report.csv"
-        data = emit_csv(make_report([make_row()]), destination=out)
+        data = emit_csv(make_report([make_row()]))
+        write_all([(spell(out), "CSV", data)])
         assert out.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [out]
 
-    def test_write_failure_names_path(self, tmp_path):
+    def test_write_all_failure_names_path(self, tmp_path):
         missing = tmp_path / "no-such-dir" / "report.csv"
-        with pytest.raises(OSError, match="no-such-dir"):
-            emit_csv(make_report([make_row()]), destination=missing)
+        with pytest.raises(OSError, match="failed to write CSV to .*no-such-dir"):
+            write_all([(missing, "CSV", emit_csv(make_report([make_row()])))])
 
     def test_write_all_checks_every_destination_before_writing(self, tmp_path):
         # the CSV used to be replaced before the SVG's rename onto a directory failed
