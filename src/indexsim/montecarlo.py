@@ -160,11 +160,15 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     32-bit Lemire on the stream's 32-bit halves, low half of each 64-bit word
     first, rejecting when the low product word falls below 2**32 mod (n - i);
     the same arithmetic on Python ints over ceil(k/2) raw words costs a
-    fraction of numpy's per-element call.  The stream is read in whole words,
-    so a generator reused afterwards may differ from one that numpy advanced.
+    fraction of numpy's per-element call.  A single word (k <= 2, and each
+    rejection's extra word) is read as a Python int and split here, which
+    costs less than numpy's one-element array; k >= 3 reads its words in one
+    array.  The stream is read in whole words, so a generator reused
+    afterwards may differ from one that numpy advanced.
     """
     # numpy integers would overflow the int64 products below
-    n, k = as_integer("n", n), as_integer("k", k)
+    if type(n) is not int or type(k) is not int:
+        n, k = as_integer("n", n), as_integer("k", k)
     if not 1 <= k <= n <= 2 ** 32:
         raise ValueError(f"need 1 <= k <= n <= 2**32, got k={k}, n={n}")
     if k == n:
@@ -172,7 +176,11 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     moved = {}
     picked = []
     raw = rng.bit_generator.random_raw
-    halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
+    if k <= 2:
+        word = raw()
+        halves = [word & _LOW32, word >> 32]
+    else:
+        halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
     pos = 0
     for i in range(k):
         span = n - i
@@ -182,7 +190,8 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
             threshold = (1 << 32) % span
             while product & _LOW32 < threshold:
                 # one more word per rejection keeps a half for every later i
-                halves += raw(1).astype("<u8", copy=False).view("<u4").tolist()
+                word = raw()
+                halves += (word & _LOW32, word >> 32)
                 product = halves[pos] * span
                 pos += 1
         j = i + (product >> 32)
@@ -335,8 +344,9 @@ def subset_frequencies(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not (np.isfinite(arr).all() and math.isfinite(benchmark)):
         raise ValueError("values and benchmark must be finite")
-    seed = SeedSpec(master_seed)
+    # bound here, not as defaults, so that wrappers installed before the call see every pick
+    generator, pick, n = SeedSpec(master_seed).generator, pick_subset, arr.size
     picks = np.empty((trials, k), dtype=np.intp)
     for t in range(trials):
-        picks[t] = pick_subset(seed.generator(t * STREAM_STRIDE + PICK_STREAM), arr.size, k)
+        picks[t] = pick(generator(t * STREAM_STRIDE + PICK_STREAM), n, k)
     return _classify(_net_return(arr[picks]), benchmark, benchmark)

@@ -158,6 +158,35 @@ class TestPickSubset:
         if n < 2 ** 32:
             assert rejected > 20
 
+    @pytest.mark.parametrize("n, k", [
+        (n, k)
+        for n in (2, 20, 500, 2 ** 31 + 1, 2 ** 31 + 20, 3 * 2 ** 30 + 1, 2 ** 32)
+        for k in (1, 2, 3)
+        if k <= n
+    ])
+    def test_reads_the_reference_words(self, n, k):
+        # same picks and the same generator state after them as the bulk-read
+        # pick; a span of 3 * 2**30 + 1 rejects about a quarter of its draws
+        for stream_index in range(60):
+            seed = SeedSpec(5, stream_index)
+            reference, rng = seed.generator(), seed.generator()
+            assert pick_subset(rng, n, k).tolist() == _bulk_read_pick(reference, n, k).tolist()
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_rejects_bad_arguments(self):
+        bounds = r"need 1 <= k <= n <= 2\*\*32"
+        for n, k, message in [
+            (20.0, 1, "n must be an integer"),
+            (np.float64(20), 1, "n must be an integer"),
+            (20, 1.0, "k must be an integer"),
+            (20, np.float64(1), "k must be an integer"),
+            (20, 0, bounds),
+            (20, 21, bounds),
+            (np.int64(20), np.int64(21), bounds),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                pick_subset(SeedSpec(5, 0).generator(), n, k)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     @pytest.mark.parametrize("n", [3_000_000_000, 2 ** 32])
     def test_numpy_integers_pick_as_python_ints(self, n, dtype):
@@ -179,6 +208,32 @@ class TestPickSubset:
         )
         assert len(counts) == cells
         assert chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def _bulk_read_pick(rng, n, k):
+    """Reference pick that reads every word through numpy arrays: ceil(k/2)
+    words in one read split into little-endian 32-bit halves, then one
+    one-element read per rejection."""
+    if k == n:
+        return np.arange(n)
+    moved, picked = {}, []
+    raw = rng.bit_generator.random_raw
+    halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
+    pos = 0
+    for i in range(k):
+        span = n - i
+        product = halves[pos] * span
+        pos += 1
+        if product & 0xFFFFFFFF < span:
+            threshold = (1 << 32) % span
+            while product & 0xFFFFFFFF < threshold:
+                halves += raw(1).astype("<u8", copy=False).view("<u4").tolist()
+                product = halves[pos] * span
+                pos += 1
+        j = i + (product >> 32)
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked)
 
 
 def _numpy_trial(params, k, master_seed, base):
