@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import expected_index_value
+from .enumeration import DeterministicIndex
 from .model import (
     PICK_STREAM,
     STREAM_STRIDE,
@@ -328,22 +329,20 @@ def subset_frequencies(
     """Sample k-subsets of a fixed universe; count returns vs a benchmark.
 
     Returns (below, equal, above) counts over ``trials`` independent draws
-    from cell 0's pick streams.  This is the fixed-universe mode checked
-    against exhaustive enumeration.  Each pick still builds its own
+    from cell 0's pick streams on ``DeterministicIndex(values)``, the fixed
+    universe that exhaustive enumeration checks.  Each pick builds its own
     generator and calls ``pick_subset`` once; the picks' indices fill one
     (trials, k) matrix, whose returns are averaged and classified as a
     block; the matrix and its values take 16 * trials * k bytes.
     """
     k, trials = as_integer("k", k), as_integer("trials", trials)
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty 1-d collection")
+    arr = np.array(DeterministicIndex(values).gross_values)
     if not 1 <= k <= arr.size:
         raise ValueError(f"subset size must lie in [1, {arr.size}], got {k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if not (np.isfinite(arr).all() and math.isfinite(benchmark)):
-        raise ValueError("values and benchmark must be finite")
+    if not math.isfinite(benchmark):
+        raise ValueError("benchmark must be finite")
     # bound here, not as defaults, so that wrappers installed before the call see every pick
     generator, pick, n = SeedSpec(master_seed).generator, pick_subset, arr.size
     picks = np.empty((trials, k), dtype=np.intp)

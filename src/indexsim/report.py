@@ -106,10 +106,11 @@ def parse_csv(source) -> FrequencyReport:
     trials <= 10**d, and a shortest repr (precision=None) pins it when it
     equals count / trials exactly.  The printed frequencies and half-widths
     are not kept; a row derives them from its counts.  A CSV without rows,
-    which cannot give its master seed, raises ValueError too.
+    which cannot give its master seed, raises ValueError too.  A leading
+    UTF-8 byte-order mark is skipped.
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
-    text = data.decode("utf-8")
+    text = data.decode("utf-8-sig")
     lines = [line for line in text.splitlines() if line]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {lines[0] if lines else ''!r}")

@@ -469,6 +469,17 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        # the mark used to stick to the first key: "unknown config file keys: \ufeffn_stocks"
+        config = tmp_path / "run.config"
+        config.write_bytes(b"\xef\xbb\xbfn_stocks = 10\nseed = 9\n")
+        out_csv = tmp_path / "r.csv"
+        code = run_cli("simulate", "--config", str(config), "--paper-defaults", "--trials", "5",
+                       "--sizes", "1", "--out", str(out_csv))
+        assert code == 0
+        assert parse_csv(out_csv).master_seed == 9
+        assert "n_stocks = 10\n" in (tmp_path / "r.csv.config").read_text()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.config"
         config.write_text("mu_hat = 0.04\nsigma_hat = 0.1\ntrails = 100\n")

@@ -627,6 +627,21 @@ class TestSubsetFrequencies:
         b = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
         assert a == b
 
+    # a non-positive value used to pass here, though enumeration refuses it
+    @pytest.mark.parametrize("values", [
+        (), (1.1, 0.0), (1.1, -0.5), (1.1, math.inf), (1.1, math.nan), (1.1, 1.5),
+    ], ids=["empty", "zero", "negative", "inf", "nan", "positive"])
+    def test_accepts_the_universes_enumeration_accepts(self, values):
+        def rejects(call):
+            try:
+                call()
+            except ValueError:
+                return True
+            return False
+
+        assert rejects(lambda: subset_frequencies(values, 1, 10, 0.0, 1)) == rejects(
+            lambda: enumerate_portfolios(DeterministicIndex(values), {1}))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             subset_frequencies((), 1, 10, 0.0, 1)

@@ -165,6 +165,11 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match=r"inconsistent master_seed values in CSV: \[7, 42\]"):
             parse_csv("\n".join([CSV_HEADER, *rows, ""]).encode())
 
+    def test_parse_skips_a_byte_order_mark(self):
+        # the mark used to stick to the header, which then did not match
+        data = emit_csv(make_report([make_row()]))
+        assert parse_csv(b"\xef\xbb\xbf" + data) == parse_csv(data)
+
     def test_parse_reads_a_path_not_text(self, tmp_path):
         data = emit_csv(make_report([make_row()]))
         (tmp_path / "r.csv").write_bytes(data)
