@@ -96,12 +96,26 @@ def _validate_sizes(n: int, k_set: Iterable[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _units(values: tuple[float, ...]) -> tuple[list[int], int]:
-    """Integers m_i and a shift such that values[i] == m_i / 2**shift exactly."""
+def _units(values: tuple[float, ...]) -> tuple[list[int], int, type]:
+    """Integers m_i and a shift such that values[i] == m_i / 2**shift exactly,
+    and the dtype of their sums: int64 while every sum fits and stays a
+    normal float, otherwise object (Python ints)."""
     ratios = [v.as_integer_ratio() for v in values]
     # every denominator is a power of two; scale all to the largest
     shift = max(q.bit_length() - 1 for _, q in ratios)
-    return [p << (shift - q.bit_length() + 1) for p, q in ratios], shift
+    units = [p << (shift - q.bit_length() + 1) for p, q in ratios]
+    fits_int64 = sum(units) < 2 ** 63 and min(values) >= sys.float_info.min
+    return units, shift, np.int64 if fits_int64 else object
+
+
+def _returns(sums: np.ndarray, k: int, shift: int) -> np.ndarray:
+    """Net returns of exact sums of k units: each sum / 2**shift rounded once, as
+    math.fsum rounds it (OverflowError past the float range), then / k - 1.0."""
+    if sums.dtype == object:
+        gross = np.array([s / (1 << shift) for s in sums.tolist()], dtype=float)
+    else:  # one cast, then an exact scaling of a normal float
+        gross = np.ldexp(sums.astype(float), -shift)
+    return gross / k - 1.0
 
 
 def _join(pieces) -> tuple[np.ndarray, np.ndarray]:
@@ -119,12 +133,12 @@ def _join(pieces) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.add.reduceat(counts, starts)
 
 
-def _read(pieces: list):
-    """The histogram of a level, or None while it is empty; its pieces are
-    merged in place, so a level is merged once however often it is read."""
+def _read(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram of a non-empty level; its pieces are merged in place,
+    so a level is merged once however often it is read."""
     if len(pieces) > 1:
         pieces[:] = [_join(pieces)]
-    return pieces[0] if pieces else None
+    return pieces[0]
 
 
 def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
@@ -135,23 +149,24 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
     A group is a distinct unit u with its multiplicity m.  levels[j] holds
     the sums of j picks from the groups seen so far, as (sums, counts)
     pieces, each with distinct sums in increasing order.  Each group extends
-    level j by level j - c plus c * u, counts times comb(m, c), for
-    c = 1..min(m, j); j runs downwards, so no level it reads holds the group
-    yet.  A level gains up to m pieces per group and is merged into one
-    histogram only when read, so it is copied at most once per group.  A k
-    above n/2 is read off level n - k as the total minus each sum.
+    level j by level j - c plus c * u, counts times comb(m, c); j runs
+    downwards, so no level it reads holds the group yet, and both j and c
+    stay where level j - c holds sums: j - c <= seen, the units seen so far.
+    A level gains up to m pieces per group and is merged into one histogram
+    only when read, so it is copied at most once per group.  A k above n/2
+    is read off level n - k as the total minus each sum.
     """
     n = len(units)
     top = max(min(k, n - k) for k in sizes)
     total = sum(units)
     levels = [[(np.zeros(1, dtype=dtype), np.ones(1, dtype=count_dtype))]] + [[] for _ in range(top)]
+    seen = 0
     for u, m in Counter(units).items():
-        for j in range(top, 0, -1):
-            for c in range(1, min(m, j) + 1):
-                level = _read(levels[j - c])
-                if level is not None:  # most are empty while one large group fills the levels
-                    sums, counts = level
-                    levels[j].append((sums + c * u, counts * math.comb(m, c)))
+        for j in range(min(top, seen + m), 0, -1):
+            for c in range(max(1, j - seen), min(m, j) + 1):
+                sums, counts = _read(levels[j - c])
+                levels[j].append((sums + c * u, counts * math.comb(m, c)))
+        seen += m
     for k in sizes:
         sums, counts = _read(levels[min(k, n - k)])
         yield (k, sums, counts) if k <= n - k else (k, total - sums[::-1], counts[::-1])
@@ -201,22 +216,13 @@ def enumerate_portfolios(
             f"enumeration would count {total} subsets, above the cap of {cap}"
         )
 
-    units, shift = _units(index.gross_values)
-    # int64 sums convert with one cast and an exact scaling while the result
-    # stays a normal float; otherwise Python ints, divided exactly.  Counts
-    # are int64 while every total fits.
-    fits_int64 = sum(units) < 2 ** 63 and min(index.gross_values) >= sys.float_info.min
+    units, shift, dtype = _units(index.gross_values)
+    # counts are int64 while every total fits
     count_dtype = np.int64 if total < 2 ** 63 else object
-    parts = []
-    for k, distinct, counts in _subset_sums(units, sizes, np.int64 if fits_int64 else object, count_dtype):
-        if fits_int64:
-            gross = np.ldexp(distinct.astype(float), -shift)
-        else:
-            scale = 1 << shift
-            gross = np.array([s / scale for s in distinct.tolist()], dtype=float)
-        parts.append((gross / k - 1.0, counts))
-
-    values, counts = _join(parts)
+    values, counts = _join(
+        (_returns(sums, k, shift), counts)
+        for k, sums, counts in _subset_sums(units, sizes, dtype, count_dtype)
+    )
 
     mean = _exact_sum(values, counts)
     # float / int rounds the int to a float first, which fails past the

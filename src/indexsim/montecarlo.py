@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import expected_index_value
-from .enumeration import DeterministicIndex
+from .enumeration import DeterministicIndex, _returns, _units
 from .model import (
     PICK_STREAM,
     STREAM_STRIDE,
@@ -216,17 +216,7 @@ def run_trial(
     values = draw_universe(params, seed)
     realized = index_value(values) - 1.0
     picked = values[pick_subset(seed.generator(PICK_STREAM), values.size, k)]
-    return float(_net_return(picked)), realized
-
-
-def _net_return(picked: np.ndarray):
-    """Net return of equal-weighted picks: each last-axis row's sum / k - 1.0.
-
-    One pick is a 1-d array, a block of picks a C-contiguous (picks, k)
-    matrix; ``np.add.reduce(axis=-1)`` gives each row numpy's pairwise
-    ``row.sum()``, so a block's returns equal its picks' one at a time.
-    """
-    return np.add.reduce(picked, axis=-1) / picked.shape[-1] - 1.0
+    return float(picked.sum() / k - 1.0), realized
 
 
 def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
@@ -331,21 +321,24 @@ def subset_frequencies(
     Returns (below, equal, above) counts over ``trials`` independent draws
     from cell 0's pick streams on ``DeterministicIndex(values)``, the fixed
     universe that exhaustive enumeration checks.  Each pick builds its own
-    generator and calls ``pick_subset`` once; the picks' indices fill one
-    (trials, k) matrix, whose returns are averaged and classified as a
-    block; the matrix and its values take 16 * trials * k bytes.
+    generator and calls ``pick_subset`` once.  The picks fill one (trials, k)
+    matrix of the values' exact units, 16 * trials * k bytes; each row's sum
+    gives enumeration's return, ``math.fsum(subset) / k - 1.0`` in any pick
+    order, or OverflowError past the float range.
     """
     k, trials = as_integer("k", k), as_integer("trials", trials)
-    arr = np.array(DeterministicIndex(values).gross_values)
-    if not 1 <= k <= arr.size:
-        raise ValueError(f"subset size must lie in [1, {arr.size}], got {k}")
+    units, shift, dtype = _units(DeterministicIndex(values).gross_values)
+    n = len(units)
+    if not 1 <= k <= n:
+        raise ValueError(f"subset size must lie in [1, {n}], got {k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not math.isfinite(benchmark):
         raise ValueError("benchmark must be finite")
     # bound here, not as defaults, so that wrappers installed before the call see every pick
-    generator, pick, n = SeedSpec(master_seed).generator, pick_subset, arr.size
+    generator, pick = SeedSpec(master_seed).generator, pick_subset
     picks = np.empty((trials, k), dtype=np.intp)
     for t in range(trials):
         picks[t] = pick(generator(t * STREAM_STRIDE + PICK_STREAM), n, k)
-    return _classify(_net_return(arr[picks]), benchmark, benchmark)
+    sums = np.array(units, dtype=dtype)[picks].sum(axis=1)
+    return _classify(_returns(sums, k, shift), benchmark, benchmark)

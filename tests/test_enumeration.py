@@ -406,13 +406,13 @@ class TestMergedLevels:
     universes cost per distinct sum, not per subset."""
 
     def test_each_sum_yielded_once(self):
-        units, shift = _units(tuple(float(v) for v in range(1, 25)))
-        assert (units, shift) == (list(range(1, 25)), 0)
+        units, shift, dtype = _units(tuple(float(v) for v in range(1, 25)))
+        assert (units, shift, dtype) == (list(range(1, 25)), 0, np.int64)
         # the 12-subsets of 1..24 sum to each of 78..222; one entry per
         # split, here per subset, would be comb(24, 12) = 2,704,156 entries.
         # Size 20 is read off level 4 as 300 minus each sum.
         for (k, sums, counts), low, high in zip(
-                _subset_sums(units, (12, 20), np.int64, np.int64), (78, 210), (222, 290)):
+                _subset_sums(units, (12, 20), dtype, np.int64), (78, 210), (222, 290)):
             assert sums.tolist() == list(range(low, high + 1))
             assert int(counts.sum()) == math.comb(24, k)
 
