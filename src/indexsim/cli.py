@@ -22,7 +22,6 @@ configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
 from concurrent.futures import BrokenExecutor
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .analytic import CalibrationTarget, calibrate, summarize
-from .enumeration import DEFAULT_ENUMERATION_CAP, DeterministicIndex, enumerate_portfolios
+from .enumeration import DeterministicIndex, enumerate_portfolios
 from .model import ModelParams
 from .montecarlo import MODES, ExperimentConfig, run_experiment
 from .report import check_destinations, emit_csv, emit_svg_chart, write_all
@@ -131,15 +130,12 @@ _SIMULATE_SETTINGS = _MODEL_SETTINGS + _RUN_SETTINGS
 
 _DEMO_SETTINGS = (Setting("benchmark", "--benchmark", float, 0.18, "net return benchmark"),)
 
-# --values and --sizes have no default, since _cmd_enumerate requires both; it
-# reads --cap with _parse_cap, which needs the number of values
+# --values and --sizes have no default, since _cmd_enumerate requires both
 _ENUMERATE_SETTINGS = (
     Setting("values", "--values", lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
             None, "comma-separated gross terminal values"),
     Setting("sizes", "--sizes", _parse_sizes, None, "comma-separated subset sizes"),
     Setting("benchmark", "--benchmark", float, None, "net return benchmark (default: index mean return)"),
-    Setting("cap", "--cap", str, str(DEFAULT_ENUMERATION_CAP),
-            "max subsets to count, any integral number such as 1e150"),
 )
 
 
@@ -264,29 +260,15 @@ def _cmd_demo(values: dict[str, Any]) -> int:
     return 0
 
 
-def _parse_cap(text: str, n: int) -> int:
-    """--cap read exactly, so 1e150 is 10**150; 1.5, -1, nan and inf are errors."""
-    try:
-        cap = decimal.Decimal(text)
-    except decimal.InvalidOperation:
-        cap = None
-    if cap is None or not cap.is_finite() or cap < 0 or cap != cap.to_integral_value():
-        raise ValueError(f"--cap must be a non-negative integral number, got {text!r}")
-    # 10**n is more than the 2**n - 1 subsets of n values, and int() of a cap
-    # such as 1e1000000 would take a minute
-    return int(cap) if cap.adjusted() < n else 1 << n
-
-
 def _cmd_enumerate(values: dict[str, Any]) -> int:
     if values["values"] is None or values["sizes"] is None:
         raise ValueError("enumerate needs --values and --sizes")
     index = DeterministicIndex(values["values"])
-    cap = _parse_cap(values["cap"], len(values["values"]))
     try:
         benchmark = index.mean_return() if values["benchmark"] is None else values["benchmark"]
-        stats = enumerate_portfolios(index, values["sizes"], cap=cap)
+        stats = enumerate_portfolios(index, values["sizes"])
     except OverflowError as exc:
-        raise ValueError(f"a subset sum or mean overflows a float ({exc})") from exc
+        raise ValueError("a subset sum overflows a float") from exc
     _print_subset_stats(stats, benchmark)
     return 0
 

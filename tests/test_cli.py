@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import indexsim.cli as cli
+import indexsim.enumeration as enumeration
 import indexsim.montecarlo as montecarlo
 from indexsim.cli import build_parser, main
 from indexsim.report import parse_csv
@@ -276,42 +277,21 @@ class TestEnumerateCommand:
 
     @pytest.mark.parametrize("extra", [("--sizes", "1"), ("--sizes", "2", "--benchmark", "0")])
     def test_overflow_exits_2(self, capsys, extra):
-        # the default benchmark's mean, or the 2-subset sum, exceeds a float
-        code = run_cli("enumerate", "--values", "1e308,1e308", *extra)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        # the sum of all values behind the default benchmark, or the 2-subset
+        # sum, exceeds a float
+        assert run_cli("enumerate", "--values", "1e308,1e308", *extra) == 2
+        assert error_line(capsys) == "error: a subset sum overflows a float\n"
 
     def test_nan_benchmark_exits_2(self, capsys):
         code = run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", "--benchmark", "nan")
         assert code == 2
         assert "finite" in error_line(capsys)
 
-    def test_cap_exceeded_exits_2(self, capsys):
-        values = ",".join(["1.01"] * 30)
-        code = run_cli("enumerate", "--values", values, "--sizes", "15", "--cap", "100")
-        assert code == 2
-        assert "cap" in capsys.readouterr().err
-
-    # the README's 500-stock example, whose 1.2e149 subsets need a raised cap
-    PAPER_SIZED = ",".join(["1.1"] * 497 + ["1.5"] * 3)
-
-    @pytest.mark.parametrize("cap", ["1e150", "1E+500", "1e1000000"])
-    def test_cap_in_exponent_notation(self, capsys, cap):
-        # --cap used to take only digits, so this cap was typed as 151 of them
-        args = ("enumerate", "--values", self.PAPER_SIZED, "--sizes", "1,20,250")
-        assert run_cli(*args, "--cap", str(10 ** 150)) == 0
-        digits = capsys.readouterr().out
-        assert run_cli(*args, "--cap", cap) == 0
-        assert capsys.readouterr().out == digits
-
-    @pytest.mark.parametrize("cap", ["1.5", "abc", "nan", "inf", "-1"])
-    def test_non_integral_cap_exits_2(self, capsys, cap):
-        code = run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", f"--cap={cap}")
-        assert code == 2
-        assert "--cap must be a non-negative integral number" in error_line(capsys)
+    def test_cap_exceeded_exits_2(self, capsys, monkeypatch):
+        # 12 distinct values at sizes up to 6 make 2,509 histogram entries
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 100)
+        assert run_cli(*self.DISTINCT_ARGS) == 2
+        assert "more than 100 histogram entries" in error_line(capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -747,7 +727,7 @@ HELP_PAGES = {
     ("calibrate", "--help"): (0, "20f6bf948acecf715bce1e12927fd46db67bc51352808060cf1ef34e81919067"),
     ("analytic", "--help"): (0, "68c2cb69d9f947786577cccdea643b97f8650dda4dfc0fc8a36ee9758aa40ca4"),
     ("demo", "--help"): (0, "c37b1196a473d8774db67b056d2958d298d2bd6fb509bf3d1abdd331297f92ed"),
-    ("enumerate", "--help"): (0, "9045f7ca8c4dacfc231c6e26c9ac169505e5d5f668f71e150bc701846b635cc1"),
+    ("enumerate", "--help"): (0, "644b7df0e355a1e8d70be3d89d4e08d1b1bde14ecd46aa33a020c8551ebff7f3"),
     ("simulate", "--help"): (0, "e5598fbfa7702915b6c3baf12ad5e2e93a160573d9e13f6950d32462102bafef"),
     ("bogus",): (2, "a55963d379f19b50e1664a9557a6b2823657b36055aa199e6e5fc955e79be519"),
     ("simulate", "--bogus"): (2, "9285f79d39bad58d058d9ef76c6c9387a21273d40a4a442a44b4496dde35578c"),

@@ -15,6 +15,7 @@ from indexsim import (
     EnumerationCapError,
     enumerate_portfolios,
 )
+import indexsim.enumeration as enumeration
 from indexsim.enumeration import _subset_sums, _units
 
 ONE_WINNER = DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5))
@@ -72,7 +73,7 @@ class TestEnumeratePortfolios:
         assert stats.returns.dtype == np.float64 and stats.counts.dtype == np.int64
         assert not stats.returns.flags.writeable and not stats.counts.flags.writeable
         # 2.1e19 subsets, more than int64 can count, all share one return
-        huge = enumerate_portfolios(DeterministicIndex((1.25,) * 66), {32, 33, 34}, cap=10 ** 20)
+        huge = enumerate_portfolios(DeterministicIndex((1.25,) * 66), {32, 33, 34})
         assert huge.counts.dtype == object and not huge.counts.flags.writeable
         assert huge.counts.tolist() == [sum(math.comb(66, k) for k in (32, 33, 34))]
 
@@ -126,11 +127,37 @@ class TestEnumeratePortfolios:
         assert above == 0
         assert equal == stats.portfolio_count
 
-    def test_cap_error_names_count(self):
+    def test_cap_error_names_count(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 1000)
         index = DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30)))
-        total = math.comb(30, 15)
-        with pytest.raises(EnumerationCapError, match=str(total)):
-            enumerate_portfolios(index, {15}, cap=1000)
+        with pytest.raises(EnumerationCapError, match="more than 1000 histogram entries"):
+            enumerate_portfolios(index, {15})
+
+    def test_entry_limit_boundary(self, monkeypatch):
+        # 10 values whose subset sums are all distinct make comb(10, j)
+        # entries at each level j: 10 + 45 + 120 + 210 + 252 = 637 to size 5
+        index = DeterministicIndex(tuple(np.random.default_rng(5).lognormal(0.0, 0.5, size=10)))
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637)
+        assert enumerate_portfolios(index, {5}).returns.size == math.comb(10, 5)
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 636)
+        with pytest.raises(EnumerationCapError):
+            enumerate_portfolios(index, {5})
+
+    def test_many_subsets_few_sums_run(self):
+        # 155,117,520 subsets, which a bound on the subset count refused,
+        # but only 287 distinct returns
+        stats = enumerate_portfolios(DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30))), {15})
+        assert stats.portfolio_count == math.comb(30, 15)
+        assert stats.returns.size == 287
+
+    def test_huge_count_has_a_finite_mean(self):
+        # comb(8000, 4000) subsets, each of return 0.1: the float sum of the
+        # returns overflows, their mean and median do not
+        stats = enumerate_portfolios(DeterministicIndex((1.1,) * 8000), {4000})
+        count = math.comb(8000, 4000)
+        assert stats.portfolio_count == count
+        assert stats.mean_return == stats.median_return == 1.1 - 1.0
+        assert stats.compare(1.1 - 1.0) == (0, count, 0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -184,9 +211,8 @@ class TestUnderperformanceFraction:
 def brute_force(values, sizes, benchmarks):
     """The definition: one math.fsum per subset, every statistic from the full list.
 
-    The mean is the correctly rounded sum of the returns over their count.
-    math.fsum would raise for a sum that rounds to the largest float when a
-    partial sum passes it ("intermediate overflow"), so the sum is exact.
+    The mean is the exact sum of the returns over their count, rounded
+    once, and the even-count median the exact midpoint, rounded once.
     """
     returns = [
         math.fsum(combo) / k - 1.0
@@ -196,7 +222,7 @@ def brute_force(values, sizes, benchmarks):
     total = len(returns)
     ordered = sorted(returns)
     mid = total // 2
-    median = ordered[mid] if total % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+    median = ordered[mid] if total % 2 else float((Fraction(ordered[mid - 1]) + Fraction(ordered[mid])) / 2)
     splits = []
     for b in benchmarks:
         below = sum(r < b for r in returns)
@@ -204,7 +230,7 @@ def brute_force(values, sizes, benchmarks):
         splits.append((below, equal, total - below - equal))
     return Enumerated(
         portfolio_count=total,
-        mean_bits=(float(sum(map(Fraction, returns))) / total).hex(),
+        mean_bits=float(sum(map(Fraction, returns)) / total).hex(),
         median_bits=median.hex(),
         histogram=tuple(sorted(Counter(returns).items())),
         splits=tuple(splits),
@@ -249,7 +275,7 @@ class TestAgainstBruteForce:
     @example(([1.1] * 4 + [1.5], {1, 2}, (0.18, 0.1)))
     @example(([1e-30, 1e30, 1.0, 1.0], {1, 2, 3}, (0.0, 1e30)))
     @example(([1e308, 1e308], {2}, (0.0,)))  # a subset sum overflows
-    @example(([1e308, 1.5e308], {1}, (0.0,)))  # only the mean overflows
+    @example(([1e308, 1.5e308], {1}, (0.0,)))  # the sum of the returns overflows, the mean does not
     @example(([5e-324, 1.0, 2.2250738585072014e-308], {1, 2}, (0.0,)))
     @example(([0.5] * 6 + [sys.float_info.max], {6}, (-0.5, 0.0)))  # the sum rounds to the largest float
     def test_equals_fsum_definition(self, universe):
@@ -297,8 +323,8 @@ def multiset_oracle(groups, sizes, benchmarks):
 
 
 def stats_of(histogram, benchmarks):
-    """The Enumerated record of a {return: count} histogram; the mean is
-    taken exactly over Fractions, not over an expanded list."""
+    """The Enumerated record of a {return: count} histogram; the mean and
+    the even-count median are taken exactly over Fractions and rounded once."""
     total = sum(histogram.values())
     values = sorted(histogram)
     cumulative = list(itertools.accumulate(histogram[v] for v in values))
@@ -307,7 +333,7 @@ def stats_of(histogram, benchmarks):
         return values[next(i for i, c in enumerate(cumulative) if c > position)]
 
     mid = total // 2
-    median = ordered(mid) if total % 2 else (ordered(mid - 1) + ordered(mid)) / 2.0
+    median = ordered(mid) if total % 2 else float((Fraction(ordered(mid - 1)) + Fraction(ordered(mid))) / 2)
     splits = []
     for b in benchmarks:
         below = sum(c for v, c in histogram.items() if v < b)
@@ -315,19 +341,11 @@ def stats_of(histogram, benchmarks):
         splits.append((below, equal, total - below - equal))
     return Enumerated(
         portfolio_count=total,
-        mean_bits=mean_of(float(sum(Fraction(v) * c for v, c in histogram.items())), total).hex(),
+        mean_bits=float(sum(Fraction(v) * c for v, c in histogram.items()) / total).hex(),
         median_bits=median.hex(),
         histogram=tuple((v, histogram[v]) for v in values),
         splits=tuple(splits),
     )
-
-
-def mean_of(rounded_sum, total):
-    """rounded_sum / total as Python divides a float by an int, and past the
-    float range, where the int cannot be converted, the exact quotient rounded."""
-    if total <= sys.float_info.max:
-        return rounded_sum / total
-    return float(Fraction(rounded_sum) / total)
 
 
 @st.composite
@@ -356,7 +374,7 @@ class TestAgainstMultisetOracle:
     @example(([(1.1, 70), (1.5, 2)], {35}, (0.1,)))  # counts above 2**52
     @example(([(1.1, 30), (1.25, 30), (1.5, 6)], {1, 33, 65}, (0.25,)))
     @example(([(1e-30, 30), (1e30, 5), (1.0, 10)], {2, 22, 40}, (0.0,)))
-    @example(([(1e300, 70), (1.5e300, 2)], {35}, (0.0,)))  # only the mean overflows
+    @example(([(1e300, 70), (1.5e300, 2)], {35}, (0.0,)))  # the sum of the returns overflows, the mean does not
     @example(([(1e308, 3), (1.5e308, 1)], {2}, (0.0,)))  # a subset sum overflows
     # a Veltkamp split of this value overflows, although the sum does not
     @example(([(math.nextafter(2.0 ** 997, 0), 2)], {1}, (0.0,)))
@@ -372,7 +390,7 @@ class TestAgainstMultisetOracle:
         values = tuple(v for v, m in groups for _ in range(m))
         expected = outcome(lambda: multiset_oracle(groups, sizes, benchmarks))
         got = outcome(lambda: observed(
-            enumerate_portfolios(DeterministicIndex(values), sizes, cap=10 ** 400), benchmarks))
+            enumerate_portfolios(DeterministicIndex(values), sizes), benchmarks))
         assert got == expected
 
     def test_paper_sized_universe_in_closed_form(self):
@@ -387,8 +405,7 @@ class TestAgainstMultisetOracle:
         # 1.1 - 1.0 is above 0.1, so 0.1 has every subset above it; the
         # index mean and an occurring return split them
         benchmarks = (0.1, 0.1024, (19 * 1.1 + 1.5) / 20 - 1.0)
-        stats = enumerate_portfolios(
-            DeterministicIndex((1.1,) * 497 + (1.5,) * 3), sizes, cap=10 ** 200)
+        stats = enumerate_portfolios(DeterministicIndex((1.1,) * 497 + (1.5,) * 3), sizes)
         total = sum(math.comb(500, k) for k in sizes)
         assert stats.portfolio_count == total == sum(histogram.values())
         assert tuple(zip(stats.returns.tolist(), stats.counts.tolist())) == tuple(sorted(histogram.items()))
@@ -398,7 +415,7 @@ class TestAgainstMultisetOracle:
             assert stats.compare(b) == (below, equal, total - below - equal)
         assert stats.compare(0.1) == (0, 0, total)
         assert 0 not in stats.compare(benchmarks[2])
-        assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items())) / total
+        assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items()) / total)
 
 
 class TestMergedLevels:
@@ -431,8 +448,7 @@ class TestMergedLevels:
         histogram = Counter({s / 20 - 1.0: c for s, c in levels[20].items()})
         benchmarks = (19.5, 0.0)
         expected = stats_of(histogram, benchmarks)
-        got = enumerate_portfolios(
-            DeterministicIndex(tuple(float(v) for v in range(1, 41))), {20}, cap=10 ** 12)
+        got = enumerate_portfolios(DeterministicIndex(tuple(float(v) for v in range(1, 41))), {20})
         assert observed(got, benchmarks) == expected
         assert got.returns.size == 401
         assert got.compare(19.5) == (68187965739, 1470597342, 68187965739)
