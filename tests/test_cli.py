@@ -293,6 +293,26 @@ class TestEnumerateCommand:
         assert run_cli(*self.DISTINCT_ARGS) == 2
         assert "more than 100 histogram entries" in error_line(capsys)
 
+    @pytest.mark.parametrize("values,sizes,count", [
+        # the README's 500-stock example, 1.2e149 subsets
+        (",".join(["1.1"] * 497 + ["1.5"] * 3), "1,20,250",
+         500 + math.comb(500, 20) + math.comb(500, 250)),
+        # the README's 30 cent values, 155,117,520 subsets
+        (",".join("%.2f" % (1 + i / 100) for i in range(30)), "15", math.comb(30, 15)),
+    ], ids=["paper_sized", "cents"])
+    def test_readme_examples_need_no_option(self, capsys, values, sizes, count):
+        assert run_cli("enumerate", "--values", values, "--sizes", sizes) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith(f"portfolios={count} ")
+
+    @pytest.mark.parametrize("flag", [("--cap", "1e150"), ("--cap=100",)])
+    def test_removed_cap_flag_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", *flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv,message", [
     (("demo", "--benchmark", "abc"), "invalid benchmark from --benchmark: "),

@@ -16,7 +16,7 @@ from indexsim import (
     enumerate_portfolios,
 )
 import indexsim.enumeration as enumeration
-from indexsim.enumeration import _subset_sums, _units
+from indexsim.enumeration import _exact_sum, _subset_sums, _units
 
 ONE_WINNER = DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5))
 
@@ -142,6 +142,27 @@ class TestEnumeratePortfolios:
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 636)
         with pytest.raises(EnumerationCapError):
             enumerate_portfolios(index, {5})
+
+    def test_entry_weight_counts_words(self, monkeypatch):
+        # one distinct value makes one entry per level, weighed by the words
+        # of comb(n, top): 1 for comb(66, 33) < 2**63, 2 for comb(70, 35)
+        for n, words in ((66, 1), (70, 2)):
+            index = DeterministicIndex((1.25,) * n)
+            monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", words * n // 2)
+            assert enumerate_portfolios(index, {n // 2}).portfolio_count == math.comb(n, n // 2)
+            monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", words * n // 2 - 1)
+            with pytest.raises(EnumerationCapError):
+                enumerate_portfolios(index, {n // 2})
+
+    @pytest.mark.parametrize("values,counts", [
+        ([0.1, 0.2, 0.3], [1, 2, 3]),
+        ([1e-300, 1.0, 1e300], [7, 1, 5]),  # exponents far apart
+        ([-0.5, 2.0 ** -1074, 1.5e308], [3, 10 ** 30, 2 ** 70]),  # object counts
+    ])
+    def test_exact_sum_is_exact(self, values, counts):
+        exact, exponent = _exact_sum(np.array(values), np.array(counts, dtype=object))
+        assert Fraction(exact) * Fraction(2) ** exponent == sum(
+            Fraction(v) * c for v, c in zip(values, counts))
 
     def test_many_subsets_few_sums_run(self):
         # 155,117,520 subsets, which a bound on the subset count refused,
