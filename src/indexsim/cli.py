@@ -264,8 +264,8 @@ def _cmd_enumerate(values: dict[str, Any]) -> int:
     if values["values"] is None or values["sizes"] is None:
         raise ValueError("enumerate needs --values and --sizes")
     index = DeterministicIndex(values["values"])
+    benchmark = index.mean_return() if values["benchmark"] is None else values["benchmark"]
     try:
-        benchmark = index.mean_return() if values["benchmark"] is None else values["benchmark"]
         stats = enumerate_portfolios(index, values["sizes"])
     except OverflowError as exc:
         raise ValueError("a subset sum overflows a float") from exc

@@ -4,20 +4,22 @@ Small instances double as a brute-force oracle for the Monte Carlo engine:
 the mean over all C(N, k) subset returns equals the index mean return
 exactly, because each stock appears in exactly C(N-1, k-1) subsets.
 
-A subset's return is defined as ``math.fsum(subset) / k - 1.0``.  It is
-computed without visiting subsets one at a time: every gross value is an
-integer multiple of one power of two (the smallest ulp among them), so
-subset sums are exact integers.  The sums are built with numpy, one group
-of equal values at a time, as histograms: each distinct sum is held once,
-with the number of subsets that give it, so the cost follows the number of
-distinct sums, not of subsets.  Rounding each distinct sum once to a float
-gives exactly what ``math.fsum`` gives, and every statistic is taken from
-the histogram, so results do not depend on the input order.  SubsetStats
-keeps the histogram of returns, and a benchmark split is a query on it.
+A subset's return is defined as ``math.fsum(subset) / k - 1.0``, a rule
+that DeterministicIndex owns.  It is computed without visiting subsets one
+at a time: every gross value is an integer multiple of one power of two
+(the smallest ulp among them), so subset sums are exact integers.  The
+sums are built with numpy, one group of equal values at a time, as
+histograms: each distinct sum is held once, with the number of subsets
+that give it, so the cost follows the number of distinct sums, not of
+subsets.  Rounding each distinct sum once to a float gives exactly what
+``math.fsum`` gives, and every statistic is taken from the histogram, so
+results do not depend on the input order.  SubsetStats keeps the
+histogram of returns, and a benchmark split is a query on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -40,7 +42,14 @@ class EnumerationCapError(ValueError):
 
 @dataclass(frozen=True)
 class DeterministicIndex:
-    """A fixed list of gross terminal values, one per stock."""
+    """A fixed list of gross terminal values, one per stock.
+
+    It owns the one rule for returns on this universe: a subset's net
+    return is ``math.fsum(subset) / k - 1.0``, computed from the values'
+    exact integer units and rounded once (``subset_returns``).  The index
+    mean return is the whole universe's subset return, or, where its sum
+    overflows a float, the exact mean rounded once, so it is always finite.
+    """
 
     gross_values: tuple[float, ...]
 
@@ -55,8 +64,44 @@ class DeterministicIndex:
     def __len__(self) -> int:
         return len(self.gross_values)
 
+    @functools.cached_property
+    def _units(self) -> tuple[list[int], int, type]:
+        """Integers m_i and a shift such that gross_values[i] == m_i / 2**shift
+        exactly, and the dtype of their sums: int64 while every sum fits and
+        stays a normal float, otherwise object (Python ints)."""
+        ratios = [v.as_integer_ratio() for v in self.gross_values]
+        # every denominator is a power of two; scale all to the largest
+        shift = max(q.bit_length() - 1 for _, q in ratios)
+        units = [p << (shift - q.bit_length() + 1) for p, q in ratios]
+        fits_int64 = sum(units) < 2 ** 63 and min(self.gross_values) >= sys.float_info.min
+        return units, shift, np.int64 if fits_int64 else object
+
+    def subset_returns(self, picks) -> np.ndarray:
+        """Net returns of the subsets whose value indices are the rows of
+        picks, an integer matrix with distinct indices in each row: each
+        row's ``math.fsum(subset) / k - 1.0`` whatever its order, from the
+        exact sum of its units rounded once, or OverflowError past the
+        float range."""
+        picks = np.asarray(picks)
+        n = len(self)
+        if picks.ndim != 2 or picks.shape[1] == 0 or picks.dtype.kind not in "iu":
+            raise ValueError("picks must be an integer matrix with at least one column, "
+                             f"got shape {picks.shape} of {picks.dtype}")
+        ordered = np.sort(picks, axis=1)
+        if picks.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= n
+                           or (ordered[:, 1:] == ordered[:, :-1]).any()):
+            raise ValueError(f"each row of picks must hold distinct indices in [0, {n})")
+        units, shift, dtype = self._units
+        return _returns(np.array(units, dtype=dtype)[picks].sum(axis=1), picks.shape[1], shift)
+
     def mean_return(self) -> float:
-        return math.fsum(self.gross_values) / len(self.gross_values) - 1.0
+        """The whole universe's subset return; where its sum overflows a
+        float, the exact units total over n << shift, rounded once, - 1.0."""
+        try:
+            return float(self.subset_returns(np.arange(len(self))[np.newaxis])[0])
+        except OverflowError:
+            units, shift, _ = self._units
+            return sum(units) / (len(units) << shift) - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +140,6 @@ def _validate_sizes(n: int, k_set: Iterable[int]) -> tuple[int, ...]:
     if sizes[0] < 1 or sizes[-1] > n:
         raise ValueError(f"subset sizes must lie in [1, {n}], got {sizes}")
     return sizes
-
-
-def _units(values: tuple[float, ...]) -> tuple[list[int], int, type]:
-    """Integers m_i and a shift such that values[i] == m_i / 2**shift exactly,
-    and the dtype of their sums: int64 while every sum fits and stays a
-    normal float, otherwise object (Python ints)."""
-    ratios = [v.as_integer_ratio() for v in values]
-    # every denominator is a power of two; scale all to the largest
-    shift = max(q.bit_length() - 1 for _, q in ratios)
-    units = [p << (shift - q.bit_length() + 1) for p, q in ratios]
-    fits_int64 = sum(units) < 2 ** 63 and min(values) >= sys.float_info.min
-    return units, shift, np.int64 if fits_int64 else object
 
 
 def _returns(sums: np.ndarray, k: int, shift: int) -> np.ndarray:
@@ -158,15 +191,18 @@ def _subset_sums(units: list[int], sizes: tuple[int, ...], dtype, count_dtype):
     is read off level n - k as the total minus each sum.
 
     Each piece made costs the entries of the level it reads, each weighed
-    by the words that the largest count, comb(n, top), can take; before a
-    piece would take the entries made past _ENTRY_LIMIT, EnumerationCapError
-    is raised.  n distinct values make sum(comb(n, j) for j <= top) entries,
+    by the words that the largest count, comb(n, top), can take, and, when
+    the sums are Python ints, by the words of the largest sum, the units'
+    total, plus its array slot; before a piece would take the entries made
+    past _ENTRY_LIMIT, EnumerationCapError is raised.  n distinct values make sum(comb(n, j) for j <= top) entries,
     and no multiset of n values makes more.
     """
     n = len(units)
     top = max(min(k, n - k) for k in sizes)
     total = sum(units)
     weight = 1 + math.comb(n, top).bit_length() // 64
+    if dtype is object:  # each Python-int sum takes its object and an array slot
+        weight += -(-sys.getsizeof(total) // 8) + 1
     made = 0
     levels = [[(np.zeros(1, dtype=dtype), np.ones(1, dtype=count_dtype))]] + [[] for _ in range(top)]
     seen = 0
@@ -225,7 +261,7 @@ def enumerate_portfolios(index: DeterministicIndex, k_set: Iterable[int]) -> Sub
     sizes = _validate_sizes(n, k_set)
     total = sum(math.comb(n, k) for k in sizes)
 
-    units, shift, dtype = _units(index.gross_values)
+    units, shift, dtype = index._units
     # counts are int64 while every total fits
     count_dtype = np.int64 if total < 2 ** 63 else object
     values, counts = _join(

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import expected_index_value
-from .enumeration import DeterministicIndex, _returns, _units
+from .enumeration import DeterministicIndex
 from .model import (
     PICK_STREAM,
     STREAM_STRIDE,
@@ -322,13 +322,13 @@ def subset_frequencies(
     from cell 0's pick streams on ``DeterministicIndex(values)``, the fixed
     universe that exhaustive enumeration checks.  Each pick builds its own
     generator and calls ``pick_subset`` once.  The picks fill one (trials, k)
-    matrix of the values' exact units, 16 * trials * k bytes; each row's sum
-    gives enumeration's return, ``math.fsum(subset) / k - 1.0`` in any pick
-    order, or OverflowError past the float range.
+    matrix, and the index's ``subset_returns`` gives each row enumeration's
+    return, ``math.fsum(subset) / k - 1.0`` in any pick order, or
+    OverflowError past the float range.
     """
     k, trials = as_integer("k", k), as_integer("trials", trials)
-    units, shift, dtype = _units(DeterministicIndex(values).gross_values)
-    n = len(units)
+    index = DeterministicIndex(values)
+    n = len(index)
     if not 1 <= k <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {k}")
     if trials < 1:
@@ -340,5 +340,4 @@ def subset_frequencies(
     picks = np.empty((trials, k), dtype=np.intp)
     for t in range(trials):
         picks[t] = pick(generator(t * STREAM_STRIDE + PICK_STREAM), n, k)
-    sums = np.array(units, dtype=dtype)[picks].sum(axis=1)
-    return _classify(_returns(sums, k, shift), benchmark, benchmark)
+    return _classify(index.subset_returns(picks), benchmark, benchmark)

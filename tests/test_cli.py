@@ -275,12 +275,17 @@ class TestEnumerateCommand:
         assert lines[-2] == f"benchmark={float(level):.6f} {split}"
         assert lines[-1].startswith("portfolios=4095 ")
 
-    @pytest.mark.parametrize("extra", [("--sizes", "1"), ("--sizes", "2", "--benchmark", "0")])
-    def test_overflow_exits_2(self, capsys, extra):
-        # the sum of all values behind the default benchmark, or the 2-subset
-        # sum, exceeds a float
-        assert run_cli("enumerate", "--values", "1e308,1e308", *extra) == 2
+    def test_overflow_exits_2(self, capsys):
+        # the 2-subset sum exceeds a float
+        assert run_cli("enumerate", "--values", "1e308,1e308", "--sizes", "2", "--benchmark", "0") == 2
         assert error_line(capsys) == "error: a subset sum overflows a float\n"
+
+    def test_overflowing_index_sum_has_a_finite_mean(self, capsys):
+        # the sum of all values exceeds a float, but the default benchmark,
+        # the index mean return, and every 1-subset return are 1e308 - 1
+        assert run_cli("enumerate", "--values", "1e308,1e308", "--sizes", "1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith(" below=0 equal=2 above=0")
 
     def test_nan_benchmark_exits_2(self, capsys):
         code = run_cli("enumerate", "--values", "1.1,1.5", "--sizes", "1", "--benchmark", "nan")

@@ -14,9 +14,10 @@ from indexsim import (
     DeterministicIndex,
     EnumerationCapError,
     enumerate_portfolios,
+    subset_frequencies,
 )
 import indexsim.enumeration as enumeration
-from indexsim.enumeration import _exact_sum, _subset_sums, _units
+from indexsim.enumeration import _exact_sum, _subset_sums
 
 ONE_WINNER = DeterministicIndex((1.1, 1.1, 1.1, 1.1, 1.5))
 
@@ -56,6 +57,29 @@ class TestDeterministicIndex:
 
     def test_mean_return(self):
         assert ONE_WINNER.mean_return() == pytest.approx(0.18, abs=1e-12)
+
+    def test_mean_of_overflowing_sum_is_finite(self):
+        # the sum 2e308 overflows a float, the mean 1e308 does not
+        assert DeterministicIndex((1e308, 1e308)).mean_return() == 1e308 - 1.0
+
+    def test_subset_returns(self):
+        assert ONE_WINNER.subset_returns([[0, 4], [4, 1], [2, 3]]).tolist() == [
+            math.fsum((1.1, 1.5)) / 2 - 1.0] * 2 + [math.fsum((1.1, 1.1)) / 2 - 1.0]
+        assert ONE_WINNER.subset_returns(np.empty((0, 3), dtype=int)).size == 0
+        with pytest.raises(OverflowError):
+            DeterministicIndex((1e308, 1e308)).subset_returns([[0, 1]])
+
+    @pytest.mark.parametrize("picks", [
+        [0, 1],  # not a matrix
+        np.empty((1, 0), dtype=int),  # no column
+        [[0.0, 1.0]],  # not integers
+        [[0, 0]],  # a repeated index
+        [[-1, 0]],  # negative indices would wrap round
+        [[1, 5]],  # past the universe
+    ])
+    def test_subset_returns_rejects_bad_picks(self, picks):
+        with pytest.raises(ValueError, match="picks"):
+            ONE_WINNER.subset_returns(picks)
 
 
 class TestEnumeratePortfolios:
@@ -153,6 +177,25 @@ class TestEnumeratePortfolios:
             monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", words * n // 2 - 1)
             with pytest.raises(EnumerationCapError):
                 enumerate_portfolios(index, {n // 2})
+
+    def test_entry_weight_counts_python_int_sums(self, monkeypatch):
+        # scaling one of test_entry_limit_boundary's values by 2**80 keeps
+        # the 637 entries but makes the sums Python ints, each weighed by
+        # the words of the units' total and its array slot as well
+        values = np.random.default_rng(5).lognormal(0.0, 0.5, size=10)
+        values[0] *= 2.0 ** 80
+        index = DeterministicIndex(tuple(values))
+        units, _, dtype = index._units
+        assert dtype is object
+        weight = 1 + -(-sys.getsizeof(sum(units)) // 8) + 1
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637)
+        with pytest.raises(EnumerationCapError):
+            enumerate_portfolios(index, {5})
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637 * weight)
+        assert enumerate_portfolios(index, {5}).portfolio_count == math.comb(10, 5)
+        monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637 * weight - 1)
+        with pytest.raises(EnumerationCapError):
+            enumerate_portfolios(index, {5})
 
     @pytest.mark.parametrize("values,counts", [
         ([0.1, 0.2, 0.3], [1, 2, 3]),
@@ -439,12 +482,51 @@ class TestAgainstMultisetOracle:
         assert stats.mean_return == float(sum(Fraction(r) * c for r, c in histogram.items()) / total)
 
 
+MAGNITUDES = st.one_of(
+    st.floats(0.5, 2.0),  # typical gross values: int64 sums
+    st.floats(1e-30, 1e30),  # wide exponent spread: sums need Python ints
+    st.floats(5e-324, 1e-300),  # subnormal and tiny values
+    st.floats(1e299, 1e301),  # large values whose sums of 12 stay finite
+)
+
+
+@st.composite
+def picked_universes(draw):
+    """(values, picks): 1 to 12 values and up to 5 random k-subsets of their indices."""
+    values = draw(st.lists(MAGNITUDES, min_size=1, max_size=12))
+    k = draw(st.integers(1, len(values)))
+    picks = draw(st.lists(st.permutations(range(len(values))), min_size=1, max_size=5))
+    return values, [row[:k] for row in picks]
+
+
+class TestOneRule:
+    """The index mean, enumeration and sampled picks give one subset's return
+    the same bits: math.fsum(subset) / k - 1.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(picked_universes(), st.integers(0, 2 ** 64 - 1))
+    @example(([1.1, 1.5, 1.25], [[2, 0]]), 42)  # int64 sums
+    @example(([5e-324, 1.0, 2.2250738585072014e-308], [[0, 2], [1, 0]]), 7)  # subnormals
+    @example(([1e300] * 12, [list(range(12))]), 1)  # a sum past 2**63 units
+    def test_every_return_is_the_fsum_rule(self, universe, seed):
+        values, picks = universe
+        index = DeterministicIndex(tuple(values))
+        n = len(values)
+        mean = index.mean_return()
+        assert mean.hex() == (math.fsum(values) / n - 1.0).hex()
+        assert mean.hex() == float(enumerate_portfolios(index, {n}).returns[0]).hex()
+        assert subset_frequencies(values, n, 3, mean, seed) == (0, 3, 0)
+        k = len(picks[0])
+        expected = [math.fsum(values[i] for i in row) / k - 1.0 for row in picks]
+        assert [r.hex() for r in index.subset_returns(picks).tolist()] == [e.hex() for e in expected]
+
+
 class TestMergedLevels:
     """Splits that share a sum are held as one entry, so integer-valued
     universes cost per distinct sum, not per subset."""
 
     def test_each_sum_yielded_once(self):
-        units, shift, dtype = _units(tuple(float(v) for v in range(1, 25)))
+        units, shift, dtype = DeterministicIndex(tuple(float(v) for v in range(1, 25)))._units
         assert (units, shift, dtype) == (list(range(1, 25)), 0, np.int64)
         # the 12-subsets of 1..24 sum to each of 78..222; one entry per
         # split, here per subset, would be comb(24, 12) = 2,704,156 entries.
