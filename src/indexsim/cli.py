@@ -12,9 +12,9 @@ below; ``calibrate`` reads four of the model rows, with the same flags and
 defaults as ``analytic``.  ``main`` resolves the chosen command's rows once
 and hands the values to its handler.  A setting takes its value from,
 highest precedence first: a flag, a ``key = value`` config file (simulate
---config), the --paper-defaults flag (the published targets that the median
-and expected rows hold, unless a drift row is set), the default.  The
-model is given by both drift rows or both targets, never by a mix.  Every
+--config), the default.  The model is given by both drift rows or both
+targets, never by a mix; when no drift is given, --paper-defaults fills
+each target left unset with its published value.  Every
 simulate run writes a ``<out>.config`` sidecar echoing the effective
 configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 """
@@ -61,10 +61,10 @@ def _parse_benchmarks(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _parse_precision(text: str) -> Optional[int]:
-    """``full`` (None: lossless) or a number of CSV decimal places."""
+    """``full`` (None: lossless) or 0 to 1074 CSV decimal places, where every float's expansion ends."""
     digits = None if text == "full" else int(text)
-    if digits is not None and digits < 0:
-        raise ValueError(f"expected 'full' or an integer >= 0, got {text!r}")
+    if digits is not None and not 0 <= digits <= 1074:
+        raise ValueError(f"expected 'full' or an integer from 0 to 1074, got {text!r}")
     return digits
 
 
@@ -85,7 +85,6 @@ class Setting:
     default: Any
     help: str
     echo: Optional[Callable[[Any], str]] = None
-    paper: Optional[str] = None  # what --paper-defaults sets; the rest of the paper's setup is the default
 
 
 _MODEL_SETTINGS = (
@@ -94,11 +93,12 @@ _MODEL_SETTINGS = (
     Setting("sigma", "--sigma", float, 0.2, "annual stock volatility", str),
     Setting("mu_hat", "--mu-hat", float, None, "mean of the drift distribution", str),
     Setting("sigma_hat", "--sigma-hat", float, None, "std dev of the drift distribution", str),
-    Setting("median", "--median", float, None, "target median net return (calibrates the drifts)",
-            paper="0.10"),
-    Setting("expected", "--expected", float, None,
-            "target expected net return (calibrates the drifts)", paper="0.50"),
+    Setting("median", "--median", float, None, "target median net return (calibrates the drifts)"),
+    Setting("expected", "--expected", float, None, "target expected net return (calibrates the drifts)"),
 )
+
+# what --paper-defaults fills; the rest of the paper's setup is the default
+_PAPER_TARGETS = {"median": 0.10, "expected": 0.50}
 
 _CALIBRATE_SETTINGS = tuple(
     s for s in _MODEL_SETTINGS if s.name in ("horizon", "sigma", "median", "expected")
@@ -128,9 +128,7 @@ _RUN_SETTINGS = (
 
 _SIMULATE_SETTINGS = _MODEL_SETTINGS + _RUN_SETTINGS
 
-_DEMO_SETTINGS = (Setting("benchmark", "--benchmark", float, 0.18, "net return benchmark"),)
-
-# --values and --sizes have no default, since _cmd_enumerate requires both
+# --values and --sizes have no default, since _cmd_enumerate requires both; demo takes the rest
 _ENUMERATE_SETTINGS = (
     Setting("values", "--values", lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
             None, "comma-separated gross terminal values"),
@@ -172,13 +170,7 @@ def _resolve(settings, args: argparse.Namespace) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
     for s in settings:
-        # rows resolve in table order, so the drifts are known when a target resolves
-        drifts_unset = values.get("mu_hat") is None and values.get("sigma_hat") is None
-        sources = (
-            (s.flag, values[s.name]),
-            ("the config file", file_values.get(s.name)),
-            ("--paper-defaults", s.paper if values.get("paper_defaults") and drifts_unset else None),
-        )
+        sources = ((s.flag, values[s.name]), ("the config file", file_values.get(s.name)))
         source, raw = next(((src, raw) for src, raw in sources if raw is not None), ("", None))
         try:
             values[s.name] = s.default if raw is None else s.parse(raw)
@@ -189,6 +181,8 @@ def _resolve(settings, args: argparse.Namespace) -> dict[str, Any]:
 
 def _calibration_target(values: dict[str, Any]) -> CalibrationTarget:
     """The target of the median, expected, sigma and horizon settings; ValueError if one is unset."""
+    if values["paper_defaults"]:  # the published value of each target still unset
+        values = {**values, **{name: v for name, v in _PAPER_TARGETS.items() if values[name] is None}}
     if values["median"] is None or values["expected"] is None:
         drifts = "--mu-hat and --sigma-hat, or " if "mu_hat" in values else ""
         raise ValueError(
@@ -234,7 +228,15 @@ def _cmd_analytic(values: dict[str, Any]) -> int:
     return 0
 
 
-def _print_subset_stats(stats, benchmark: float, *preamble: str) -> None:
+def _print_subset_stats(index: DeterministicIndex, sizes, benchmark: Optional[float], *preamble) -> None:
+    """Print the return histogram of the index's subsets of the given sizes and their split
+    around the benchmark, which defaults to the index mean return."""
+    if benchmark is None:
+        benchmark = index.mean_return()
+    try:
+        stats = enumerate_portfolios(index, sizes)
+    except OverflowError as exc:
+        raise ValueError("a subset sum overflows a float") from exc
     # the split comes first, so a benchmark that compare rejects prints nothing
     below, equal, above = stats.compare(benchmark)
     # a million histogram lines print in one write, not one print call each
@@ -253,7 +255,7 @@ def _print_subset_stats(stats, benchmark: float, *preamble: str) -> None:
 def _cmd_demo(values: dict[str, Any]) -> int:
     index = DeterministicIndex(FIVE_STOCK_VALUES)
     _print_subset_stats(
-        enumerate_portfolios(index, FIVE_STOCK_SIZES), values["benchmark"],
+        index, FIVE_STOCK_SIZES, values["benchmark"],
         "gross values: " + " ".join(f"{v:.2f}" for v in index.gross_values),
         "subset sizes: " + " ".join(str(k) for k in FIVE_STOCK_SIZES),
     )
@@ -263,13 +265,7 @@ def _cmd_demo(values: dict[str, Any]) -> int:
 def _cmd_enumerate(values: dict[str, Any]) -> int:
     if values["values"] is None or values["sizes"] is None:
         raise ValueError("enumerate needs --values and --sizes")
-    index = DeterministicIndex(values["values"])
-    benchmark = index.mean_return() if values["benchmark"] is None else values["benchmark"]
-    try:
-        stats = enumerate_portfolios(index, values["sizes"])
-    except OverflowError as exc:
-        raise ValueError("a subset sum overflows a float") from exc
-    _print_subset_stats(stats, benchmark)
+    _print_subset_stats(DeterministicIndex(values["values"]), values["sizes"], values["benchmark"])
     return 0
 
 
@@ -312,7 +308,7 @@ def _cmd_simulate(values: dict[str, Any]) -> int:
 _COMMANDS = {
     "calibrate": ("solve for mu_hat and sigma_hat from target returns", _CALIBRATE_SETTINGS, _cmd_calibrate),
     "analytic": ("closed-form index, median and skew quantities", _MODEL_SETTINGS, _cmd_analytic),
-    "demo": ("exact five-stock worked example", _DEMO_SETTINGS, _cmd_demo),
+    "demo": ("exact five-stock worked example", _ENUMERATE_SETTINGS[2:], _cmd_demo),
     "enumerate": ("exhaustive subset statistics for a value list", _ENUMERATE_SETTINGS, _cmd_enumerate),
     "simulate": ("Monte Carlo over/under frequency experiment", _SIMULATE_SETTINGS, _cmd_simulate),
 }
@@ -335,7 +331,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=text)
         if name != only:
             continue
-        if any(s.paper for s in settings):
+        if any(s.name in _PAPER_TARGETS for s in settings):
             # a flag only, so a config file or sidecar never holds it
             command.add_argument("--paper-defaults", action="store_true",
                                  help="calibrate to the published 10%% median and 50%% expected "

@@ -41,10 +41,6 @@ from .model import (
     index_value,
 )
 
-DEFAULT_SIZE_GRID = (1, 2, 5, 10, 15, 20)
-DEFAULT_BENCHMARKS = ((0.50, 0.50), (0.70, 0.30))
-DEFAULT_TRIALS = 10_000
-
 MODES = ("fixed-benchmark", "realized-index")
 
 _LOW32 = 0xFFFFFFFF
@@ -55,9 +51,9 @@ class ExperimentConfig:
     """Full description of one frequency experiment."""
 
     params: ModelParams
-    sizes: tuple[int, ...] = DEFAULT_SIZE_GRID
-    trials_per_size: int = DEFAULT_TRIALS
-    benchmarks: tuple[tuple[float, float], ...] = DEFAULT_BENCHMARKS
+    sizes: tuple[int, ...] = (1, 2, 5, 10, 15, 20)
+    trials_per_size: int = 10_000
+    benchmarks: tuple[tuple[float, float], ...] = ((0.50, 0.50), (0.70, 0.30))
     mode: str = "fixed-benchmark"
     master_seed: int = 42
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Optional
 
+from .model import SeedSpec
 from .montecarlo import FrequencyReport, FrequencyRow
 
 CSV_HEADER = "k,over_threshold,under_threshold,over_freq,under_freq,over_ci,under_ci,trials,master_seed"
@@ -106,8 +108,10 @@ def parse_csv(source) -> FrequencyReport:
     trials <= 10**d, and a shortest repr (precision=None) pins it when it
     equals count / trials exactly.  The printed frequencies and half-widths
     are not kept; a row derives them from its counts.  A CSV without rows,
-    which cannot give its master seed, raises ValueError too.  A leading
-    UTF-8 byte-order mark is skipped.
+    which cannot give its master seed, raises ValueError too, as do values
+    that no run writes: a float field that is not finite, and a master seed
+    that is no 64-bit unsigned integer.  A leading UTF-8 byte-order mark is
+    skipped.
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     text = data.decode("utf-8-sig")
@@ -123,8 +127,10 @@ def parse_csv(source) -> FrequencyReport:
         trials = int(fields[7])
         if trials < 1:
             raise ValueError(f"trials must be >= 1: {line!r}")
-        # fixed-point rows print every float field with the same decimals
         floats = fields[1:7]
+        if not all(math.isfinite(float(f)) for f in floats):
+            raise ValueError(f"thresholds, frequencies and half-widths must be finite: {line!r}")
+        # fixed-point rows print every float field with the same decimals
         widths = {len(f.partition(".")[2]) for f in floats}
         plain = all(f.lstrip("-").replace(".", "", 1).isdigit() for f in floats)
         decimals = widths.pop() if plain and len(widths) == 1 else None
@@ -135,7 +141,7 @@ def parse_csv(source) -> FrequencyReport:
         rows.append(FrequencyRow(size=int(fields[0]), over_threshold=float(fields[1]),
                                  under_threshold=float(fields[2]), over_count=over,
                                  under_count=under, trials=trials))
-        seeds.add(int(fields[8]))
+        seeds.add(SeedSpec(int(fields[8])).master_seed)
     if not rows:
         raise ValueError("CSV has no rows, so it does not give the master seed")
     if len(seeds) > 1:

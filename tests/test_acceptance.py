@@ -30,7 +30,6 @@ from indexsim import (
 )
 from indexsim.cli import main
 from indexsim.model import STREAM_STRIDE
-from indexsim.montecarlo import DEFAULT_SIZE_GRID
 from indexsim.report import parse_csv
 
 
@@ -141,7 +140,7 @@ def test_criterion_5_monte_carlo_vs_analytic_oracle(paper_csv_runs, capsys):
 def test_criterion_6_dominance_structure(paper_csv_runs, reference_params, capsys):
     report = parse_csv(paper_csv_runs[0])
     dominated = True
-    for k in DEFAULT_SIZE_GRID:
+    for k in ExperimentConfig.sizes:
         row = report.row_for(k, 0.70, 0.30)
         gap = row.under_freq - row.over_freq
         if gap <= 5.0 * gap_standard_error(row):

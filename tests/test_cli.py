@@ -228,6 +228,14 @@ class TestDemoCommand:
         assert run_cli("demo", "--benchmark", "nan") == 2
         assert "finite" in error_line(capsys)
 
+    @pytest.mark.parametrize("flags", [[], ["--benchmark", "0.10"]], ids=["mean", "0.10"])
+    def test_is_enumerate_on_the_five_stock_universe(self, capsys, flags):
+        assert run_cli("demo", *flags) == 0
+        demo = capsys.readouterr().out
+        assert run_cli("enumerate", "--values", "1.1,1.1,1.1,1.1,1.5", "--sizes", "1,2", *flags) == 0
+        # demo adds its two preamble lines
+        assert demo.split("\n", 2)[2] == capsys.readouterr().out
+
 
 class TestEnumerateCommand:
     def test_explicit_values(self, capsys):
@@ -576,7 +584,8 @@ class TestSimulateCommand:
                             lambda *a, **k: pytest.fail("trials ran before the configuration was checked"))
 
     @pytest.mark.parametrize("where", ["flag", "file"])
-    @pytest.mark.parametrize("value", ["-1", "six"])
+    # past 1074 places every float's expansion is only zeros
+    @pytest.mark.parametrize("value", ["-1", "six", "1075"])
     def test_invalid_precision_exits_2_before_running(self, tmp_path, capsys, no_trials,
                                                       where, value):
         code = self.run_with_setting(tmp_path, where, "precision", value)
@@ -751,7 +760,7 @@ HELP_PAGES = {
     ("--help",): (0, "9f375ee46c55ce10a3256f178ace6a36bafc6f84bad15cdd90653887d1152b3b"),
     ("calibrate", "--help"): (0, "20f6bf948acecf715bce1e12927fd46db67bc51352808060cf1ef34e81919067"),
     ("analytic", "--help"): (0, "68c2cb69d9f947786577cccdea643b97f8650dda4dfc0fc8a36ee9758aa40ca4"),
-    ("demo", "--help"): (0, "c37b1196a473d8774db67b056d2958d298d2bd6fb509bf3d1abdd331297f92ed"),
+    ("demo", "--help"): (0, "207aa7ea1bfe6ee3751f0e115821480425385d86ac5c7ada92b71faf1604714f"),
     ("enumerate", "--help"): (0, "644b7df0e355a1e8d70be3d89d4e08d1b1bde14ecd46aa33a020c8551ebff7f3"),
     ("simulate", "--help"): (0, "e5598fbfa7702915b6c3baf12ad5e2e93a160573d9e13f6950d32462102bafef"),
     ("bogus",): (2, "a55963d379f19b50e1664a9557a6b2823657b36055aa199e6e5fc955e79be519"),

@@ -160,6 +160,18 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="malformed CSV row"):
             parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
 
+    @pytest.mark.parametrize("row, message", [
+        # round used to raise OverflowError on these
+        ("1,0.5,0.5,inf,0.25,0.0,0.0,4,42", "must be finite"),
+        ("1,0.5,0.5,0.75,1e400,0.0,0.0,4,42", "must be finite"),
+        # these used to parse, and emit_csv wrote them back
+        ("1,nan,-inf,0.75,0.25,0.0,0.0,4,42", "must be finite"),
+        ("1,0.5,0.5,0.75,0.25,0.0,0.0,4,-1", "64-bit unsigned"),
+    ], ids=["inf-frequency", "overflowing-frequency", "non-finite-thresholds", "negative-seed"])
+    def test_parse_rejects_values_no_experiment_writes(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
+
     def test_parse_rejects_mixed_master_seeds(self):
         rows = ["1,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "2,0.5,0.5,0.75,0.25,0.0,0.0,4,7"]
         with pytest.raises(ValueError, match=r"inconsistent master_seed values in CSV: \[7, 42\]"):
