@@ -5,7 +5,7 @@ With log-mean ``m = mu_hat*T - sigma**2*T/2`` and log-variance
 
     expected index value   E = exp(mu_hat*T + sigma_hat**2*T**2 / 2)
     median stock value     M = exp(m)
-    underperformance factor = E / M = exp(sigma**2*T/2 + sigma_hat**2*T**2/2)
+    underperformance factor = E / M = exp(v / 2)
 
 ``calibrate`` inverts the first two identities to recover (mu_hat,
 sigma_hat) from target median and expected net returns.
@@ -85,10 +85,8 @@ def median_stock_value(params: ModelParams) -> float:
 
 
 def underperformance_factor(params: ModelParams) -> float:
-    """Ratio by which the expected index value exceeds the median stock."""
-    t = params.horizon
-    return _exp("underperformance factor",
-                0.5 * params.sigma ** 2 * t + 0.5 * params.sigma_hat ** 2 * t * t)
+    """Ratio by which the expected index value exceeds the median stock: exp(v / 2)."""
+    return _exp("underperformance factor", 0.5 * stock_log_law(params)[1])
 
 
 def stock_log_law(params: ModelParams) -> tuple[float, float]:

@@ -9,13 +9,13 @@ Subcommands:
 
 Each value option of each subcommand is one row of the setting tables
 below; ``calibrate`` reads four of the model rows, with the same flags and
-defaults as ``analytic``.  ``main`` resolves the chosen command's rows once
-and hands the values to its handler.  A setting takes its value from,
-highest precedence first: a flag, a ``key = value`` config file (simulate
---config), the default.  The model is given by both drift rows or both
-targets, never by a mix; when no drift is given, --paper-defaults fills
-each target left unset with its published value.  Every
-simulate run writes a ``<out>.config`` sidecar echoing the effective
+defaults as ``analytic``.  ``main`` resolves the chosen command's rows once,
+hands the values to its handler and writes the lines it returns.  A setting
+takes its value from, highest precedence first: a flag, a ``key = value``
+config file (simulate --config), the default.  The model is given by both
+drift rows or both targets, never by a mix; when no drift is given,
+--paper-defaults fills each target left unset with its published value.
+Every simulate run writes a ``<out>.config`` sidecar echoing the effective
 configuration; ``--config <sidecar>`` reproduces the CSV byte for byte.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
@@ -211,25 +212,21 @@ def _model_params(values: dict[str, Any]) -> ModelParams:
     )
 
 
-def _cmd_calibrate(values: dict[str, Any]) -> int:
+def _cmd_calibrate(values: dict[str, Any]) -> list[str]:
     mu_hat, sigma_hat = calibrate(_calibration_target(values))
-    print(f"mu_hat    = {mu_hat:.10f}  (~ {round(mu_hat * 100):d}%)")
-    print(f"sigma_hat = {sigma_hat:.10f}  (~ {round(sigma_hat * 100):d}%)")
-    return 0
+    return [f"mu_hat    = {mu_hat:.10f}  (~ {round(mu_hat * 100):d}%)",
+            f"sigma_hat = {sigma_hat:.10f}  (~ {round(sigma_hat * 100):d}%)"]
 
 
-def _cmd_analytic(values: dict[str, Any]) -> int:
+def _cmd_analytic(values: dict[str, Any]) -> list[str]:
     summary = asdict(summarize(_model_params(values)))
     if values["json"]:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        for name, value in summary.items():
-            print(f"{name} = {value:.6f}")
-    return 0
+        return [json.dumps(summary, sort_keys=True)]
+    return [f"{name} = {value:.6f}" for name, value in summary.items()]
 
 
-def _print_subset_stats(index: DeterministicIndex, sizes, benchmark: Optional[float], *preamble) -> None:
-    """Print the return histogram of the index's subsets of the given sizes and their split
+def _subset_stats(index: DeterministicIndex, sizes, benchmark: Optional[float], *preamble) -> list[str]:
+    """The return histogram of the index's subsets of the given sizes and their split
     around the benchmark, which defaults to the index mean return."""
     if benchmark is None:
         benchmark = index.mean_return()
@@ -239,37 +236,30 @@ def _print_subset_stats(index: DeterministicIndex, sizes, benchmark: Optional[fl
         raise ValueError("a subset sum overflows a float") from exc
     # the split comes first, so a benchmark that compare rejects prints nothing
     below, equal, above = stats.compare(benchmark)
-    # a million histogram lines print in one write, not one print call each
     lines = [*preamble, "return    count"]
     lines += [f"{value:.6f}  {count}" for value, count in zip(stats.returns.tolist(), stats.counts.tolist())]
-    lines.append(f"benchmark={benchmark:.6f} below={below} equal={equal} above={above}")
-    lines.append(
-        f"portfolios={stats.portfolio_count} "
-        f"mean={stats.mean_return:.6f} "
-        f"median={stats.median_return:.6f} "
-        f"under_fraction={below / stats.portfolio_count:.6f}"
-    )
-    sys.stdout.write("\n".join(lines) + "\n")
+    lines += [f"benchmark={benchmark:.6f} below={below} equal={equal} above={above}",
+              f"portfolios={stats.portfolio_count} mean={stats.mean_return:.6f} "
+              f"median={stats.median_return:.6f} under_fraction={below / stats.portfolio_count:.6f}"]
+    return lines
 
 
-def _cmd_demo(values: dict[str, Any]) -> int:
+def _cmd_demo(values: dict[str, Any]) -> list[str]:
     index = DeterministicIndex(FIVE_STOCK_VALUES)
-    _print_subset_stats(
+    return _subset_stats(
         index, FIVE_STOCK_SIZES, values["benchmark"],
         "gross values: " + " ".join(f"{v:.2f}" for v in index.gross_values),
         "subset sizes: " + " ".join(str(k) for k in FIVE_STOCK_SIZES),
     )
-    return 0
 
 
-def _cmd_enumerate(values: dict[str, Any]) -> int:
+def _cmd_enumerate(values: dict[str, Any]) -> list[str]:
     if values["values"] is None or values["sizes"] is None:
         raise ValueError("enumerate needs --values and --sizes")
-    _print_subset_stats(DeterministicIndex(values["values"]), values["sizes"], values["benchmark"])
-    return 0
+    return _subset_stats(DeterministicIndex(values["values"]), values["sizes"], values["benchmark"])
 
 
-def _cmd_simulate(values: dict[str, Any]) -> int:
+def _cmd_simulate(values: dict[str, Any]) -> list[str]:
     params = _model_params(values)
     # The sidecar records the calibrated drifts, so reloading it skips calibration.
     values.update(mu_hat=params.mu_hat, sigma_hat=params.sigma_hat)
@@ -293,15 +283,12 @@ def _cmd_simulate(values: dict[str, Any]) -> int:
         payloads.append(emit_svg_chart(report, description=effective).encode("utf-8"))
     write_all([(path, what, data) for (path, what), data in zip(destinations, payloads)])
 
-    for row in report.rows:
-        print(
-            f"k={row.size} over>{row.over_threshold:.2f}: {row.over_freq:.4f} "
-            f"(+/- {row.over_ci:.4f})  under<{row.under_threshold:.2f}: "
-            f"{row.under_freq:.4f} (+/- {row.under_ci:.4f})"
-        )
-    for path, _ in destinations:
-        print(f"wrote {path}")
-    return 0
+    return [
+        f"k={row.size} over>{row.over_threshold:.2f}: {row.over_freq:.4f} "
+        f"(+/- {row.over_ci:.4f})  under<{row.under_threshold:.2f}: "
+        f"{row.under_freq:.4f} (+/- {row.under_ci:.4f})"
+        for row in report.rows
+    ] + [f"wrote {path}" for path, _ in destinations]
 
 
 # name: (help, settings, handler) of each subcommand
@@ -348,16 +335,26 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.
+    """Run one subcommand, write its stdout, and return its exit code.
 
     0 success, 2 usage or configuration error, 3 output I/O failure, 4 a
-    worker process died, 130 interrupted; each failure is one ``error:`` line.
+    worker process died, 130 interrupted, each with one ``error:`` line; 141
+    (128 + SIGPIPE) and no error line when the reader closes stdout first.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     _, settings, handler = _COMMANDS[args.command]
     try:
-        return handler(_resolve(settings, args))
+        # a million histogram lines go out in one write, not one print call each
+        text = "\n".join(handler(_resolve(settings, args))) + "\n"
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # as in the Python docs' note on SIGPIPE, so that the final flush stays silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -222,13 +223,11 @@ def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
     return under, returns.size - under - over, over
 
 
-def _tally_block(
-    config: ExperimentConfig, size_idx: int, bench_idx: int, start: int, stop: int
-) -> tuple[int, int, int, int]:
-    """Tally trials [start, stop) of one cell: (size_idx, bench_idx, over, under)."""
-    k = config.sizes[size_idx]
-    hi, lo = config.benchmarks[bench_idx]
-    first = (size_idx * len(config.benchmarks) + bench_idx) * config.trials_per_size
+def _tally_block(config: ExperimentConfig, cell: int, start: int, stop: int) -> tuple[int, int]:
+    """Tally trials [start, stop) of one cell: (over, under)."""
+    size_idx, bench_idx = divmod(cell, len(config.benchmarks))
+    k, (hi, lo) = config.sizes[size_idx], config.benchmarks[bench_idx]
+    first = cell * config.trials_per_size
     portfolio, realized = zip(*(
         run_trial(config.params, k, SeedSpec(config.master_seed, (first + t) * STREAM_STRIDE),
                   config.mode)
@@ -241,7 +240,7 @@ def _tally_block(
         realized = np.array(realized)
         hi, lo = realized + (hi - expected), realized + (lo - expected)
     under, _, over = _classify(np.array(portfolio), hi, lo)
-    return size_idx, bench_idx, over, under
+    return over, under
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyReport:
@@ -257,10 +256,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     trials = config.trials_per_size
     block = max(500, -(-trials // (workers * 4)))
+    cells = len(config.sizes) * len(config.benchmarks)
     tasks = [
-        (config, i, j, start, min(start + block, trials))
-        for i in range(len(config.sizes))
-        for j in range(len(config.benchmarks))
+        (config, cell, start, min(start + block, trials))
+        for cell in range(cells)
         for start in range(0, trials, block)
     ]
     processes = min(workers, len(tasks))
@@ -274,16 +273,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_tally_block, *zip(*tasks)))
 
-    counts = {}
-    for i, j, over, under in results:
-        o, u = counts.get((i, j), (0, 0))
-        counts[(i, j)] = (o + over, u + under)
+    # results come back in task order, so each one adds to its task's cell
+    counts = np.zeros((cells, 2), dtype=np.int64)
+    np.add.at(counts, [cell for _, cell, _, _ in tasks], results)
 
     rows = tuple(
         FrequencyRow(size=k, over_threshold=over_t, under_threshold=under_t,
-                     over_count=counts[(i, j)][0], under_count=counts[(i, j)][1], trials=trials)
-        for i, k in enumerate(config.sizes)
-        for j, (over_t, under_t) in enumerate(config.benchmarks)
+                     over_count=over, under_count=under, trials=trials)
+        for (k, (over_t, under_t)), (over, under) in zip(product(config.sizes, config.benchmarks), counts.tolist())
     )
     return FrequencyReport(rows=rows, master_seed=config.master_seed)
 

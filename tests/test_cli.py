@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -814,3 +815,46 @@ def test_main_builds_only_the_running_command(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         build_parser("demo").parse_args(["simulate", "--n", "3"])
     assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
+def command_argv(name, tmp_path):
+    """A short successful run of the named command; simulate writes into tmp_path."""
+    return {
+        "calibrate": ["calibrate", "--paper-defaults"],
+        "analytic": ["analytic", "--paper-defaults"],
+        "demo": ["demo"],
+        "enumerate": ["enumerate", "--values", "1.1,1.2,1.5", "--sizes", "1,2"],
+        "simulate": ["simulate", "--paper-defaults", "--trials", "1", "--out", str(tmp_path / "r.csv")],
+    }[name]
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_each_command_writes_stdout_in_one_call(tmp_path, monkeypatch, name):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(command_argv(name, tmp_path)) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().endswith("\n")
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_closed_stdout_pipe_exits_141_without_error(tmp_path, name):
+    # the reader has gone before the command writes: its choice, not an output failure
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "indexsim.cli", *command_argv(name, tmp_path)],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")
+    if name == "simulate":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.config"]

@@ -337,9 +337,9 @@ class TestRunExperiment:
         config = small_config(params=small_params(n_stocks=n), sizes=(k,), trials_per_size=trials,
                               benchmarks=(tuple(sorted(thresholds, reverse=True)),), mode=mode,
                               master_seed=master_seed)
-        whole = montecarlo._tally_block(config, 0, 0, 0, trials)
-        parts = [montecarlo._tally_block(config, 0, 0, a, b) for a, b in zip(bounds, bounds[1:])]
-        assert [sum(p[c] for p in parts) for c in (2, 3)] == list(whole[2:])
+        whole = montecarlo._tally_block(config, 0, 0, trials)
+        parts = [montecarlo._tally_block(config, 0, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert [sum(p[c] for p in parts) for c in (0, 1)] == list(whole)
 
     # a float count used to fail with TypeError inside the process pool
     @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
