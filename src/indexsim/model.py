@@ -176,8 +176,10 @@ class ModelParams:
             raise ValueError(f"sigma_hat must be >= 0, got {self.sigma_hat!r}")
         # A terminal value grows with both of its variates, so these two bound
         # every value drawn, and n_stocks times the highest every sum of them.
+        # An overflowing or NaN bound fails the check below, so numpy need not warn.
         z = np.array([-_Z_LIMIT, _Z_LIMIT])
-        low, high = _gross_values(self, z.copy(), z).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = _gross_values(self, z.copy(), z).tolist()
         if not (low > 0 and high * self.n_stocks < math.inf):
             raise ValueError("terminal values must be positive and finite")
 

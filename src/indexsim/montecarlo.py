@@ -246,16 +246,17 @@ def _tally_block(config: ExperimentConfig, cell: int, start: int, stop: int) -> 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyReport:
     """Run the full grid of (size, benchmark) cells.
 
-    The trial blocks form one task list for any ``workers``; it runs in this
-    process when one worker is enough and otherwise on ``min(workers, tasks)``
-    processes.  Tallies are integer sums per cell, so the report is
-    bit-identical for any worker count.
+    Each cell's trials are cut into blocks of 500, the last possibly
+    shorter, so the task list is the same for any ``workers``; it runs in
+    this process when one worker is enough and otherwise on
+    ``min(workers, tasks)`` processes.  Tallies are integer sums per cell,
+    so the report is bit-identical for any worker count.
     """
     workers = as_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     trials = config.trials_per_size
-    block = max(500, -(-trials // (workers * 4)))
+    block = 500
     cells = len(config.sizes) * len(config.benchmarks)
     tasks = [
         (config, cell, start, min(start + block, trials))

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import skew
 
 from indexsim import (
@@ -26,6 +27,7 @@ from indexsim import (
     run_experiment,
     subset_frequencies,
     summarize,
+    tail_probability,
     underperformance_factor,
 )
 from indexsim.cli import main
@@ -218,6 +220,60 @@ def test_paper_default_csv_bytes_pinned(paper_csv_runs):
     # Any change to the streams, the trial engine or the CSV format shows here.
     digest = hashlib.sha256(paper_csv_runs[0]).hexdigest()
     assert digest == "e8f0bf9860e794bb381d4ef096a343c87bc6990da1ce14a75558e262723ad839"
+
+
+def exact_over_brackets(k: int, thresholds) -> dict:
+    """Rigorous [low, high] brackets of P(sum of k paper-default stocks > k * threshold).
+
+    One stock's gross value is lognormal with log-mean ln 1.1 (the 10%
+    median) and log-variance 2 * (ln 1.5 - ln 1.1) (the 50% mean).  Its law
+    is cut into cells [i*h, (i+1)*h) up to exp(m + 5.5 sqrt(v)), and the
+    k-fold law of the cell indices J is an FFT convolution.  The sum lies in
+    [h*J, h*J + k*h), which gives the two ends; the mass past the grid top
+    counts as uncertain, and both ends are widened by 1e-9 for FFT rounding.
+    Each threshold times 1/h must be an integer.
+    """
+    h, m = 1e-3, math.log(1.1)
+    s = math.sqrt(2.0 * (math.log(1.5) - m))
+    cells = math.ceil(math.exp(m + 5.5 * s) / h)
+    edges = np.arange(1, cells + 1) * h
+    cdf = np.concatenate(([0.0], ndtr((np.log(edges) - m) / s)))
+    tail = ndtr((m - math.log(edges[-1])) / s)
+    length = 1 << (k * cells).bit_length()
+    law = np.clip(np.fft.irfft(np.fft.rfft(np.diff(cdf), length) ** k, length), 0.0, None)
+    survival = np.cumsum(law[::-1])[::-1]  # survival[j] = P(J >= j, every stock on the grid)
+    brackets = {}
+    for threshold in thresholds:
+        # S > top * h is certain once h * J > top * h, and possible once h * J + k * h > top * h
+        top = k * round(threshold / h)
+        low = survival[top + 1]
+        high = survival[top - k + 1] + 1.0 - (1.0 - tail) ** k
+        brackets[threshold] = (low - 1e-9, high + 1e-9)
+    return brackets
+
+
+def test_paper_csv_matches_the_exact_law(paper_csv_runs, reference_params):
+    # A check that needs no stream layout: each frequency lies within four of
+    # its Wilson half-widths of the FFT bracket, and at k=1 the brackets hold
+    # the closed-form tails.
+    report = parse_csv(paper_csv_runs[0])
+    assert len(report.rows) == 12
+    for k in ExperimentConfig.sizes:
+        rows = [row for row in report.rows if row.size == k]
+        brackets = exact_over_brackets(
+            k, {1.0 + t for row in rows for t in (row.over_threshold, row.under_threshold)}
+        )
+        for row in rows:
+            low, high = brackets[1.0 + row.over_threshold]
+            assert low - 4 * row.over_ci <= row.over_freq <= high + 4 * row.over_ci, (k, row)
+            over_low, over_high = brackets[1.0 + row.under_threshold]
+            low, high = 1.0 - over_high, 1.0 - over_low
+            assert low - 4 * row.under_ci <= row.under_freq <= high + 4 * row.under_ci, (k, row)
+        if k == 1:
+            for threshold in (1.5, 1.7):
+                low, high = brackets[threshold]
+                assert low <= tail_probability(reference_params, threshold, "above") <= high
+
 
 def test_criterion_10_skewness(reference_params, capsys):
     params = ModelParams(

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -120,6 +121,21 @@ class TestModelParams:
         # no fixed seed would show it, so the model is rejected when it is built
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
             ModelParams(n_stocks=500, horizon=5.0, sigma=0.2, mu_hat=0.0, sigma_hat=17.5)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (500, 5.0, 0.2, 300.0, 0.0),  # exp(1500) overflows the bound
+            (500, 5.0, 1e200, 0.04, 1e308),  # inf - inf makes the bound NaN
+        ],
+    )
+    def test_rejection_raises_no_numpy_warning(self, params):
+        # the CLI prints the ValueError as its one error: line; a warning
+        # would print first, or raise instead under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                ModelParams(*params)
 
     def test_limit_covers_the_index_sum(self):
         # exp(709) fits a float, but a sum of ten of them does not

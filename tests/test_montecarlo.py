@@ -302,6 +302,24 @@ class TestFrequencyReport:
                 report.row_for(*cell)
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run run_experiment's pool in this process; the list gets each pool's max_workers."""
+    pools = []
+
+    class InProcessPool(Executor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
 class TestRunExperiment:
     def test_deterministic_repeat(self):
         r1 = run_experiment(small_config())
@@ -329,9 +347,9 @@ class TestRunExperiment:
         master_seed=st.integers(0, 2 ** 64 - 1),
     )
     def test_block_partition_invariance(self, data, n, trials, mode, thresholds, master_seed):
-        # Below 2,000 trials per worker every worker count makes the same
-        # 500-trial blocks, so split the trial range itself: the summed
-        # counts of any partition equal those of one block.
+        # Every worker count makes the same 500-trial blocks, so split the
+        # trial range itself: the summed counts of any partition equal those
+        # of one block.
         k = data.draw(st.integers(1, n), label="k")
         bounds = sorted({0, trials} | data.draw(st.sets(st.integers(1, trials)), label="cuts"))
         config = small_config(params=small_params(n_stocks=n), sizes=(k,), trials_per_size=trials,
@@ -356,23 +374,24 @@ class TestRunExperiment:
             ((1, 2, 3), 1_200, 2, 2),
         ],
     )
-    def test_pool_is_sized_to_the_tasks(self, monkeypatch, sizes, trials, workers, expected):
-        pools = []
-
-        class InProcessPool(Executor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    def test_pool_is_sized_to_the_tasks(self, in_process_pool, sizes, trials, workers, expected):
         config = small_config(sizes=sizes, trials_per_size=trials)
         report = run_experiment(config, workers=workers)
-        assert pools == ([] if expected is None else [expected])
+        assert in_process_pool == ([] if expected is None else [expected])
         assert report.rows == run_experiment(config).rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_do_not_depend_on_workers(self, in_process_pool, monkeypatch, workers):
+        calls = []
+
+        def recording_tally(config, cell, start, stop):
+            calls.append((cell, start, stop))
+            return 0, 0
+
+        monkeypatch.setattr(montecarlo, "_tally_block", recording_tally)
+        run_experiment(small_config(sizes=(1, 2), trials_per_size=2_400), workers=workers)
+        blocks = [(0, 500), (500, 1000), (1000, 1500), (1500, 2000), (2000, 2400)]
+        assert calls == [(cell, *block) for cell in range(2) for block in blocks]
 
     def test_counts_sum_to_trials(self):
         report = run_experiment(small_config(benchmarks=((0.7, 0.3),)))
