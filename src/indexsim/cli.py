@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
@@ -139,7 +140,7 @@ _ENUMERATE_SETTINGS = (
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment, and a key may appear once.
+    """Parse a flat ``key = value`` file of unique keys; a '#' that opens a word starts a comment.
 
     An unreadable file is a configuration error, so it raises ValueError.
     """
@@ -149,7 +150,7 @@ def load_config_file(path) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))

@@ -54,8 +54,8 @@ _MIDPOINT_SHIFT = 1.0 - 2.0 ** -53
 _Z_LIMIT = 8.209536151601387
 
 # Substream seeds are computed SEED_WINDOW stream indices at a time.  2**32
-# is a multiple of the window, so every index in a window has the same
-# number of 32-bit entropy words.
+# is a multiple of the window, so every index in a window has the same high
+# 32-bit word.
 SEED_WINDOW = 2048
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -64,16 +64,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _entropy_words(n: int) -> list[int]:
-    """numpy's little-endian uint32 words of a non-negative int; 0 gives [0]."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
 
 
 @lru_cache(maxsize=16)
@@ -87,14 +77,13 @@ def _seed_window(master_seed: int, window: int) -> np.ndarray:
     is a row holding the whole window, in wrapping uint32 arithmetic.
     """
     start = window * SEED_WINDOW
-    # Entropy: the seed's words, then the index's, four at most, so numpy's
-    # loop over words past the pool size never runs; missing words hash as 0.
+    # Entropy: the seed's one or two 32-bit words, then the index's two; numpy
+    # hashes a missing word as 0, so writing a high word of 0 changes nothing.
+    seed_words = [master_seed & _MASK32] + [master_seed >> 32] * (master_seed > _MASK32)
     entropy = np.zeros((_POOL_SIZE, SEED_WINDOW), np.uint32)
-    words = _entropy_words(int(master_seed))
-    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)] = np.arange(SEED_WINDOW, dtype=np.uint32) + (start & _MASK32)
-    if start >> 32:
-        entropy[len(words) + 1] = start >> 32
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(SEED_WINDOW, dtype=np.uint32) + (start & _MASK32)
+    entropy[len(seed_words) + 1] = start >> 32
 
     def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
         nonlocal hash_const

@@ -7,6 +7,7 @@ lines; the heavyweight reference simulation is shared across criteria.
 import hashlib
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -222,26 +223,45 @@ def test_paper_default_csv_bytes_pinned(paper_csv_runs):
     assert digest == "e8f0bf9860e794bb381d4ef096a343c87bc6990da1ce14a75558e262723ad839"
 
 
+# One paper-default stock's gross value is lognormal with log-mean ln 1.1
+# (the 10% median) and log-variance 2 * (ln 1.5 - ln 1.1) (the 50% mean).
+STOCK_LOG_MEAN = math.log(1.1)
+STOCK_LOG_SD = math.sqrt(2.0 * (math.log(1.5) - STOCK_LOG_MEAN))
+# the fixed gate's one-stock grid: cells of 1e-3 up to exp(m + 5.5 sqrt(v))
+FINE_STEP = 1e-3
+FINE_CELLS = math.ceil(math.exp(STOCK_LOG_MEAN + 5.5 * STOCK_LOG_SD) / FINE_STEP)
+
+
+def cell_sum_law(count: int, h: float, cells: int, length: int) -> np.ndarray:
+    """Law of J, the sum of ``count`` stocks' cell indices, by an FFT of ``length``.
+
+    One stock's law is cut into cells [i*h, (i+1)*h) for i < ``cells``; the
+    mass past the last cell is left out.  Sums of ``length`` cells or more
+    wrap around, so ``length`` must exceed every sum of non-negligible mass.
+    """
+    edges = np.arange(1, cells + 1) * h
+    cdf = np.concatenate(([0.0], ndtr((np.log(edges) - STOCK_LOG_MEAN) / STOCK_LOG_SD)))
+    return np.clip(np.fft.irfft(np.fft.rfft(np.diff(cdf), length) ** count, length), 0.0, None)
+
+
+@lru_cache(maxsize=None)
+def fine_survival(k: int) -> np.ndarray:
+    """survival[j] = P(J >= j, every stock on the grid) for k stocks on the fine grid, 0 past the top."""
+    law = cell_sum_law(k, FINE_STEP, FINE_CELLS, 1 << (k * FINE_CELLS).bit_length())
+    return np.append(np.cumsum(law[::-1])[::-1], 0.0)
+
+
 def exact_over_brackets(k: int, thresholds) -> dict:
     """Rigorous [low, high] brackets of P(sum of k paper-default stocks > k * threshold).
 
-    One stock's gross value is lognormal with log-mean ln 1.1 (the 10%
-    median) and log-variance 2 * (ln 1.5 - ln 1.1) (the 50% mean).  Its law
-    is cut into cells [i*h, (i+1)*h) up to exp(m + 5.5 sqrt(v)), and the
-    k-fold law of the cell indices J is an FFT convolution.  The sum lies in
-    [h*J, h*J + k*h), which gives the two ends; the mass past the grid top
-    counts as uncertain, and both ends are widened by 1e-9 for FFT rounding.
-    Each threshold times 1/h must be an integer.
+    The k-fold law of the fine grid's cell indices J is ``fine_survival``'s.
+    The sum lies in [h*J, h*J + k*h), which gives the two ends; the mass
+    past the grid top counts as uncertain, and both ends are widened by 1e-9
+    for FFT rounding.  Each threshold times 1/h must be an integer.
     """
-    h, m = 1e-3, math.log(1.1)
-    s = math.sqrt(2.0 * (math.log(1.5) - m))
-    cells = math.ceil(math.exp(m + 5.5 * s) / h)
-    edges = np.arange(1, cells + 1) * h
-    cdf = np.concatenate(([0.0], ndtr((np.log(edges) - m) / s)))
-    tail = ndtr((m - math.log(edges[-1])) / s)
-    length = 1 << (k * cells).bit_length()
-    law = np.clip(np.fft.irfft(np.fft.rfft(np.diff(cdf), length) ** k, length), 0.0, None)
-    survival = np.cumsum(law[::-1])[::-1]  # survival[j] = P(J >= j, every stock on the grid)
+    h = FINE_STEP
+    tail = ndtr((STOCK_LOG_MEAN - math.log(FINE_CELLS * h)) / STOCK_LOG_SD)
+    survival = fine_survival(k)
     brackets = {}
     for threshold in thresholds:
         # S > top * h is certain once h * J > top * h, and possible once h * J + k * h > top * h
@@ -250,6 +270,64 @@ def exact_over_brackets(k: int, thresholds) -> dict:
         high = survival[top - k + 1] + 1.0 - (1.0 - tail) ** k
         brackets[threshold] = (low - 1e-9, high + 1e-9)
     return brackets
+
+
+# the coarse grid of the n - k stocks that realized mode does not pick:
+# 2**18 cells of 1e-2 cover sums up to 2,621, and one stock passes 1,750
+# with probability below 1e-20
+COARSE_STEP = 1e-2
+COARSE_CELLS = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def coarse_law(count: int) -> np.ndarray:
+    """Law of the cell indices of the sum of ``count`` stocks on the coarse grid."""
+    return cell_sum_law(count, COARSE_STEP, COARSE_CELLS, COARSE_CELLS)
+
+
+def realized_over_estimate(k: int, n: int, b: float) -> float:
+    """Midpoint estimate, not a bracket, of P(P > R + b) for P and R independent.
+
+    P is the mean of k picked stocks and R the mean of the other n - k.
+    Each cell sits at its midpoint, so a sum with cell index J is
+    (J + count/2) * h: R's masses are summed against the survival of the
+    picked sum at k * (R + b).
+    """
+    picked, rest = fine_survival(k), coarse_law(n - k)
+    r = (np.arange(rest.size) + (n - k) / 2) * COARSE_STEP / (n - k)
+    # the first picked cell index whose midpoint sum exceeds k * (r + b)
+    first = np.floor(k * (r + b) / FINE_STEP - k / 2).astype(np.int64) + 1
+    return float(rest @ picked[np.clip(first, 0, picked.size - 1)])
+
+
+def exact_frequency_bounds(report, params, mode: str) -> dict:
+    """{row: ((over_low, over_high), (under_low, under_high))} under the exact law.
+
+    Fixed mode gives ``exact_over_brackets``; realized mode gives the
+    midpoint estimate at both ends.  A trial of realized mode is over
+    threshold t iff P > R + c * n / (n - k) with c = t - (E - 1), and under
+    is one minus over at the under threshold, since ties have probability 0.
+    """
+    n, excess = params.n_stocks, expected_index_value(params) - 1.0
+    bounds = {}
+    for row in report.rows:
+        k, thresholds = row.size, (row.over_threshold, row.under_threshold)
+        if mode == "fixed-benchmark":
+            brackets = exact_over_brackets(k, {1.0 + t for t in thresholds})
+            over, over_under = (brackets[1.0 + t] for t in thresholds)
+        else:
+            over, over_under = ((estimate, estimate) for estimate in (
+                realized_over_estimate(k, n, (t - excess) * n / (n - k)) for t in thresholds))
+        bounds[row] = (over, (1.0 - over_under[1], 1.0 - over_under[0]))
+    return bounds
+
+
+def assert_within_four_half_widths(report, params, mode: str) -> None:
+    """Every over and under frequency lies within four Wilson half-widths of the exact law."""
+    for row, (over, under) in exact_frequency_bounds(report, params, mode).items():
+        for freq, ci, (low, high) in ((row.over_freq, row.over_ci, over),
+                                      (row.under_freq, row.under_ci, under)):
+            assert low - 4 * ci <= freq <= high + 4 * ci, (row, low, high)
 
 
 def test_paper_csv_matches_the_exact_law(paper_csv_runs, reference_params):
@@ -273,6 +351,54 @@ def test_paper_csv_matches_the_exact_law(paper_csv_runs, reference_params):
             for threshold in (1.5, 1.7):
                 low, high = brackets[threshold]
                 assert low <= tail_probability(reference_params, threshold, "above") <= high
+
+
+@pytest.fixture(scope="module")
+def realized_csv(tmp_path_factory):
+    """The paper-default realized-index run at seed 42, on 2 workers."""
+    path = tmp_path_factory.mktemp("realized") / "r.csv"
+    code = main(["simulate", "--paper-defaults", "--mode", "realized-index", "--seed", "42",
+                 "--workers", "2", "--out", str(path)])
+    assert code == 0
+    return path.read_bytes()
+
+
+def test_realized_csv_bytes_pinned(realized_csv):
+    # a serial run gives these same bytes
+    digest = hashlib.sha256(realized_csv).hexdigest()
+    assert digest == "8398e534e972b3aab3eaec0cc0eb52f55651894acadc1f561b62d1a22ad43684"
+
+
+def test_realized_csv_matches_the_exact_law(realized_csv, reference_params):
+    # The layout-free check of realized mode: each of the 24 frequencies lies
+    # within four of its Wilson half-widths of the midpoint estimate.
+    report = parse_csv(realized_csv)
+    assert len(report.rows) == 12
+    assert_within_four_half_widths(report, reference_params, "realized-index")
+
+
+def test_realized_estimate_is_symmetric():
+    # with b = 0, "k picked beat the other n - k" and its swap split the whole law
+    for k in (1, 5, 10):
+        total = realized_over_estimate(k, 40, 0.0) + realized_over_estimate(40 - k, 40, 0.0)
+        assert abs(total - 1.0) <= 1e-3, (k, total)
+
+
+# sha256 of each mode's seed-42 500-trial CSV, as the CLI's golden-bytes test pins it
+PINNED_500_TRIAL_CSVS = {
+    "fixed-benchmark": "fb16d3812d9a0be9b8e608537a669d0a4feeb02d49c79445245b2ca5a7f47e3c",
+    "realized-index": "4f09d1400f37b438228dad3a191f8b75fce8ff5a80ed162261b03a8eab3d0288",
+}
+
+
+@pytest.mark.parametrize("mode", PINNED_500_TRIAL_CSVS)
+def test_500_trial_pins_match_the_exact_law(tmp_path, capsys, reference_params, mode):
+    path = tmp_path / "r.csv"
+    code = main(["simulate", "--paper-defaults", "--mode", mode, "--trials", "500", "--seed", "42",
+                 "--out", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_500_TRIAL_CSVS[mode]
+    assert_within_four_half_widths(parse_csv(path), reference_params, mode)
 
 
 def test_criterion_10_skewness(reference_params, capsys):

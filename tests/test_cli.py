@@ -494,6 +494,17 @@ class TestSimulateCommand:
         assert parse_csv(out_csv).master_seed == 9
         assert "n_stocks = 10\n" in (tmp_path / "r.csv.config").read_text()
 
+    def test_config_value_keeps_its_hash(self, tmp_path, capsys):
+        # a '#' inside a value used to cut it: this file wrote "run" and "run.config"
+        out_csv = tmp_path / "run#1.csv"
+        config = tmp_path / "run.config"
+        config.write_text(f"# a comment line\nout = {out_csv}\ntrials = 5  # five\n")
+        code = run_cli("simulate", "--config", str(config), "--paper-defaults", "--sizes", "1",
+                       "--n", "10")
+        assert code == 0
+        assert parse_csv(out_csv).rows[0].trials == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.csv.config", "run.config"]
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.config"
         config.write_text("mu_hat = 0.04\nsigma_hat = 0.1\ntrails = 100\n")
