@@ -185,7 +185,7 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        # every trial builds several, almost always from Python ints
+        # each trial and each subset_frequencies call builds one, almost always from Python ints
         if type(self.master_seed) is not int or type(self.stream_index) is not int:
             object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
             object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))

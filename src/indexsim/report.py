@@ -109,9 +109,10 @@ def parse_csv(source) -> FrequencyReport:
     equals count / trials exactly.  The printed frequencies and half-widths
     are not kept; a row derives them from its counts.  A CSV without rows,
     which cannot give its master seed, raises ValueError too, as do values
-    that no run writes: a float field that is not finite, and a master seed
-    that is no 64-bit unsigned integer.  A leading UTF-8 byte-order mark is
-    skipped.
+    that no run writes: a float field that is not finite, a k below 1, an
+    over threshold below its under threshold, a (k, over, under) cell given
+    twice, and a master seed that is no 64-bit unsigned integer.  A leading
+    UTF-8 byte-order mark is skipped.
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     text = data.decode("utf-8-sig")
@@ -119,7 +120,7 @@ def parse_csv(source) -> FrequencyReport:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {lines[0] if lines else ''!r}")
     rows = []
-    seeds = set()
+    cells, seeds = set(), set()
     for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 9:
@@ -130,6 +131,14 @@ def parse_csv(source) -> FrequencyReport:
         floats = fields[1:7]
         if not all(math.isfinite(float(f)) for f in floats):
             raise ValueError(f"thresholds, frequencies and half-widths must be finite: {line!r}")
+        size, over_t, under_t = int(fields[0]), float(fields[1]), float(fields[2])
+        if size < 1:
+            raise ValueError(f"k must be >= 1: {line!r}")
+        if over_t < under_t:
+            raise ValueError(f"over_threshold must be >= under_threshold: {line!r}")
+        if (size, over_t, under_t) in cells:
+            raise ValueError(f"repeated cell (k, over_threshold, under_threshold): {line!r}")
+        cells.add((size, over_t, under_t))
         # fixed-point rows print every float field with the same decimals
         widths = {len(f.partition(".")[2]) for f in floats}
         plain = all(f.lstrip("-").replace(".", "", 1).isdigit() for f in floats)
@@ -138,9 +147,8 @@ def parse_csv(source) -> FrequencyReport:
         under = _count(fields[4], trials, decimals)
         if not (over >= 0 and under >= 0 and over + under <= trials):
             raise ValueError(f"frequencies do not fit {trials} trials: {line!r}")
-        rows.append(FrequencyRow(size=int(fields[0]), over_threshold=float(fields[1]),
-                                 under_threshold=float(fields[2]), over_count=over,
-                                 under_count=under, trials=trials))
+        rows.append(FrequencyRow(size, over_t, under_t, over_count=over, under_count=under,
+                                 trials=trials))
         seeds.add(SeedSpec(int(fields[8])).master_seed)
     if not rows:
         raise ValueError("CSV has no rows, so it does not give the master seed")

@@ -336,21 +336,9 @@ def test_paper_csv_matches_the_exact_law(paper_csv_runs, reference_params):
     # the closed-form tails.
     report = parse_csv(paper_csv_runs[0])
     assert len(report.rows) == 12
-    for k in ExperimentConfig.sizes:
-        rows = [row for row in report.rows if row.size == k]
-        brackets = exact_over_brackets(
-            k, {1.0 + t for row in rows for t in (row.over_threshold, row.under_threshold)}
-        )
-        for row in rows:
-            low, high = brackets[1.0 + row.over_threshold]
-            assert low - 4 * row.over_ci <= row.over_freq <= high + 4 * row.over_ci, (k, row)
-            over_low, over_high = brackets[1.0 + row.under_threshold]
-            low, high = 1.0 - over_high, 1.0 - over_low
-            assert low - 4 * row.under_ci <= row.under_freq <= high + 4 * row.under_ci, (k, row)
-        if k == 1:
-            for threshold in (1.5, 1.7):
-                low, high = brackets[threshold]
-                assert low <= tail_probability(reference_params, threshold, "above") <= high
+    assert_within_four_half_widths(report, reference_params, "fixed-benchmark")
+    for threshold, (low, high) in exact_over_brackets(1, (1.5, 1.7)).items():
+        assert low <= tail_probability(reference_params, threshold, "above") <= high
 
 
 @pytest.fixture(scope="module")
@@ -384,21 +372,40 @@ def test_realized_estimate_is_symmetric():
         assert abs(total - 1.0) <= 1e-3, (k, total)
 
 
-# sha256 of each mode's seed-42 500-trial CSV, as the CLI's golden-bytes test pins it
-PINNED_500_TRIAL_CSVS = {
-    "fixed-benchmark": "fb16d3812d9a0be9b8e608537a669d0a4feeb02d49c79445245b2ca5a7f47e3c",
-    "realized-index": "4f09d1400f37b438228dad3a191f8b75fce8ff5a80ed162261b03a8eab3d0288",
+GOLDEN_500_TRIALS = {
+    "r.csv": "fb16d3812d9a0be9b8e608537a669d0a4feeb02d49c79445245b2ca5a7f47e3c",
+    "r.csv.config": "c5e3c5a28b705a65b0330eac420ef455bad085f4316fbae4fa07bb2adb8747ef",
+    "r.svg": "d2d15edd3297c9e7a75f0b6d68613610537cf547ed83c06578033fa031d11d83",
+}
+
+GOLDEN_500_TRIALS_REALIZED = {
+    "r.csv": "4f09d1400f37b438228dad3a191f8b75fce8ff5a80ed162261b03a8eab3d0288",
+    "r.csv.config": "a00edd41163eec389d28d2f9b9167661c08652bf9ecfd730687f0e1b553fc677",
+    "r.svg": "900c316bd3ba0b3f0772b8843d590dd6b38f0458de0a7c7e64b49b9c1434b464",
 }
 
 
-@pytest.mark.parametrize("mode", PINNED_500_TRIAL_CSVS)
-def test_500_trial_pins_match_the_exact_law(tmp_path, capsys, reference_params, mode):
-    path = tmp_path / "r.csv"
-    code = main(["simulate", "--paper-defaults", "--mode", mode, "--trials", "500", "--seed", "42",
-                 "--out", str(path)])
+@pytest.mark.parametrize(
+    "model_flags",
+    [
+        ["--paper-defaults"],
+        ["--median", "0.10", "--expected", "0.50"],
+        ["--paper-defaults", "--mode", "realized-index"],
+    ],
+)
+def test_paper_default_golden_bytes(tmp_path, capsys, reference_params, model_flags):
+    # --paper-defaults only sets the two calibration targets, so both spellings
+    # must give the pinned CSV, sidecar and SVG bytes; realized-index mode has
+    # its own pins.  Each run's CSV also lies within the exact law.
+    mode = "realized-index" if "realized-index" in model_flags else "fixed-benchmark"
+    golden = GOLDEN_500_TRIALS_REALIZED if mode == "realized-index" else GOLDEN_500_TRIALS
+    code = main(["simulate", *model_flags, "--trials", "500", "--seed", "42",
+                 "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg")])
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_500_TRIAL_CSVS[mode]
-    assert_within_four_half_widths(parse_csv(path), reference_params, mode)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in golden}
+    assert digests == golden
+    assert_within_four_half_widths(parse_csv(tmp_path / "r.csv"), reference_params, mode)
 
 
 def test_criterion_10_skewness(reference_params, capsys):

@@ -451,12 +451,6 @@ class TestSimulateCommand:
         assert parse_csv(out_csv).master_seed == 42
         assert "seed = 42\n" in (tmp_path / "env.csv.config").read_text()
 
-    def test_unwritable_output_exits_3(self, tmp_path, capsys):
-        target = tmp_path / "missing-dir" / "r.csv"
-        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
-                       "--n", "10", "--out", str(target))
-        assert code == 3
-
     def test_failed_svg_write_leaves_no_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"
         code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
@@ -728,40 +722,6 @@ class TestSimulateCommand:
         assert self.run_with_setting(tmp_path, "file", "paper_defaults", "true") == 2
         assert error_line(capsys) == "error: unknown config file keys: paper_defaults\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.config"]
-
-
-GOLDEN_500_TRIALS = {
-    "r.csv": "fb16d3812d9a0be9b8e608537a669d0a4feeb02d49c79445245b2ca5a7f47e3c",
-    "r.csv.config": "c5e3c5a28b705a65b0330eac420ef455bad085f4316fbae4fa07bb2adb8747ef",
-    "r.svg": "d2d15edd3297c9e7a75f0b6d68613610537cf547ed83c06578033fa031d11d83",
-}
-
-GOLDEN_500_TRIALS_REALIZED = {
-    "r.csv": "4f09d1400f37b438228dad3a191f8b75fce8ff5a80ed162261b03a8eab3d0288",
-    "r.csv.config": "a00edd41163eec389d28d2f9b9167661c08652bf9ecfd730687f0e1b553fc677",
-    "r.svg": "900c316bd3ba0b3f0772b8843d590dd6b38f0458de0a7c7e64b49b9c1434b464",
-}
-
-
-@pytest.mark.parametrize(
-    "model_flags",
-    [
-        ["--paper-defaults"],
-        ["--median", "0.10", "--expected", "0.50"],
-        ["--paper-defaults", "--mode", "realized-index"],
-    ],
-)
-def test_paper_default_golden_bytes(tmp_path, capsys, model_flags):
-    # --paper-defaults only sets the two calibration targets, so both spellings
-    # must give the pinned CSV, sidecar and SVG bytes; realized-index mode has
-    # its own pins.
-    golden = GOLDEN_500_TRIALS_REALIZED if "realized-index" in model_flags else GOLDEN_500_TRIALS
-    code = run_cli("simulate", *model_flags, "--trials", "500", "--seed", "42",
-                   "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"))
-    assert code == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in golden}
-    assert digests == golden
 
 
 # (exit code, sha256 of the text) of each help page (stdout) and usage error

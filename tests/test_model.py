@@ -306,20 +306,21 @@ class TestStandardNormals:
 
     def test_scipy_is_imported_on_the_first_draw(self):
         # a fresh process, since this one imported scipy long ago: commands
-        # that draw no variate start without scipy's import
+        # that draw no variate start without scipy's import, and commands
+        # that start no pool without the process pool's
         script = textwrap.dedent("""
             import contextlib, io, sys
             from indexsim import ModelParams, SeedSpec, draw_universe
             from indexsim.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [main(["demo"]), main(["analytic", "--paper-defaults"])]
-            print(codes, "scipy.special" in sys.modules)
+            print(codes, "scipy.special" in sys.modules, "multiprocessing" in sys.modules)
             draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
             print("scipy.special" in sys.modules)
         """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[0, 0] False\nTrue\n"
+        assert result.stdout == "[0, 0] False False\nTrue\n"
 
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)

@@ -167,7 +167,12 @@ class TestEmitCsv:
         # these used to parse, and emit_csv wrote them back
         ("1,nan,-inf,0.75,0.25,0.0,0.0,4,42", "must be finite"),
         ("1,0.5,0.5,0.75,0.25,0.0,0.0,4,-1", "64-bit unsigned"),
-    ], ids=["inf-frequency", "overflowing-frequency", "non-finite-thresholds", "negative-seed"])
+        ("0,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "k must be >= 1"),
+        ("-3,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "k must be >= 1"),
+        ("1,0.3,0.7,0.25,0.25,0.0,0.0,4,42", "over_threshold must be >= under_threshold"),
+        ("1,0.5,0.5,0.75,0.25,0.0,0.0,4,42\n1,0.5,0.5,0.5,0.5,0.0,0.0,4,42", "repeated cell"),
+    ], ids=["inf-frequency", "overflowing-frequency", "non-finite-thresholds", "negative-seed",
+            "zero-k", "negative-k", "over-below-under", "repeated-cell"])
     def test_parse_rejects_values_no_experiment_writes(self, row, message):
         with pytest.raises(ValueError, match=message):
             parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
