@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .enumeration import DeterministicIndex
 from .model import (
     PICK_STREAM,
     STREAM_STRIDE,
+    _MASK32,
     ModelParams,
     SeedSpec,
     _ndtri,
@@ -44,7 +46,13 @@ from .model import (
 
 MODES = ("fixed-benchmark", "realized-index")
 
-_LOW32 = 0xFFFFFFFF
+
+def _check_thresholds(over: float, under: float) -> None:
+    """ValueError unless both thresholds of a benchmark pair are finite and over >= under."""
+    if not (math.isfinite(over) and math.isfinite(under)):
+        raise ValueError(f"benchmark thresholds must be finite, got {(over, under)!r}")
+    if over < under:
+        raise ValueError(f"over_threshold must be >= under_threshold, got {(over, under)!r}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +88,7 @@ class ExperimentConfig:
         if not self.benchmarks:
             raise ValueError("benchmarks must be non-empty")
         for over, under in self.benchmarks:
-            if not (math.isfinite(over) and math.isfinite(under)):
-                raise ValueError(f"benchmark thresholds must be finite, got {(over, under)!r}")
-            if over < under:
-                raise ValueError(
-                    f"over_threshold must be >= under_threshold, got {(over, under)!r}"
-                )
+            _check_thresholds(over, under)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "realized-index":
@@ -99,7 +102,7 @@ class FrequencyRow:
 
     Everything else is derived on read: the between count, the raw
     frequencies count / trials, and their 95% Wilson half-widths
-    (``frequency_ci``).
+    (``frequency_ci``).  Values that no run counts raise ValueError.
     """
 
     size: int
@@ -108,6 +111,17 @@ class FrequencyRow:
     over_count: int
     under_count: int
     trials: int
+
+    def __post_init__(self):
+        for name in ("size", "over_count", "under_count", "trials"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        if self.size < 1:
+            raise ValueError(f"k must be >= 1, got {self.size!r}")
+        _check_thresholds(self.over_threshold, self.under_threshold)
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if min(self.over_count, self.under_count) < 0 or self.over_count + self.under_count > self.trials:
+            raise ValueError(f"counts {(self.over_count, self.under_count)} do not fit {self.trials} trials")
 
     @property
     def between_count(self) -> int:
@@ -132,8 +146,21 @@ class FrequencyRow:
 
 @dataclass(frozen=True)
 class FrequencyReport:
+    """One run's rows, each cell once, held sorted by (size, over_threshold, under_threshold)."""
+
     rows: tuple[FrequencyRow, ...]
     master_seed: int
+
+    def __post_init__(self):
+        key = attrgetter("size", "over_threshold", "under_threshold")
+        rows = tuple(sorted(self.rows, key=key))
+        if not rows:
+            raise ValueError("report must contain at least one row")
+        for earlier, row in zip(rows, rows[1:]):
+            if key(earlier) == key(row):
+                raise ValueError(f"repeated cell (k, over_threshold, under_threshold): {key(row)!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
 
     def row_for(self, size: int, over_threshold: float, under_threshold: float) -> FrequencyRow:
         for row in self.rows:
@@ -176,7 +203,7 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     raw = rng.bit_generator.random_raw
     if k <= 2:
         word = raw()
-        halves = [word & _LOW32, word >> 32]
+        halves = [word & _MASK32, word >> 32]
     else:
         halves = raw(-(-k // 2)).astype("<u8", copy=False).view("<u4").tolist()
     pos = 0
@@ -184,12 +211,12 @@ def pick_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         span = n - i
         product = halves[pos] * span
         pos += 1
-        if product & _LOW32 < span:
+        if product & _MASK32 < span:
             threshold = (1 << 32) % span
-            while product & _LOW32 < threshold:
+            while product & _MASK32 < threshold:
                 # one more word per rejection keeps a half for every later i
                 word = raw()
-                halves += (word & _LOW32, word >> 32)
+                halves += (word & _MASK32, word >> 32)
                 product = halves[pos] * span
                 pos += 1
         j = i + (product >> 32)

@@ -7,7 +7,6 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .model import SeedSpec
 from .montecarlo import FrequencyReport, FrequencyRow
 
 CSV_HEADER = "k,over_threshold,under_threshold,over_freq,under_freq,over_ci,under_ci,trials,master_seed"
@@ -25,23 +24,16 @@ def _format(value: float, precision: Optional[int]) -> str:
     return f"{value:.{precision}f}"
 
 
-def _sorted_rows(report: FrequencyReport) -> list[FrequencyRow]:
-    """The rows in output order; ValueError for a report without rows."""
-    if not report.rows:
-        raise ValueError("report must contain at least one row")
-    return sorted(report.rows, key=lambda r: (r.size, r.over_threshold, r.under_threshold))
-
-
 def emit_csv(report: FrequencyReport, precision: Optional[int] = 6) -> bytes:
     """Serialize a report to CSV bytes; write_all writes them to a file.
 
-    Rows are sorted by (k, over_threshold) and floats use fixed-point
-    formatting with ``precision`` decimals; precision=None emits shortest
-    round-trippable representations (lossless for parse_csv).  A report
-    without rows raises ValueError.
+    Rows keep the report's order, sorted by (k, over_threshold,
+    under_threshold), and floats use fixed-point formatting with
+    ``precision`` decimals; precision=None emits shortest round-trippable
+    representations (lossless for parse_csv).
     """
     lines = [CSV_HEADER]
-    for row in _sorted_rows(report):
+    for row in report.rows:
         floats = (row.over_threshold, row.under_threshold, row.over_freq, row.under_freq,
                   row.over_ci, row.under_ci)
         lines.append(",".join([str(row.size), *(_format(v, precision) for v in floats),
@@ -107,49 +99,40 @@ def parse_csv(source) -> FrequencyReport:
     where they cannot: d fixed-point decimals pin a count only when
     trials <= 10**d, and a shortest repr (precision=None) pins it when it
     equals count / trials exactly.  The printed frequencies and half-widths
-    are not kept; a row derives them from its counts.  A CSV without rows,
-    which cannot give its master seed, raises ValueError too, as do values
-    that no run writes: a float field that is not finite, a k below 1, an
-    over threshold below its under threshold, a (k, over, under) cell given
-    twice, and a master seed that is no 64-bit unsigned integer.  A leading
-    UTF-8 byte-order mark is skipped.
+    are not kept; a row derives them from its counts.  ValueError is raised
+    too for a CSV without rows, which cannot give its master seed, for a
+    float field that is not finite, for rows with different master seeds,
+    and for every row or report that FrequencyRow or FrequencyReport
+    refuses.  A leading UTF-8 byte-order mark is skipped.
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     text = data.decode("utf-8-sig")
     lines = [line for line in text.splitlines() if line]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {lines[0] if lines else ''!r}")
-    rows = []
-    cells, seeds = set(), set()
+    rows, seeds = [], set()
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 9:
-            raise ValueError(f"malformed CSV row: {line!r}")
-        trials = int(fields[7])
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1: {line!r}")
-        floats = fields[1:7]
-        if not all(math.isfinite(float(f)) for f in floats):
-            raise ValueError(f"thresholds, frequencies and half-widths must be finite: {line!r}")
-        size, over_t, under_t = int(fields[0]), float(fields[1]), float(fields[2])
-        if size < 1:
-            raise ValueError(f"k must be >= 1: {line!r}")
-        if over_t < under_t:
-            raise ValueError(f"over_threshold must be >= under_threshold: {line!r}")
-        if (size, over_t, under_t) in cells:
-            raise ValueError(f"repeated cell (k, over_threshold, under_threshold): {line!r}")
-        cells.add((size, over_t, under_t))
-        # fixed-point rows print every float field with the same decimals
-        widths = {len(f.partition(".")[2]) for f in floats}
-        plain = all(f.lstrip("-").replace(".", "", 1).isdigit() for f in floats)
-        decimals = widths.pop() if plain and len(widths) == 1 else None
-        over = _count(fields[3], trials, decimals)
-        under = _count(fields[4], trials, decimals)
-        if not (over >= 0 and under >= 0 and over + under <= trials):
-            raise ValueError(f"frequencies do not fit {trials} trials: {line!r}")
-        rows.append(FrequencyRow(size, over_t, under_t, over_count=over, under_count=under,
-                                 trials=trials))
-        seeds.add(SeedSpec(int(fields[8])).master_seed)
+        try:
+            if len(fields) != 9:
+                raise ValueError("malformed CSV row")
+            trials = int(fields[7])
+            if trials < 1:
+                raise ValueError("trials must be >= 1")
+            floats = fields[1:7]
+            if not all(math.isfinite(float(f)) for f in floats):
+                raise ValueError("thresholds, frequencies and half-widths must be finite")
+            # fixed-point rows print every float field with the same decimals
+            widths = {len(f.partition(".")[2]) for f in floats}
+            plain = all(f.lstrip("-").replace(".", "", 1).isdigit() for f in floats)
+            decimals = widths.pop() if plain and len(widths) == 1 else None
+            rows.append(FrequencyRow(int(fields[0]), float(fields[1]), float(fields[2]),
+                                     over_count=_count(fields[3], trials, decimals),
+                                     under_count=_count(fields[4], trials, decimals),
+                                     trials=trials))
+            seeds.add(int(fields[8]))
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {line!r}") from None
     if not rows:
         raise ValueError("CSV has no rows, so it does not give the master seed")
     if len(seeds) > 1:
@@ -179,7 +162,7 @@ def emit_svg_chart(report: FrequencyReport, description: str = "") -> str:
     size on a linear scale, y the frequency in [0, 1].  Identical reports
     yield byte-identical documents.
     """
-    rows = _sorted_rows(report)
+    rows = report.rows
     pairs = sorted({(r.over_threshold, r.under_threshold) for r in rows})
     sizes = sorted({r.size for r in rows})
     # the edges of the plot area, in pixels

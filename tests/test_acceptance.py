@@ -33,7 +33,7 @@ from indexsim import (
 )
 from indexsim.cli import main
 from indexsim.model import STREAM_STRIDE
-from indexsim.report import parse_csv
+from indexsim.report import emit_csv, parse_csv
 
 
 def check(criterion: int, description: str, ok: bool) -> None:
@@ -221,6 +221,7 @@ def test_paper_default_csv_bytes_pinned(paper_csv_runs):
     # Any change to the streams, the trial engine or the CSV format shows here.
     digest = hashlib.sha256(paper_csv_runs[0]).hexdigest()
     assert digest == "e8f0bf9860e794bb381d4ef096a343c87bc6990da1ce14a75558e262723ad839"
+    assert emit_csv(parse_csv(paper_csv_runs[0])) == paper_csv_runs[0]
 
 
 # One paper-default stock's gross value is lognormal with log-mean ln 1.1
@@ -355,6 +356,7 @@ def test_realized_csv_bytes_pinned(realized_csv):
     # a serial run gives these same bytes
     digest = hashlib.sha256(realized_csv).hexdigest()
     assert digest == "8398e534e972b3aab3eaec0cc0eb52f55651894acadc1f561b62d1a22ad43684"
+    assert emit_csv(parse_csv(realized_csv)) == realized_csv
 
 
 def test_realized_csv_matches_the_exact_law(realized_csv, reference_params):
@@ -405,7 +407,9 @@ def test_paper_default_golden_bytes(tmp_path, capsys, reference_params, model_fl
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in golden}
     assert digests == golden
-    assert_within_four_half_widths(parse_csv(tmp_path / "r.csv"), reference_params, mode)
+    data = (tmp_path / "r.csv").read_bytes()
+    assert emit_csv(parse_csv(data)) == data
+    assert_within_four_half_widths(parse_csv(data), reference_params, mode)
 
 
 def test_criterion_10_skewness(reference_params, capsys):
