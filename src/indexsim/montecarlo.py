@@ -23,6 +23,7 @@ PICK_STREAM``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
@@ -34,11 +35,11 @@ from .analytic import expected_index_value
 from .enumeration import DeterministicIndex
 from .model import (
     PICK_STREAM,
+    SCIPY_VARIATES,
     STREAM_STRIDE,
     _MASK32,
     ModelParams,
     SeedSpec,
-    _ndtri,
     as_integer,
     draw_universe,
     index_value,
@@ -47,12 +48,18 @@ from .model import (
 MODES = ("fixed-benchmark", "realized-index")
 
 
-def _check_thresholds(over: float, under: float) -> None:
-    """ValueError unless both thresholds of a benchmark pair are finite and over >= under."""
-    if not (math.isfinite(over) and math.isfinite(under)):
-        raise ValueError(f"benchmark thresholds must be finite, got {(over, under)!r}")
+def _check_thresholds(over, under) -> tuple[float, float]:
+    """A benchmark pair as floats; ValueError unless both are finite real numbers and over >= under."""
+    try:
+        floats = [float(t) for t in (over, under) if isinstance(t, numbers.Real)]
+    except OverflowError:
+        floats = []
+    if len(floats) != 2 or not all(map(math.isfinite, floats)):
+        raise ValueError(f"benchmark thresholds must be finite real numbers, got {(over, under)!r}")
+    over, under = floats
     if over < under:
         raise ValueError(f"over_threshold must be >= under_threshold, got {(over, under)!r}")
+    return over, under
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,7 @@ class ExperimentConfig:
         object.__setattr__(self, "trials_per_size", as_integer("trials_per_size", self.trials_per_size))
         # SeedSpec coerces the seed and checks that it is a 64-bit unsigned integer
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
-        object.__setattr__(
-            self, "benchmarks", tuple((float(o), float(u)) for o, u in self.benchmarks)
-        )
+        object.__setattr__(self, "benchmarks", tuple(_check_thresholds(o, u) for o, u in self.benchmarks))
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
         if len(set(self.sizes)) != len(self.sizes):
@@ -87,8 +92,6 @@ class ExperimentConfig:
             raise ValueError(f"trials_per_size must be >= 1, got {self.trials_per_size!r}")
         if not self.benchmarks:
             raise ValueError("benchmarks must be non-empty")
-        for over, under in self.benchmarks:
-            _check_thresholds(over, under)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "realized-index":
@@ -117,7 +120,9 @@ class FrequencyRow:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.size < 1:
             raise ValueError(f"k must be >= 1, got {self.size!r}")
-        _check_thresholds(self.over_threshold, self.under_threshold)
+        over, under = _check_thresholds(self.over_threshold, self.under_threshold)
+        object.__setattr__(self, "over_threshold", over)
+        object.__setattr__(self, "under_threshold", under)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if min(self.over_count, self.under_count) < 0 or self.over_count + self.under_count > self.trials:
@@ -290,6 +295,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         for cell in range(cells)
         for start in range(0, trials, block)
     ]
+    if 2 * config.params.n_stocks * trials * cells >= SCIPY_VARIATES:
+        import scipy.special  # noqa: F401  (a trial draws 2 * n_stocks normals; loaded before any fork)
     processes = min(workers, len(tasks))
     if processes == 1:
         results = [_tally_block(*task) for task in tasks]
@@ -297,7 +304,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         # imported here, so that a run without a pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        _ndtri()  # imported once here, not once in each forked worker
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_tally_block, *zip(*tasks)))
 

@@ -31,8 +31,9 @@ from indexsim import (
     tail_probability,
     underperformance_factor,
 )
+import indexsim.model as model
 from indexsim.cli import main
-from indexsim.model import STREAM_STRIDE
+from indexsim.model import STREAM_STRIDE, _cephes_ndtri
 from indexsim.report import emit_csv, parse_csv
 
 
@@ -388,17 +389,22 @@ GOLDEN_500_TRIALS_REALIZED = {
 
 
 @pytest.mark.parametrize(
-    "model_flags",
+    "model_flags, transform",
     [
-        ["--paper-defaults"],
-        ["--median", "0.10", "--expected", "0.50"],
-        ["--paper-defaults", "--mode", "realized-index"],
+        pytest.param(["--paper-defaults"], "scipy", id="model_flags0"),
+        pytest.param(["--median", "0.10", "--expected", "0.50"], "scipy", id="model_flags1"),
+        pytest.param(["--paper-defaults", "--mode", "realized-index"], "scipy", id="model_flags2"),
+        pytest.param(["--paper-defaults"], "port", id="port-fixed-benchmark"),
+        pytest.param(["--paper-defaults", "--mode", "realized-index"], "port", id="port-realized-index"),
     ],
 )
-def test_paper_default_golden_bytes(tmp_path, capsys, reference_params, model_flags):
+def test_paper_default_golden_bytes(tmp_path, capsys, monkeypatch, reference_params, model_flags, transform):
     # --paper-defaults only sets the two calibration targets, so both spellings
     # must give the pinned CSV, sidecar and SVG bytes; realized-index mode has
-    # its own pins.  Each run's CSV also lies within the exact law.
+    # its own pins.  Each run's CSV also lies within the exact law.  The
+    # in-module ndtri, which runs below SCIPY_VARIATES, must give the same pins.
+    if transform == "port":
+        monkeypatch.setattr(model, "_ndtri", lambda: _cephes_ndtri)
     mode = "realized-index" if "realized-index" in model_flags else "fixed-benchmark"
     golden = GOLDEN_500_TRIALS_REALIZED if mode == "realized-index" else GOLDEN_500_TRIALS
     code = main(["simulate", *model_flags, "--trials", "500", "--seed", "42",

@@ -18,14 +18,18 @@ from indexsim import (
     draw_universe,
     index_value,
 )
+import indexsim.model as model
 import indexsim.montecarlo as montecarlo
 from indexsim.model import (
     DRIFT_STREAM,
     PICK_STREAM,
+    SCIPY_VARIATES,
     SEED_WINDOW,
     SHOCK_STREAM,
     STREAM_STRIDE,
+    _EXPM2,
     _Z_LIMIT,
+    _cephes_ndtri,
     _gross_values,
     _midpoint_uniforms,
     _seed_window,
@@ -39,6 +43,18 @@ WORD = st.sampled_from([0, 2 ** 64 - 1]) | U64
 # exp overflows above LOG_MAX and underflows to 0 below about LOG_MIN
 LOG_MAX = math.log(sys.float_info.max)
 LOG_MIN = math.log(math.ulp(0.0))
+
+
+def cephes(values):
+    """_cephes_ndtri of float64 values, in a new array."""
+    u = np.array(values, dtype=np.float64, ndmin=1)
+    return _cephes_ndtri(u, out=np.empty_like(u))
+
+
+def assert_port_matches_scipy(j):
+    """The port and scipy give the same bits at the midpoint uniforms of the 52-bit integers j."""
+    u = (np.asarray(j, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0 ** -52
+    assert cephes(u).tobytes() == ndtri(u).tobytes()
 
 
 def make_params(**overrides):
@@ -288,39 +304,68 @@ class TestStandardNormals:
 
         mpmath.mp.dps = 40
         probs = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-6, 1 - 1e-12]
-        for p in probs:
-            # mpf(p) keeps the exact binary double; repr(p) would not
-            exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
-            assert abs(float(ndtri(p)) - exact) <= 1e-9
+        # mpf(p) keeps the exact binary double; repr(p) would not
+        exact = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)) for p in probs])
+        for transform in (ndtri, cephes):
+            assert np.all(np.abs(transform(np.array(probs)) - exact) <= 1e-9), transform
 
     def test_extreme_words_give_the_z_limit(self):
-        z = standard_normals(RawWords([0, 2 ** 64 - 1]), 2)
-        assert z.tolist() == [-_Z_LIMIT, _Z_LIMIT]
+        for transform in (ndtri, _cephes_ndtri):
+            with mock.patch.object(model, "_ndtri", return_value=transform):
+                z = standard_normals(RawWords([0, 2 ** 64 - 1]), 2)
+            assert z.tolist() == [-_Z_LIMIT, _Z_LIMIT], transform
         assert _Z_LIMIT == 8.209536151601387
 
     def test_normal_quantile_literals_are_ndtri_bit_for_bit(self):
         # model and montecarlo write these two ndtri values as literals, so
-        # that standard_normals is the one caller of scipy
-        assert _Z_LIMIT.hex() == float(ndtri(1 - 2 ** -53)).hex()
-        assert montecarlo._WILSON_Z.hex() == float(ndtri(0.975)).hex()
+        # that standard_normals is the one caller of the transform
+        for transform in (ndtri, cephes):
+            z_limit, wilson_z = transform(np.array([1 - 2 ** -53, 0.975])).tolist()
+            assert _Z_LIMIT.hex() == z_limit.hex()
+            assert montecarlo._WILSON_Z.hex() == wilson_z.hex()
 
-    def test_scipy_is_imported_on_the_first_draw(self):
+    def test_port_matches_scipy_at_every_region_edge(self):
+        # each branch switch of ndtri, where an operation in another order
+        # would show first: the centre's two ends, the tails' switch at
+        # sqrt(-2 log y) = 8, the middle, and the two extreme words
+        edges = [_EXPM2, 1 - _EXPM2, math.exp(-32), 1 - math.exp(-32), 0.5]
+        j = [int(u * 2 ** 52) + d for u in edges for d in range(-50, 51)]
+        assert_port_matches_scipy(j + [0, 2 ** 52 - 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(WORD, min_size=1, max_size=50))
+    def test_port_matches_scipy_on_any_word(self, words):
+        assert_port_matches_scipy([w >> 12 for w in words])
+
+    def test_port_matches_scipy_in_bulk(self):
+        assert_port_matches_scipy(np.random.default_rng(36).integers(0, 2 ** 52, 10 ** 6, dtype=np.uint64))
+
+    def test_scipy_is_imported_only_for_runs_past_the_constant(self):
         # a fresh process, since this one imported scipy long ago: commands
-        # that draw no variate start without scipy's import, and commands
-        # that start no pool without the process pool's
+        # that draw no variate, a draw_universe call and a run just below
+        # SCIPY_VARIATES normals start without scipy's import, a run at the
+        # constant imports it, and commands that start no pool start
+        # without the process pool's import
         script = textwrap.dedent("""
             import contextlib, io, sys
-            from indexsim import ModelParams, SeedSpec, draw_universe
+            from indexsim import ExperimentConfig, ModelParams, SeedSpec, draw_universe, run_experiment
             from indexsim.cli import main
+            from indexsim.model import SCIPY_VARIATES
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [main(["demo"]), main(["analytic", "--paper-defaults"])]
             print(codes, "scipy.special" in sys.modules, "multiprocessing" in sys.modules)
             draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
             print("scipy.special" in sys.modules)
+            # one trial of one cell draws 2 * n_stocks normals
+            half = -(-SCIPY_VARIATES // 2)
+            for n_stocks in (half - 1, half):
+                params = ModelParams(n_stocks, 5.0, 0.2, 0.04, 0.13)
+                run_experiment(ExperimentConfig(params, sizes=(1,), trials_per_size=1, benchmarks=((0.5, 0.5),)))
+                print(2 * n_stocks >= SCIPY_VARIATES, "scipy.special" in sys.modules)
         """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[0, 0] False False\nTrue\n"
+        assert result.stdout == "[0, 0] False False\nFalse\nFalse False\nTrue True\n"
 
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)

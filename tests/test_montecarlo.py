@@ -1,6 +1,8 @@
 import math
 from collections import Counter
 from concurrent.futures import Executor, Future
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,9 @@ class TestExperimentConfig:
     def test_accepts_valid(self):
         small_config()
         assert small_config(sizes=(np.int64(1), 5), master_seed=np.uint64(42)) == small_config()
+        # any real threshold is held as a float
+        config = small_config(benchmarks=((Fraction(1, 2), np.float32(0.25)), (1, 0)))
+        assert [type(t) for pair in config.benchmarks for t in pair] == [float] * 4
 
     @pytest.mark.parametrize(
         "overrides",
@@ -71,6 +76,12 @@ class TestExperimentConfig:
             dict(master_seed=1.5),
             dict(sizes=(1.5, 2.9)),
             dict(trials_per_size=2.5),
+            # a threshold is a finite real number: the same rule as FrequencyRow's
+            dict(benchmarks=(("0.5", 0.5),)),
+            dict(benchmarks=((None, 0.5),)),
+            dict(benchmarks=((Decimal("0.5"), 0.5),)),
+            dict(benchmarks=((10 ** 400, 0.5),)),
+            dict(benchmarks=((0.5, math.nan),)),
         ],
     )
     def test_rejects_invalid(self, overrides):

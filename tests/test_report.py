@@ -1,6 +1,9 @@
 import hashlib
 import math
+import numbers
 import xml.etree.ElementTree as ET
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -267,27 +270,40 @@ class TestEmitSvgChart:
         assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
+def threshold(value):
+    """value as a float if it is a real number with a finite float value, else None."""
+    try:
+        value = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        value = math.nan
+    return value if math.isfinite(value) else None
+
+
 def is_valid_report(rows, seed) -> bool:
     """The rules of a report, stated apart from FrequencyRow and FrequencyReport."""
-    cells = [(size, over_t, under_t) for size, over_t, under_t, *_ in rows]
+    cells = [(size, threshold(over_t), threshold(under_t)) for size, over_t, under_t, *_ in rows]
     return 0 < len(rows) == len(set(cells)) and 0 <= seed < 2 ** 64 and all(
         type(size) is int and size >= 1
-        and math.isfinite(over_t) and math.isfinite(under_t) and over_t >= under_t
+        and over_t is not None and under_t is not None and over_t >= under_t
         and trials >= 1 and over >= 0 and under >= 0 and over + under <= trials
-        for size, over_t, under_t, over, under, trials in rows
+        for (size, over_t, under_t), (*_, over, under, trials) in zip(cells, rows)
     )
 
 
-# a few named thresholds, so that repeated cells are drawn often, or any finite float
-finite = st.one_of(st.sampled_from([0.3, 0.5, 0.7, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+# a few named thresholds, so that repeated cells are drawn often, or any finite
+# float, or a fraction, which is a real number that becomes a float
+finite = st.one_of(st.sampled_from([0.3, 0.5, 0.7, -0.0]), st.floats(allow_nan=False, allow_infinity=False),
+                   st.fractions())
+# values that are no threshold: no real number, or none with a float value
+not_real = st.sampled_from(["0.5", None, Decimal("0.5"), 10 ** 400, -(10 ** 400)])
 
 
 @st.composite
 def report_row(draw):
     """FrequencyRow fields: valid, or about one time in four wide enough to break any rule."""
     wide = draw(st.integers(0, 3)) == 0
-    threshold = st.one_of(finite, st.floats()) if wide else finite
-    over_t, under_t = draw(st.tuples(threshold, threshold))
+    thresholds = st.one_of(finite, st.floats(), not_real) if wide else finite
+    over_t, under_t = draw(st.tuples(thresholds, thresholds))
     if not wide:
         over_t, under_t = sorted((over_t, under_t), reverse=True)
     # few trials, so that a wide count is often negative or too large
@@ -313,6 +329,11 @@ def report_row(draw):
 # a list of rows used to leave the report unhashable, and rows out of CSV
 # order used to read back in another order
 @example(rows=[(5, 0.5, 0.5, 3, 4, 10), (1, 0.5, 0.5, 2, 6, 10)], seed=42)
+# a string threshold used to raise TypeError, and a Fraction one to make
+# emit_csv raise TypeError
+@example(rows=[(1, "0.5", "0.5", 3, 4, 10)], seed=42)
+@example(rows=[(1, Fraction(1, 2), Fraction(1, 4), 3, 4, 10)], seed=42)
+@example(rows=[(1, 0.5, 0.5, 3, 4, 10), (1, Fraction(1, 2), 0.5, 2, 6, 10)], seed=42)
 def test_reports_are_valid_by_construction_and_round_trip(rows, seed):
     try:
         report = FrequencyReport(rows=[FrequencyRow(*fields) for fields in rows], master_seed=seed)
