@@ -28,8 +28,8 @@ are produced by the inverse-CDF transform of a 52-bit midpoint uniform, so
 each variate consumes exactly one 64-bit word from its substream and
 results never depend on how work is split across workers.
 
-The inverse CDF is scipy.special's Cephes ``ndtri`` (Moshier 1989).  Below
-SCIPY_VARIATES normals a run skips scipy's 0.2 s import: ``_cephes_ndtri``
+The inverse CDF is scipy.special's Cephes ``ndtri`` (Moshier 1989).  A process
+skips scipy's 0.2 s import until its port work reaches SCIPY_VARIATES: ``_cephes_ndtri``
 gives the same bits, with ``math.log`` for the C library's log scipy calls.
 """
 
@@ -58,10 +58,13 @@ _MIDPOINT_SHIFT = 1.0 - 2.0 ** -53
 # which is ndtri(1 - 2**-53).
 _Z_LIMIT = 8.209536151601387
 
-# Runs that draw this many normals or more import scipy.special first: on 2 vCPUs
-# (Python 3.11, numpy 2.4, scipy 1.17) its ndtri took 6.5 us per 500 values, the
-# port 108 us and the import 0.14-0.24 s, which break even at 0.7-1.2 million.
-SCIPY_VARIATES = 1_000_000
+# The port's cost beyond scipy's ndtri is counted in values: a call costs CALL_VARIATES
+# more.  A process imports scipy.special once its port work reaches SCIPY_VARIATES.  On
+# 2 vCPUs (Python 3.11, numpy 2.4, scipy 1.17) the port took 54 us a call and 0.107 us
+# a value beyond scipy, and the import took 0.19-0.30 s, which is 1.8-2.8 million values.
+CALL_VARIATES = 500
+SCIPY_VARIATES = 2_000_000
+_port_work = 0  # this process's port work so far, in values
 
 # Cephes ndtri's constants: P0/Q0 in the centre, P1/Q1 and P2/Q2 in the tails for x < 8 and x >= 8.
 _S2PI = 2.5066282746310007
@@ -234,14 +237,20 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _ndtri():
-    """scipy.special.ndtri once scipy.special is loaded, else _cephes_ndtri; it never imports scipy.
+def _ndtri(count: int):
+    """scipy.special.ndtri once loaded, else _cephes_ndtri, for a call of count values.
 
-    The port takes about 15 times scipy's time per value, so run_experiment
-    imports scipy first for a run of SCIPY_VARIATES normals or more.
+    Each port call adds CALL_VARIATES + count to _port_work; the call that would take it to
+    SCIPY_VARIATES imports scipy instead, so the port never costs a process more than the import.
     """
-    special = sys.modules.get("scipy.special")
-    return _cephes_ndtri if special is None else special.ndtri
+    global _port_work
+    ndtri = getattr(sys.modules.get("scipy.special"), "ndtri", None)  # None while another thread imports it
+    if ndtri is None:
+        _port_work += CALL_VARIATES + count
+        if _port_work < SCIPY_VARIATES:
+            return _cephes_ndtri
+        from scipy.special import ndtri
+    return ndtri
 
 
 def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
@@ -270,7 +279,7 @@ def _cephes_ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     y = np.where(upper, 1.0 - u, u)
     centre = y > _EXPM2
     c = y[centre] - 0.5
-    centre_z = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI
+    out[centre] = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI  # the tails read y and upper, not out
     tail = ~centre
     x = np.sqrt(-2.0 * _log(y[tail]))
     z = 1.0 / x
@@ -278,7 +287,6 @@ def _cephes_ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     far = x >= 8.0
     x1[far] = _ratio(z[far], _P2, _Q2)
     tail_z = x - _log(x) / x - x1
-    out[centre] = centre_z
     out[tail] = np.where(upper[tail], tail_z, -tail_z)
     return out
 
@@ -292,11 +300,11 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     bits are j, which is exactly ``rng.integers(0, 2**52)`` because Lemire's
     bounded method never rejects on a power-of-two range.  ``rng`` must
     have a 64-bit bit generator such as the PCG64 of SeedSpec.generator.
-    The transform is ``_ndtri()``: scipy's ndtri once scipy.special is
+    The transform is ``_ndtri(count)``: scipy's ndtri once scipy.special is
     loaded and its in-module port before, with the same bits either way.
     """
     u = _midpoint_uniforms(rng.bit_generator.random_raw(count))
-    return _ndtri()(u, out=u)
+    return _ndtri(count)(u, out=u)
 
 
 def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:
@@ -343,6 +351,12 @@ def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     values = _gross_values(params, drifts, shocks)
     values.flags.writeable = False
     return values
+
+
+def _plan_draws(params: ModelParams, universes: int) -> None:
+    """Import scipy.special now if this many universes, two calls of n_stocks values each, reach SCIPY_VARIATES."""
+    if 2 * universes * (CALL_VARIATES + params.n_stocks) >= SCIPY_VARIATES:
+        import scipy.special  # noqa: F401
 
 
 def index_value(values) -> float:

@@ -35,11 +35,11 @@ from .analytic import expected_index_value
 from .enumeration import DeterministicIndex
 from .model import (
     PICK_STREAM,
-    SCIPY_VARIATES,
     STREAM_STRIDE,
     _MASK32,
     ModelParams,
     SeedSpec,
+    _plan_draws,
     as_integer,
     draw_universe,
     index_value,
@@ -257,6 +257,8 @@ def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
 
 def _tally_block(config: ExperimentConfig, cell: int, start: int, stop: int) -> tuple[int, int]:
     """Tally trials [start, stop) of one cell: (over, under)."""
+    # the whole run's draws decide in every process, a spawned worker's too
+    _plan_draws(config.params, config.trials_per_size * len(config.sizes) * len(config.benchmarks))
     size_idx, bench_idx = divmod(cell, len(config.benchmarks))
     k, (hi, lo) = config.sizes[size_idx], config.benchmarks[bench_idx]
     first = cell * config.trials_per_size
@@ -295,8 +297,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         for cell in range(cells)
         for start in range(0, trials, block)
     ]
-    if 2 * config.params.n_stocks * trials * cells >= SCIPY_VARIATES:
-        import scipy.special  # noqa: F401  (a trial draws 2 * n_stocks normals; loaded before any fork)
+    _plan_draws(config.params, trials * cells)  # before any fork, so forked workers share one import
     processes = min(workers, len(tasks))
     if processes == 1:
         results = [_tally_block(*task) for task in tasks]

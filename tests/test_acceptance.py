@@ -404,7 +404,7 @@ def test_paper_default_golden_bytes(tmp_path, capsys, monkeypatch, reference_par
     # its own pins.  Each run's CSV also lies within the exact law.  The
     # in-module ndtri, which runs below SCIPY_VARIATES, must give the same pins.
     if transform == "port":
-        monkeypatch.setattr(model, "_ndtri", lambda: _cephes_ndtri)
+        monkeypatch.setattr(model, "_ndtri", lambda count: _cephes_ndtri)
     mode = "realized-index" if "realized-index" in model_flags else "fixed-benchmark"
     golden = GOLDEN_500_TRIALS_REALIZED if mode == "realized-index" else GOLDEN_500_TRIALS
     code = main(["simulate", *model_flags, "--trials", "500", "--seed", "42",

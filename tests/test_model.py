@@ -21,6 +21,7 @@ from indexsim import (
 import indexsim.model as model
 import indexsim.montecarlo as montecarlo
 from indexsim.model import (
+    CALL_VARIATES,
     DRIFT_STREAM,
     PICK_STREAM,
     SCIPY_VARIATES,
@@ -55,6 +56,13 @@ def assert_port_matches_scipy(j):
     """The port and scipy give the same bits at the midpoint uniforms of the 52-bit integers j."""
     u = (np.asarray(j, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0 ** -52
     assert cephes(u).tobytes() == ndtri(u).tobytes()
+
+
+def in_fresh_process(script):
+    """The stdout of a Python process that runs the dedented script; it must exit 0."""
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def make_params(**overrides):
@@ -340,32 +348,67 @@ class TestStandardNormals:
     def test_port_matches_scipy_in_bulk(self):
         assert_port_matches_scipy(np.random.default_rng(36).integers(0, 2 ** 52, 10 ** 6, dtype=np.uint64))
 
-    def test_scipy_is_imported_only_for_runs_past_the_constant(self):
+    def test_scipy_is_imported_once_the_port_work_reaches_the_constant(self):
         # a fresh process, since this one imported scipy long ago: commands
-        # that draw no variate, a draw_universe call and a run just below
-        # SCIPY_VARIATES normals start without scipy's import, a run at the
-        # constant imports it, and commands that start no pool start
+        # that draw no variate, a draw_universe call and a run whose work
+        # stops just short of SCIPY_VARIATES start without scipy's import,
+        # the next draw imports it, and commands that start no pool start
         # without the process pool's import
-        script = textwrap.dedent("""
+        stdout = in_fresh_process("""
             import contextlib, io, sys
-            from indexsim import ExperimentConfig, ModelParams, SeedSpec, draw_universe, run_experiment
+            from indexsim import ExperimentConfig, ModelParams, SeedSpec, draw_universe, model, run_experiment
             from indexsim.cli import main
-            from indexsim.model import SCIPY_VARIATES
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [main(["demo"]), main(["analytic", "--paper-defaults"])]
             print(codes, "scipy.special" in sys.modules, "multiprocessing" in sys.modules)
             draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
+            print(model._port_work, "scipy.special" in sys.modules)
+            # one trial draws two calls of n_stocks values
+            n_stocks = (model.SCIPY_VARIATES - model._port_work - 1) // 2 - model.CALL_VARIATES
+            params = ModelParams(n_stocks, 5.0, 0.2, 0.04, 0.13)
+            run_experiment(ExperimentConfig(params, sizes=(1,), trials_per_size=1, benchmarks=((0.5, 0.5),)))
+            print(model.SCIPY_VARIATES - model._port_work, "scipy.special" in sys.modules)
+            draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
             print("scipy.special" in sys.modules)
-            # one trial of one cell draws 2 * n_stocks normals
-            half = -(-SCIPY_VARIATES // 2)
-            for n_stocks in (half - 1, half):
-                params = ModelParams(n_stocks, 5.0, 0.2, 0.04, 0.13)
-                run_experiment(ExperimentConfig(params, sizes=(1,), trials_per_size=1, benchmarks=((0.5, 0.5),)))
-                print(2 * n_stocks >= SCIPY_VARIATES, "scipy.special" in sys.modules)
         """)
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[0, 0] False False\nFalse\nFalse False\nTrue True\n"
+        assert stdout == "[0, 0] False False\n1006 False\n2 False\nTrue\n"
+
+    @pytest.mark.parametrize(
+        "n_stocks, sizes, trials, imported",
+        [(SCIPY_VARIATES // 2 - CALL_VARIATES, (1,), 1, True), (10, (1, 2, 3, 4), 490, False), (10, (1, 2, 3, 4), 491, True)],
+        ids=["one-big-trial", "small-n-one-universe-short", "small-n-at-the-constant"],
+    )
+    def test_a_run_imports_scipy_before_its_first_draw_at_the_constant(self, n_stocks, sizes, trials, imported):
+        # the run's work counts a call as CALL_VARIATES values: 4 cells of
+        # 491 trials at n = 10 make 1964 universes of 2 * (500 + 10) each,
+        # just past SCIPY_VARIATES.  A run that imports never runs the port.
+        stdout = in_fresh_process(f"""
+            import sys
+            from indexsim import ExperimentConfig, ModelParams, model, run_experiment
+            params = ModelParams({n_stocks}, 5.0, 0.2, 0.04, 0.13)
+            config = ExperimentConfig(params, sizes={sizes}, trials_per_size={trials}, benchmarks=((0.5, 0.5),))
+            run_experiment(config)
+            print("scipy.special" in sys.modules, model._port_work == 0)
+        """)
+        assert stdout == f"{imported} {imported}\n"
+
+    def test_a_spawned_worker_imports_scipy_for_a_run_past_the_constant(self):
+        # a worker that does not inherit the parent's modules, as under spawn
+        # or forkserver, makes the choice itself from the whole run's work
+        stdout = in_fresh_process("""
+            import sys
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+            from indexsim import ExperimentConfig, ModelParams
+            from indexsim.montecarlo import _tally_block
+            params = ModelParams(10, 5.0, 0.2, 0.04, 0.13)
+            config = ExperimentConfig(params, sizes=(1, 2, 3, 4), trials_per_size=491, benchmarks=((0.5, 0.5),))
+            with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+                pool.submit(_tally_block, config, 0, 0, 10).result()
+                print(pool.submit(eval, "__import__('indexsim').model._port_work, 'scipy.special' in __import__('sys').modules").result())
+            print("scipy.special" in sys.modules)
+        """)
+        assert stdout == "(0, True)\nFalse\n"
 
     def test_draws_are_strictly_finite_and_centered(self):
         z = standard_normals(SeedSpec(3, 0).generator(), 200_000)
