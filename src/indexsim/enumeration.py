@@ -161,8 +161,6 @@ def _join(pieces) -> tuple[np.ndarray, np.ndarray]:
     new = np.empty(len(keys), dtype=bool)
     new[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    if new.all():
-        return keys, counts
     starts = np.flatnonzero(new)
     return keys[starts], np.add.reduceat(counts, starts)
 

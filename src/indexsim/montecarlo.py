@@ -297,14 +297,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> FrequencyRepor
         for cell in range(cells)
         for start in range(0, trials, block)
     ]
-    _plan_draws(config.params, trials * cells)  # before any fork, so forked workers share one import
     processes = min(workers, len(tasks))
     if processes == 1:
         results = [_tally_block(*task) for task in tasks]
     else:
         # imported here, so that a run without a pool loads no multiprocessing
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        if multiprocessing.get_start_method() == "fork":
+            _plan_draws(config.params, trials * cells)  # forked workers then share one import
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_tally_block, *zip(*tasks)))
 

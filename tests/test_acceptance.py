@@ -15,6 +15,7 @@ from scipy.special import ndtr
 from scipy.stats import skew
 
 from indexsim import (
+    CalibrationTarget,
     DeterministicIndex,
     ExperimentConfig,
     ModelParams,
@@ -26,6 +27,7 @@ from indexsim import (
     index_value,
     median_stock_value,
     run_experiment,
+    stock_log_law,
     subset_frequencies,
     summarize,
     tail_probability,
@@ -341,6 +343,35 @@ def test_paper_csv_matches_the_exact_law(paper_csv_runs, reference_params):
     assert_within_four_half_widths(report, reference_params, "fixed-benchmark")
     for threshold, (low, high) in exact_over_brackets(1, (1.5, 1.7)).items():
         assert low <= tail_probability(reference_params, threshold, "above") <= high
+
+
+# P(one stock beats the expected index return) by (median, expected) target: the README's k = 1 table
+K1_TABLE = {
+    (0.05, 0.30): 0.3719, (0.05, 0.50): 0.3364, (0.05, 0.70): 0.3118,
+    (0.10, 0.30): 0.3863, (0.10, 0.50): 0.3469, (0.10, 0.70): 0.3204,
+    (0.15, 0.30): 0.4022, (0.15, 0.50): 0.3577, (0.15, 0.70): 0.3292,
+}
+
+
+def test_the_table_depends_on_the_targets_alone(reference_params):
+    # A stock's log law is (ln(1 + M), 2 ln((1 + E) / (1 + M))) whatever the
+    # volatility and the horizon, so they drop out of every frequency.
+    def calibrated(median, expected, sigma):
+        mu_hat, sigma_hat = calibrate(CalibrationTarget(median, expected, sigma, 5.0))
+        return ModelParams(500, 5.0, sigma, mu_hat, sigma_hat)
+
+    m, v = stock_log_law(reference_params)
+    for sigma in (0.1, 0.3):
+        other_m, other_v = stock_log_law(calibrated(0.10, 0.50, sigma))
+        assert abs(other_m - m) <= 1e-12 and abs(other_v - v) <= 1e-12
+    params = calibrated(0.10, 0.50, 0.3)
+    for mode in ("fixed-benchmark", "realized-index"):
+        report = run_experiment(ExperimentConfig(params, trials_per_size=2_000, mode=mode), workers=2)
+        assert_within_four_half_widths(report, params, mode)
+    for (median, expected), rounded in K1_TABLE.items():
+        beats = tail_probability(calibrated(median, expected, 0.2), 1.0 + expected, "above")
+        assert abs(beats - ndtr(-math.sqrt(2.0 * math.log((1.0 + expected) / (1.0 + median))) / 2.0)) <= 1e-12
+        assert round(beats, 4) == rounded
 
 
 @pytest.fixture(scope="module")

@@ -121,15 +121,12 @@ class TestPickSubset:
         for count in counts.values():
             assert abs(count / trials - 0.1) < 5.0 * se
 
-    def test_full_set(self):
-        rng = SeedSpec(1, 0).generator()
-        assert pick_subset(rng, 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
-
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 600), r=st.integers(0, 2 ** 20), stream_index=st.integers(0, 2 ** 64 - 1))
     @example(n=500, r=19, stream_index=2)
     @example(n=20, r=19, stream_index=6)
     @example(n=1, r=0, stream_index=0)
+    @example(n=6, r=5, stream_index=0)  # k = n picks every index in order
     def test_matches_dense_swap_loop(self, n, r, stream_index):
         k = 1 + r % n
         seed = SeedSpec(7, stream_index)
@@ -274,11 +271,6 @@ class TestRunTrial:
         seed = SeedSpec(master_seed, trial * STREAM_STRIDE)
         assert run_trial(params, k, seed) == _numpy_trial(params, k, master_seed, trial * STREAM_STRIDE)
 
-    def test_deterministic(self):
-        params = small_params()
-        seed = SeedSpec(9, 8 * STREAM_STRIDE)
-        assert run_trial(params, 5, seed) == run_trial(params, 5, seed)
-
     def test_full_index_subset_matches_realized_index(self):
         params = small_params()
         portfolio, realized = run_trial(params, params.n_stocks, SeedSpec(4, 0))
@@ -325,11 +317,6 @@ def in_process_pool(monkeypatch):
 
 
 class TestRunExperiment:
-    def test_deterministic_repeat(self):
-        r1 = run_experiment(small_config())
-        r2 = run_experiment(small_config())
-        assert r1.rows == r2.rows
-
     @pytest.mark.parametrize(
         "overrides",
         [dict(), dict(mode="realized-index")],
@@ -397,13 +384,6 @@ class TestRunExperiment:
         blocks = [(0, 500), (500, 1000), (1000, 1500), (1500, 2000), (2000, 2400)]
         assert calls == [(cell, *block) for cell in range(2) for block in blocks]
 
-    def test_counts_sum_to_trials(self):
-        report = run_experiment(small_config(benchmarks=((0.7, 0.3),)))
-        for row in report.rows:
-            assert row.over_count + row.under_count + row.between_count == row.trials
-            assert 0.0 <= row.over_freq <= 1.0
-            assert 0.0 <= row.under_freq <= 1.0
-
     @pytest.mark.parametrize("mode", ["fixed-benchmark", "realized-index"])
     def test_trial_numbering_contract(self, mode):
         # recompute one cell by hand with the documented stream layout and
@@ -443,26 +423,6 @@ class TestRunExperiment:
         assert row.over_count == 0
         assert row.under_count == 0
         assert row.between_count == row.trials
-
-    def test_sampling_equivalence(self, reference_params):
-        # k stocks picked from a fresh 500-stock universe are k i.i.d. stocks:
-        # compare with an independent numpy sampler of k i.i.d. GBM stocks
-        trials, k, p = 10_000, 5, reference_params
-        fresh = run_experiment(
-            ExperimentConfig(
-                params=p, sizes=(k,), trials_per_size=trials,
-                benchmarks=((0.7, 0.3),), master_seed=11,
-            )
-        ).rows[0]
-        rng = np.random.default_rng(12)
-        drifts = rng.normal(p.mu_hat, p.sigma_hat, size=(trials, k))
-        shocks = rng.normal(0.0, p.sigma * math.sqrt(p.horizon), size=(trials, k))
-        values = np.exp((drifts - 0.5 * p.sigma ** 2) * p.horizon + shocks)
-        iid = values.mean(axis=1) - 1.0
-        pairs = ((fresh.over_freq, np.mean(iid > 0.7)), (fresh.under_freq, np.mean(iid < 0.3)))
-        for a, b in pairs:
-            se = math.sqrt(a * (1 - a) / trials + b * (1 - b) / trials)
-            assert abs(a - b) <= 5.0 * se
 
     def test_realized_index_mode_full_subset_is_between(self):
         # with k = N the portfolio IS the realized index; thresholds equal
@@ -546,17 +506,6 @@ class TestFrequencyCI:
 class TestSubsetFrequencies:
     VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
 
-    def test_matches_enumeration_oracle(self):
-        trials = 10_000
-        stats = enumerate_portfolios(DeterministicIndex(self.VALUES), {2})
-        exact_below, _, _ = stats.compare(0.18)
-        p = exact_below / stats.portfolio_count
-        below, equal, above = subset_frequencies(self.VALUES, 2, trials, 0.18, master_seed=42)
-        assert below + equal + above == trials
-        assert equal == 0
-        se = math.sqrt(p * (1 - p) / trials)
-        assert abs(below / trials - p) <= 5.0 * se
-
     def test_two_stock_returns_land_on_lattice(self):
         # every 2-subset return of the one-winner universe is 10% or 30%
         trials = 500
@@ -565,23 +514,6 @@ class TestSubsetFrequencies:
         assert below + above == trials
         below2, _, above2 = subset_frequencies(self.VALUES, 2, trials, 0.35, master_seed=7)
         assert above2 == 0
-
-    def test_ties_count_as_equal(self):
-        # two of the six pairs, (1.25, 1.75) and (1.5, 1.5), average to
-        # exactly 0.5; recompute each pick on its own substream
-        values, k, trials, seed = (1.25, 1.5, 1.5, 1.75), 2, 600, 3
-        below = equal = above = 0
-        for t in range(trials):
-            rng = SeedSpec(seed, t * STREAM_STRIDE + PICK_STREAM).generator()
-            ret = float(np.mean(np.array(values)[pick_subset(rng, len(values), k)])) - 1.0
-            if ret < 0.5:
-                below += 1
-            elif ret == 0.5:
-                equal += 1
-            else:
-                above += 1
-        assert subset_frequencies(values, k, trials, 0.5, master_seed=seed) == (below, equal, above)
-        assert equal > 0 and below > 0 and above > 0
 
     def test_ties_follow_the_exact_law(self):
         # 2 of the 6 pick orders of {1.1, 1.3, 1.7} sum to a larger float than
@@ -616,6 +548,8 @@ class TestSubsetFrequencies:
     @example(values=[0.25, 1.75] * 20, r=39, trials=40, seed=3, at=5)
     # 3.0 + 1.1 + 1.1 sums to 5.2 or 5.199999999999999, by pick order
     @example(values=[1.75, 3.0, 1.1, 1.1, 1.1], r=17, trials=14, seed=5, at=12)
+    # (1.25, 1.75) and (1.5, 1.5) average to exactly 0.5: 189 below, 200 equal, 211 above
+    @example(values=[1.25, 1.5, 1.5, 1.75], r=1, trials=600, seed=3, at=1)
     def test_block_equals_pick_by_pick(self, values, r, trials, seed, at):
         # repeated values make ties; the benchmark is a return that occurs;
         # each pick's return is the documented law, whatever the pick order
@@ -641,11 +575,6 @@ class TestSubsetFrequencies:
         misses = _seed_window.cache_info().misses
         subset_frequencies(self.VALUES, 2, 5000, 0.18, master_seed=8)
         assert _seed_window.cache_info().misses == misses
-
-    def test_deterministic(self):
-        a = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
-        b = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
-        assert a == b
 
     # a non-positive value used to pass here, though enumeration refuses it
     @pytest.mark.parametrize("values", [
