@@ -43,6 +43,11 @@ class TestClosedForms:
         params = make_params(mu_hat=0.04, sigma_hat=0.0, horizon=5.0)
         assert expected_index_value(params) == pytest.approx(math.exp(0.2), rel=1e-12)
 
+    def test_reference_calibration_hits_targets(self, reference_params):
+        assert expected_index_value(reference_params) == pytest.approx(1.5, rel=1e-12)
+        assert median_stock_value(reference_params) == pytest.approx(1.1, rel=1e-12)
+        assert underperformance_factor(reference_params) == pytest.approx(1.5 / 1.1, rel=1e-12)
+
     def test_median_trivial_cases(self):
         assert median_stock_value(make_params(sigma=0.0, mu_hat=0.0)) == 1.0
         params = make_params(sigma=0.2, mu_hat=0.02, horizon=5.0)
@@ -80,6 +85,11 @@ class TestStockLogLaw:
     def test_degenerate(self):
         assert stock_log_law(make_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.0)) == (0.0, 0.0)
 
+    def test_reference_values(self, reference_params):
+        m, v = stock_log_law(reference_params)
+        assert m == pytest.approx(math.log(1.1), rel=1e-12)
+        assert v == pytest.approx(0.620310, abs=5e-7)
+
     def test_horizon_scaling_without_volatility(self):
         p1 = make_params(sigma=0.0, horizon=3.0)
         p2 = make_params(sigma=0.0, horizon=6.0)
@@ -90,6 +100,13 @@ class TestStockLogLaw:
 
 
 class TestCalibrate:
+    def test_reference_values(self, reference_target):
+        mu_hat, sigma_hat = calibrate(reference_target)
+        assert mu_hat == pytest.approx(0.0390620, abs=1e-6)
+        assert sigma_hat == pytest.approx(0.1296627, abs=1e-6)
+        assert round(mu_hat * 100) == 4
+        assert round(sigma_hat * 100) == 13
+
     def test_round_trip_property(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

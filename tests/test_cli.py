@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -120,6 +121,14 @@ class TestCalibrateCommand:
 
 
 class TestAnalyticCommand:
+    def test_reference_defaults(self, capsys):
+        code = run_cli("analytic", "--paper-defaults")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "expected_index_value = 1.500000" in out
+        assert "median_stock_value = 1.100000" in out
+        assert "underperformance_factor = 1.363636" in out
+
     def test_degenerate_params(self, capsys):
         code = run_cli("analytic", "--mu-hat", "0", "--sigma-hat", "0", "--sigma", "0")
         out = capsys.readouterr().out
@@ -127,6 +136,14 @@ class TestAnalyticCommand:
         assert "expected_index_value = 1.000000" in out
         assert "median_stock_value = 1.000000" in out
         assert "underperformance_factor = 1.000000" in out
+
+    def test_json_toggle(self, capsys):
+        code = run_cli("analytic", "--paper-defaults", "--json")
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["expected_index_value"] == pytest.approx(1.5, rel=1e-12)
+        assert payload["median_stock_value"] == pytest.approx(1.1, rel=1e-12)
 
     def test_golden_text_output(self, capsys):
         assert run_cli("analytic", "--paper-defaults") == 0
@@ -175,6 +192,19 @@ class TestAnalyticCommand:
 
 
 class TestDemoCommand:
+    def test_exact_worked_example(self, capsys):
+        code = run_cli("demo")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "portfolios=15 mean=0.180000 median=0.100000 under_fraction=0.666667" in out
+
+    def test_byte_identical_repeat(self, capsys):
+        run_cli("demo")
+        first = capsys.readouterr().out
+        run_cli("demo")
+        second = capsys.readouterr().out
+        assert first == second
+
     def test_golden_output(self, capsys):
         run_cli("demo")
         assert capsys.readouterr().out == (
@@ -209,6 +239,14 @@ class TestDemoCommand:
 
 
 class TestEnumerateCommand:
+    def test_explicit_values(self, capsys):
+        code = run_cli("enumerate", "--values", "1.1,1.1,1.1,1.1,1.5",
+                       "--sizes", "1,2", "--benchmark", "0.18")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "portfolios=15" in out
+        assert "under_fraction=0.666667" in out
+
     def test_golden_oracle_universe(self, capsys):
         # a 20-stock universe with three 50% winners, every size 1..20:
         # 2**20 - 1 subsets, and two distinct returns that both print 0.200000

@@ -109,6 +109,31 @@ class TestEnumeratePortfolios:
     def test_compare(self, level, split):
         assert enumerate_portfolios(ONE_WINNER, {1, 2}).compare(level) == split
 
+    def test_full_index_subset(self):
+        rng = np.random.default_rng(3)
+        values = tuple(rng.lognormal(0.1, 0.5, size=8))
+        index = DeterministicIndex(values)
+        stats = enumerate_portfolios(index, {8})
+        assert stats.portfolio_count == 1
+        assert stats.mean_return == pytest.approx(index.mean_return(), rel=1e-12)
+
+    def test_subset_mean_identity(self):
+        rng = np.random.default_rng(9)
+        values = tuple(rng.lognormal(0.0, 0.6, size=10))
+        index = DeterministicIndex(values)
+        stats = enumerate_portfolios(index, {3})
+        assert stats.portfolio_count == math.comb(10, 3)
+        assert stats.mean_return == pytest.approx(index.mean_return(), rel=1e-12)
+
+    def test_constant_index_equality_counts(self):
+        index = DeterministicIndex((1.1,) * 6)
+        benchmark = 1.1 - 1.0
+        stats = enumerate_portfolios(index, {1, 2, 3})
+        below, equal, above = stats.compare(benchmark)
+        assert below == 0
+        assert above == 0
+        assert equal == stats.portfolio_count
+
     def test_cap_error_names_count(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 1000)
         index = DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30)))
@@ -204,6 +229,31 @@ class TestEnumeratePortfolios:
         with pytest.raises(ValueError, match="finite"):
             stats.compare(bad)
 
+    def test_even_count_median_is_midpoint(self):
+        index = DeterministicIndex((1.0, 2.0, 3.0, 4.0))
+        stats = enumerate_portfolios(index, {1})
+        assert stats.median_return == pytest.approx(1.5, abs=1e-15)
+
+
+class TestUnderperformanceFraction:
+    """The share of portfolios strictly below a benchmark, from compare."""
+
+    @staticmethod
+    def fraction(index, sizes, benchmark):
+        stats = enumerate_portfolios(index, sizes)
+        below, _, _ = stats.compare(benchmark)
+        return below / stats.portfolio_count
+
+    def test_one_winner_fraction(self):
+        assert self.fraction(ONE_WINNER, {1, 2}, 0.18) == pytest.approx(10.0 / 15.0, abs=1e-12)
+
+    def test_benchmark_below_minimum(self):
+        assert self.fraction(ONE_WINNER, {1, 2}, 0.05) == 0.0
+
+    def test_constant_index_strictly_below_is_empty(self):
+        index = DeterministicIndex((1.1,) * 5)
+        assert self.fraction(index, {1, 2, 3}, 1.1 - 1.0) == 0.0
+
 
 def brute_force(values, sizes, benchmarks):
     """The definition: one math.fsum per subset, every statistic from the full list.
@@ -275,8 +325,6 @@ class TestAgainstBruteForce:
     @example(([1e308, 1.5e308], {1}, (0.0,)))  # the sum of the returns overflows, the mean does not
     @example(([5e-324, 1.0, 2.2250738585072014e-308], {1, 2}, (0.0,)))
     @example(([0.5] * 6 + [sys.float_info.max], {6}, (-0.5, 0.0)))  # the sum rounds to the largest float
-    @example(([1.1] * 6, {1, 2, 3}, (1.1 - 1.0,)))  # every subset equals the benchmark
-    @example(([1.0, 2.0, 3.0, 4.0], {1}, (0.0,)))  # an even count: the median is a midpoint
     # 11 distinct values, more than the strategy draws, up to the full index
     @example((np.random.default_rng(12).lognormal(0.0, 0.4, size=11).tolist(), {1, 4, 7, 11}, (0.0,)))
     def test_equals_fsum_definition(self, universe):

@@ -178,6 +178,14 @@ class TestModelParams:
 
 
 class TestSeedSpec:
+    def test_substream_offsets(self):
+        # a purpose offset names stream stream_index + offset
+        seed = SeedSpec(42, 8)
+        for offset, index in ((DRIFT_STREAM, 8), (SHOCK_STREAM, 9), (PICK_STREAM, 10)):
+            ours = seed.generator(offset).bit_generator.random_raw(8)
+            assert ours.tolist() == SeedSpec(42, index).generator().bit_generator.random_raw(8).tolist()
+        assert STREAM_STRIDE > PICK_STREAM
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SeedSpec(-1, 0)
@@ -485,6 +493,12 @@ class TestDrawUniverse:
         params = make_params(n_stocks=5, sigma=0.0, sigma_hat=0.0, mu_hat=0.04, horizon=5.0)
         assert draw_universe(params, SeedSpec(3, 0)).tolist() == [math.exp(0.2)] * 5
 
+    def test_deterministic(self):
+        params = make_params()
+        a = draw_universe(params, SeedSpec(11, 4))
+        b = draw_universe(params, SeedSpec(11, 4))
+        assert np.array_equal(a, b)
+
     @settings(max_examples=100, deadline=None)
     @given(
         params=st.builds(ModelParams, n_stocks=st.integers(1, 40), horizon=st.floats(0.1, 30.0),
@@ -539,6 +553,12 @@ class TestDrawUniverse:
                 n_stocks=100_000, horizon=5.0, sigma=sigma, mu_hat=0.04, sigma_hat=sigma_hat
             )
             assert skew(draw_universe(params, SeedSpec(2, 0))) > 0
+
+    def test_positivity(self):
+        params = make_params(n_stocks=2000)
+        values = draw_universe(params, SeedSpec(8, 0))
+        assert np.all(values > 0)
+        assert index_value(values) > 0
 
     def test_values_immutable(self):
         values = draw_universe(make_params(), SeedSpec(1, 0))

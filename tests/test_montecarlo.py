@@ -121,12 +121,15 @@ class TestPickSubset:
         for count in counts.values():
             assert abs(count / trials - 0.1) < 5.0 * se
 
+    def test_full_set(self):
+        rng = SeedSpec(1, 0).generator()
+        assert pick_subset(rng, 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
+
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 600), r=st.integers(0, 2 ** 20), stream_index=st.integers(0, 2 ** 64 - 1))
     @example(n=500, r=19, stream_index=2)
     @example(n=20, r=19, stream_index=6)
     @example(n=1, r=0, stream_index=0)
-    @example(n=6, r=5, stream_index=0)  # k = n picks every index in order
     def test_matches_dense_swap_loop(self, n, r, stream_index):
         k = 1 + r % n
         seed = SeedSpec(7, stream_index)
@@ -271,6 +274,11 @@ class TestRunTrial:
         seed = SeedSpec(master_seed, trial * STREAM_STRIDE)
         assert run_trial(params, k, seed) == _numpy_trial(params, k, master_seed, trial * STREAM_STRIDE)
 
+    def test_deterministic(self):
+        params = small_params()
+        seed = SeedSpec(9, 8 * STREAM_STRIDE)
+        assert run_trial(params, 5, seed) == run_trial(params, 5, seed)
+
     def test_full_index_subset_matches_realized_index(self):
         params = small_params()
         portfolio, realized = run_trial(params, params.n_stocks, SeedSpec(4, 0))
@@ -317,6 +325,11 @@ def in_process_pool(monkeypatch):
 
 
 class TestRunExperiment:
+    def test_deterministic_repeat(self):
+        r1 = run_experiment(small_config())
+        r2 = run_experiment(small_config())
+        assert r1.rows == r2.rows
+
     @pytest.mark.parametrize(
         "overrides",
         [dict(), dict(mode="realized-index")],
@@ -383,6 +396,13 @@ class TestRunExperiment:
         run_experiment(small_config(sizes=(1, 2), trials_per_size=2_400), workers=workers)
         blocks = [(0, 500), (500, 1000), (1000, 1500), (1500, 2000), (2000, 2400)]
         assert calls == [(cell, *block) for cell in range(2) for block in blocks]
+
+    def test_counts_sum_to_trials(self):
+        report = run_experiment(small_config(benchmarks=((0.7, 0.3),)))
+        for row in report.rows:
+            assert row.over_count + row.under_count + row.between_count == row.trials
+            assert 0.0 <= row.over_freq <= 1.0
+            assert 0.0 <= row.under_freq <= 1.0
 
     @pytest.mark.parametrize("mode", ["fixed-benchmark", "realized-index"])
     def test_trial_numbering_contract(self, mode):
@@ -506,6 +526,17 @@ class TestFrequencyCI:
 class TestSubsetFrequencies:
     VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
 
+    def test_matches_enumeration_oracle(self):
+        trials = 10_000
+        stats = enumerate_portfolios(DeterministicIndex(self.VALUES), {2})
+        exact_below, _, _ = stats.compare(0.18)
+        p = exact_below / stats.portfolio_count
+        below, equal, above = subset_frequencies(self.VALUES, 2, trials, 0.18, master_seed=42)
+        assert below + equal + above == trials
+        assert equal == 0
+        se = math.sqrt(p * (1 - p) / trials)
+        assert abs(below / trials - p) <= 5.0 * se
+
     def test_two_stock_returns_land_on_lattice(self):
         # every 2-subset return of the one-winner universe is 10% or 30%
         trials = 500
@@ -575,6 +606,11 @@ class TestSubsetFrequencies:
         misses = _seed_window.cache_info().misses
         subset_frequencies(self.VALUES, 2, 5000, 0.18, master_seed=8)
         assert _seed_window.cache_info().misses == misses
+
+    def test_deterministic(self):
+        a = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
+        b = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
+        assert a == b
 
     # a non-positive value used to pass here, though enumeration refuses it
     @pytest.mark.parametrize("values", [
