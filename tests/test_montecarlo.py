@@ -579,7 +579,9 @@ class TestSubsetFrequencies:
     @example(values=[0.25, 1.75] * 20, r=39, trials=40, seed=3, at=5)
     # 3.0 + 1.1 + 1.1 sums to 5.2 or 5.199999999999999, by pick order
     @example(values=[1.75, 3.0, 1.1, 1.1, 1.1], r=17, trials=14, seed=5, at=12)
-    # (1.25, 1.75) and (1.5, 1.5) average to exactly 0.5: 189 below, 200 equal, 211 above
+    # k = 2: every pick's return is 0.375, 0.5 or 0.625, each made by two
+    # distinct pairs, and (1.25, 1.75) and (1.5, 1.5) average to exactly 0.5;
+    # these 600 picks give 189 below, 200 equal and 211 above the 0.5 at `at`
     @example(values=[1.25, 1.5, 1.5, 1.75], r=1, trials=600, seed=3, at=1)
     def test_block_equals_pick_by_pick(self, values, r, trials, seed, at):
         # repeated values make ties; the benchmark is a return that occurs;
