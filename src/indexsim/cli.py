@@ -338,9 +338,10 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand, write its stdout, and return its exit code.
 
-    0 success, 2 usage or configuration error, 3 output I/O failure, 4 a
-    worker process died, 130 interrupted, each with one ``error:`` line; 141
-    (128 + SIGPIPE) and no error line when the reader closes stdout first.
+    0 success, 2 usage or configuration error, 3 output I/O failure, 4 the
+    run ran out of memory or a worker process died, 130 interrupted, each
+    with one ``error:`` line; 141 (128 + SIGPIPE) and no error line when the
+    reader closes stdout first.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
     except BrokenExecutor:
         print("error: a worker process died before its trials finished", file=sys.stderr)
         return 4

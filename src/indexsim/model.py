@@ -213,10 +213,8 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        # each trial and each subset_frequencies call builds one, almost always from Python ints
-        if type(self.master_seed) is not int or type(self.stream_index) is not int:
-            object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
-            object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))
+        object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
+        object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not 0 <= self.stream_index < 2 ** 64:
@@ -227,9 +225,7 @@ class SeedSpec:
 
         ``Generator(PCG64(SeedSequence([master_seed, stream_index + offset])))``, bit for bit.
         """
-        if type(offset) is not int:
-            offset = as_integer("offset", offset)
-        index = self.stream_index + offset
+        index = self.stream_index + as_integer("offset", offset)
         if not 0 <= index < 2 ** 64:
             raise ValueError(f"stream_index + offset must be a 64-bit unsigned integer, got {index!r}")
         window, row = divmod(index, SEED_WINDOW)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -47,13 +48,31 @@ def observed(stats, benchmarks):
 
 
 class TestDeterministicIndex:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            DeterministicIndex(())
-        with pytest.raises(ValueError):
-            DeterministicIndex((1.0, -0.5))
-        with pytest.raises(ValueError):
-            DeterministicIndex((1.0, float("inf")))
+    REFUSED = {
+        "empty": (lambda: DeterministicIndex(()), "gross_values must be non-empty"),
+        "zero-value": (lambda: DeterministicIndex((1.1, 0.0)), "gross values must be positive and finite"),
+        "negative-value": (lambda: DeterministicIndex((1.0, -0.5)), "gross values must be positive and finite"),
+        "inf-value": (lambda: DeterministicIndex((1.0, math.inf)), "gross values must be positive and finite"),
+        "nan-value": (lambda: DeterministicIndex((1.1, math.nan)), "gross values must be positive and finite"),
+        "picks-not-a-matrix": (lambda: ONE_WINNER.subset_returns([0, 1]),
+                               "picks must be an integer matrix with at least one column, got shape (2,) of int64"),
+        "picks-without-a-column": (lambda: ONE_WINNER.subset_returns(np.empty((1, 0), dtype=int)),
+                                   "picks must be an integer matrix with at least one column, got shape (1, 0) of int64"),
+        "picks-not-integers": (lambda: ONE_WINNER.subset_returns([[0.0, 1.0]]),
+                               "picks must be an integer matrix with at least one column, got shape (1, 2) of float64"),
+        "picks-repeated": (lambda: ONE_WINNER.subset_returns([[0, 0]]),
+                           "each row of picks must hold distinct indices in [0, 5)"),
+        # negative indices would wrap round
+        "picks-negative": (lambda: ONE_WINNER.subset_returns([[-1, 0]]),
+                           "each row of picks must hold distinct indices in [0, 5)"),
+        "picks-past-the-universe": (lambda: ONE_WINNER.subset_returns([[1, 5]]),
+                                    "each row of picks must hold distinct indices in [0, 5)"),
+    }
+
+    @pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_mean_return(self):
         assert ONE_WINNER.mean_return() == pytest.approx(0.18, abs=1e-12)
@@ -68,18 +87,6 @@ class TestDeterministicIndex:
         assert ONE_WINNER.subset_returns(np.empty((0, 3), dtype=int)).size == 0
         with pytest.raises(OverflowError):
             DeterministicIndex((1e308, 1e308)).subset_returns([[0, 1]])
-
-    @pytest.mark.parametrize("picks", [
-        [0, 1],  # not a matrix
-        np.empty((1, 0), dtype=int),  # no column
-        [[0.0, 1.0]],  # not integers
-        [[0, 0]],  # a repeated index
-        [[-1, 0]],  # negative indices would wrap round
-        [[1, 5]],  # past the universe
-    ])
-    def test_subset_returns_rejects_bad_picks(self, picks):
-        with pytest.raises(ValueError, match="picks"):
-            ONE_WINNER.subset_returns(picks)
 
 
 class TestEnumeratePortfolios:
@@ -108,31 +115,6 @@ class TestEnumeratePortfolios:
     ])
     def test_compare(self, level, split):
         assert enumerate_portfolios(ONE_WINNER, {1, 2}).compare(level) == split
-
-    def test_full_index_subset(self):
-        rng = np.random.default_rng(3)
-        values = tuple(rng.lognormal(0.1, 0.5, size=8))
-        index = DeterministicIndex(values)
-        stats = enumerate_portfolios(index, {8})
-        assert stats.portfolio_count == 1
-        assert stats.mean_return == pytest.approx(index.mean_return(), rel=1e-12)
-
-    def test_subset_mean_identity(self):
-        rng = np.random.default_rng(9)
-        values = tuple(rng.lognormal(0.0, 0.6, size=10))
-        index = DeterministicIndex(values)
-        stats = enumerate_portfolios(index, {3})
-        assert stats.portfolio_count == math.comb(10, 3)
-        assert stats.mean_return == pytest.approx(index.mean_return(), rel=1e-12)
-
-    def test_constant_index_equality_counts(self):
-        index = DeterministicIndex((1.1,) * 6)
-        benchmark = 1.1 - 1.0
-        stats = enumerate_portfolios(index, {1, 2, 3})
-        below, equal, above = stats.compare(benchmark)
-        assert below == 0
-        assert above == 0
-        assert equal == stats.portfolio_count
 
     def test_cap_error_names_count(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 1000)
@@ -206,16 +188,18 @@ class TestEnumeratePortfolios:
         assert stats.mean_return == stats.median_return == 1.1 - 1.0
         assert stats.compare(1.1 - 1.0) == (0, count, 0)
 
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            enumerate_portfolios(ONE_WINNER, set())
-        with pytest.raises(ValueError):
-            enumerate_portfolios(ONE_WINNER, {0})
-        with pytest.raises(ValueError):
-            enumerate_portfolios(ONE_WINNER, {6})
+    REFUSED = {
+        "no-size": (ONE_WINNER, set(), "k_set must contain at least one subset size"),
+        "size-0": (ONE_WINNER, {0}, "subset sizes must lie in [1, 5], got (0,)"),
+        "size-past-n": (ONE_WINNER, {6}, "subset sizes must lie in [1, 5], got (6,)"),
         # a float size used to be truncated: {1.5} counted the size-1 subsets
-        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
-            enumerate_portfolios(DeterministicIndex((1.1, 1.5, 2.0)), {1.5})
+        "float-size": (DeterministicIndex((1.1, 1.5, 2.0)), {1.5}, "each size in k_set must be an integer, got 1.5"),
+    }
+
+    @pytest.mark.parametrize("index, sizes, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, index, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_portfolios(index, sizes)
 
     def test_accepts_numpy_sizes(self):
         expected = observed(enumerate_portfolios(ONE_WINNER, {2}), (0.18,))
@@ -226,33 +210,8 @@ class TestEnumeratePortfolios:
         # a NaN compares false with every return, so it used to count
         # every subset as below it
         stats = enumerate_portfolios(ONE_WINNER, {1, 2})
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^benchmark must be finite, got {bad}$"):
             stats.compare(bad)
-
-    def test_even_count_median_is_midpoint(self):
-        index = DeterministicIndex((1.0, 2.0, 3.0, 4.0))
-        stats = enumerate_portfolios(index, {1})
-        assert stats.median_return == pytest.approx(1.5, abs=1e-15)
-
-
-class TestUnderperformanceFraction:
-    """The share of portfolios strictly below a benchmark, from compare."""
-
-    @staticmethod
-    def fraction(index, sizes, benchmark):
-        stats = enumerate_portfolios(index, sizes)
-        below, _, _ = stats.compare(benchmark)
-        return below / stats.portfolio_count
-
-    def test_one_winner_fraction(self):
-        assert self.fraction(ONE_WINNER, {1, 2}, 0.18) == pytest.approx(10.0 / 15.0, abs=1e-12)
-
-    def test_benchmark_below_minimum(self):
-        assert self.fraction(ONE_WINNER, {1, 2}, 0.05) == 0.0
-
-    def test_constant_index_strictly_below_is_empty(self):
-        index = DeterministicIndex((1.1,) * 5)
-        assert self.fraction(index, {1, 2, 3}, 1.1 - 1.0) == 0.0
 
 
 def brute_force(values, sizes, benchmarks):
@@ -324,6 +283,8 @@ class TestAgainstBruteForce:
     @example(([1e308, 1e308], {2}, (0.0,)))  # a subset sum overflows
     @example(([1e308, 1.5e308], {1}, (0.0,)))  # the sum of the returns overflows, the mean does not
     @example(([5e-324, 1.0, 2.2250738585072014e-308], {1, 2}, (0.0,)))
+    @example(([1.1] * 6, {1, 2, 3}, (1.1 - 1.0,)))  # one return, equal to the benchmark
+    @example(([1.0, 2.0, 3.0, 4.0], {1}, (0.0,)))  # an even count: the median is a midpoint
     @example(([0.5] * 6 + [sys.float_info.max], {6}, (-0.5, 0.0)))  # the sum rounds to the largest float
     # 11 distinct values, more than the strategy draws, up to the full index
     @example((np.random.default_rng(12).lognormal(0.0, 0.4, size=11).tolist(), {1, 4, 7, 11}, (0.0,)))

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from concurrent.futures import Executor, Future
 from decimal import Decimal
@@ -57,35 +58,42 @@ class TestExperimentConfig:
         config = small_config(benchmarks=((Fraction(1, 2), np.float32(0.25)), (1, 0)))
         assert [type(t) for pair in config.benchmarks for t in pair] == [float] * 4
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(sizes=()),
-            dict(sizes=(0,)),
-            dict(sizes=(21,)),
-            dict(trials_per_size=0),
-            dict(benchmarks=()),
-            dict(benchmarks=((0.3, 0.7),)),
-            dict(mode="other"),
-            dict(benchmarks=((math.inf, 0.5),)),
-            dict(master_seed=2 ** 64),
-            dict(master_seed=-1),
-            dict(sizes=(1, 1)),
-            dict(benchmarks=((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))),
-            # floats used to be truncated or to fail later in range()
-            dict(master_seed=1.5),
-            dict(sizes=(1.5, 2.9)),
-            dict(trials_per_size=2.5),
-            # a threshold is a finite real number: the same rule as FrequencyRow's
-            dict(benchmarks=(("0.5", 0.5),)),
-            dict(benchmarks=((None, 0.5),)),
-            dict(benchmarks=((Decimal("0.5"), 0.5),)),
-            dict(benchmarks=((10 ** 400, 0.5),)),
-            dict(benchmarks=((0.5, math.nan),)),
-        ],
-    )
-    def test_rejects_invalid(self, overrides):
-        with pytest.raises(ValueError):
+    REFUSED = {
+        "no-sizes": (dict(sizes=()), "sizes must be non-empty"),
+        "size-0": (dict(sizes=(0,)), "subset size 0 outside [1, 20]"),
+        "size-past-n": (dict(sizes=(21,)), "subset size 21 outside [1, 20]"),
+        "repeated-size": (dict(sizes=(1, 1)), "sizes must be distinct, got (1, 1)"),
+        "no-trials": (dict(trials_per_size=0), "trials_per_size must be >= 1, got 0"),
+        "no-benchmarks": (dict(benchmarks=()), "benchmarks must be non-empty"),
+        "over-below-under": (dict(benchmarks=((0.3, 0.7),)), "over_threshold must be >= under_threshold, got (0.3, 0.7)"),
+        "repeated-pair": (dict(benchmarks=((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))),
+                          "benchmark pairs must be distinct, got ((0.5, 0.5), (0.7, 0.3), (0.5, 0.5))"),
+        "unknown-mode": (dict(mode="other"), "mode must be one of ('fixed-benchmark', 'realized-index'), got 'other'"),
+        "seed-past-64-bits": (dict(master_seed=2 ** 64),
+                              "master_seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        "negative-seed": (dict(master_seed=-1), "master_seed must be a 64-bit unsigned integer, got -1"),
+        # floats used to be truncated or to fail later in range()
+        "float-seed": (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+        "float-sizes": (dict(sizes=(1.5, 2.9)), "sizes must be an integer, got 1.5"),
+        "float-trials": (dict(trials_per_size=2.5), "trials_per_size must be an integer, got 2.5"),
+        # a threshold is a finite real number: the same rule as FrequencyRow's
+        "infinite-threshold": (dict(benchmarks=((math.inf, 0.5),)),
+                               "benchmark thresholds must be finite real numbers, got (inf, 0.5)"),
+        "nan-threshold": (dict(benchmarks=((0.5, math.nan),)),
+                          "benchmark thresholds must be finite real numbers, got (0.5, nan)"),
+        "string-threshold": (dict(benchmarks=(("0.5", 0.5),)),
+                             "benchmark thresholds must be finite real numbers, got ('0.5', 0.5)"),
+        "none-threshold": (dict(benchmarks=((None, 0.5),)),
+                           "benchmark thresholds must be finite real numbers, got (None, 0.5)"),
+        "decimal-threshold": (dict(benchmarks=((Decimal("0.5"), 0.5),)),
+                              "benchmark thresholds must be finite real numbers, got (Decimal('0.5'), 0.5)"),
+        "huge-int-threshold": (dict(benchmarks=((10 ** 400, 0.5),)),
+                               f"benchmark thresholds must be finite real numbers, got ({10 ** 400}, 0.5)"),
+    }
+
+    @pytest.mark.parametrize("overrides, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**overrides)
 
 
@@ -121,15 +129,12 @@ class TestPickSubset:
         for count in counts.values():
             assert abs(count / trials - 0.1) < 5.0 * se
 
-    def test_full_set(self):
-        rng = SeedSpec(1, 0).generator()
-        assert pick_subset(rng, 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
-
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 600), r=st.integers(0, 2 ** 20), stream_index=st.integers(0, 2 ** 64 - 1))
     @example(n=500, r=19, stream_index=2)
     @example(n=20, r=19, stream_index=6)
     @example(n=1, r=0, stream_index=0)
+    @example(n=6, r=5, stream_index=0)  # k = n picks range(n)
     def test_matches_dense_swap_loop(self, n, r, stream_index):
         k = 1 + r % n
         seed = SeedSpec(7, stream_index)
@@ -146,15 +151,11 @@ class TestPickSubset:
             expected = swap_loop_pick(seed.generator(), n, k)
             assert pick_subset(seed.generator(), n, k).tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("n", [2 ** 31 + 1, 2 ** 31 + 20, 2 ** 32, 2 ** 40])
+    @pytest.mark.parametrize("n", [2 ** 31 + 1, 2 ** 31 + 20, 2 ** 32])
     def test_swap_targets_match_numpy_with_rejections(self, n):
         # a draw on a span just above 2**31 is rejected about half the time:
         # the first draw at n = 2**31 + 1, every draw at n = 2**31 + 20;
         # n = 2**32 takes whole halves, the most that ModelParams allows
-        if n > 2 ** 32:
-            with pytest.raises(ValueError, match=r"n <= 2\*\*32, got k=1, n=1099511627776"):
-                pick_subset(SeedSpec(5, 0).generator(), n, 1)
-            return
         rejected = 0
         for stream_index in range(60):
             k = 1 + stream_index % 20
@@ -182,19 +183,21 @@ class TestPickSubset:
             assert pick_subset(rng, n, k).tolist() == _bulk_read_pick(reference, n, k).tolist()
             assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_rejects_bad_arguments(self):
-        bounds = r"need 1 <= k <= n <= 2\*\*32"
-        for n, k, message in [
-            (20.0, 1, "n must be an integer"),
-            (np.float64(20), 1, "n must be an integer"),
-            (20, 1.0, "k must be an integer"),
-            (20, np.float64(1), "k must be an integer"),
-            (20, 0, bounds),
-            (20, 21, bounds),
-            (np.int64(20), np.int64(21), bounds),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                pick_subset(SeedSpec(5, 0).generator(), n, k)
+    REFUSED = {
+        "float-n": (20.0, 1, "n must be an integer, got 20.0"),
+        "numpy-float-n": (np.float64(20), 1, f"n must be an integer, got {np.float64(20)!r}"),
+        "float-k": (20, 1.0, "k must be an integer, got 1.0"),
+        "numpy-float-k": (20, np.float64(1), f"k must be an integer, got {np.float64(1)!r}"),
+        "k-0": (20, 0, "need 1 <= k <= n <= 2**32, got k=0, n=20"),
+        "k-past-n": (20, 21, "need 1 <= k <= n <= 2**32, got k=21, n=20"),
+        "numpy-k-past-n": (np.int64(20), np.int64(21), "need 1 <= k <= n <= 2**32, got k=21, n=20"),
+        "n-past-2**32": (2 ** 40, 1, "need 1 <= k <= n <= 2**32, got k=1, n=1099511627776"),
+    }
+
+    @pytest.mark.parametrize("n, k, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, n, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pick_subset(SeedSpec(5, 0).generator(), n, k)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     @pytest.mark.parametrize("n", [3_000_000_000, 2 ** 32])
@@ -274,25 +277,21 @@ class TestRunTrial:
         seed = SeedSpec(master_seed, trial * STREAM_STRIDE)
         assert run_trial(params, k, seed) == _numpy_trial(params, k, master_seed, trial * STREAM_STRIDE)
 
-    def test_deterministic(self):
-        params = small_params()
-        seed = SeedSpec(9, 8 * STREAM_STRIDE)
-        assert run_trial(params, 5, seed) == run_trial(params, 5, seed)
-
     def test_full_index_subset_matches_realized_index(self):
         params = small_params()
         portfolio, realized = run_trial(params, params.n_stocks, SeedSpec(4, 0))
         assert portfolio == realized
 
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            run_trial(small_params(), 0, SeedSpec(4, 0))
-        with pytest.raises(ValueError):
-            run_trial(small_params(), 21, SeedSpec(4, 0))
+    REFUSED = {
+        "k-0": (0, "fixed-benchmark", "need 1 <= k <= n <= 2**32, got k=0, n=20"),
+        "k-past-n": (21, "fixed-benchmark", "need 1 <= k <= n <= 2**32, got k=21, n=20"),
+        "unknown-mode": (5, "other", "mode must be one of ('fixed-benchmark', 'realized-index'), got 'other'"),
+    }
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            run_trial(small_params(), 5, SeedSpec(4, 0), "other")
+    @pytest.mark.parametrize("k, mode, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, k, mode, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trial(small_params(), k, SeedSpec(4, 0), mode)
 
 
 class TestFrequencyReport:
@@ -325,11 +324,6 @@ def in_process_pool(monkeypatch):
 
 
 class TestRunExperiment:
-    def test_deterministic_repeat(self):
-        r1 = run_experiment(small_config())
-        r2 = run_experiment(small_config())
-        assert r1.rows == r2.rows
-
     @pytest.mark.parametrize(
         "overrides",
         [dict(), dict(mode="realized-index")],
@@ -396,13 +390,6 @@ class TestRunExperiment:
         run_experiment(small_config(sizes=(1, 2), trials_per_size=2_400), workers=workers)
         blocks = [(0, 500), (500, 1000), (1000, 1500), (1500, 2000), (2000, 2400)]
         assert calls == [(cell, *block) for cell in range(2) for block in blocks]
-
-    def test_counts_sum_to_trials(self):
-        report = run_experiment(small_config(benchmarks=((0.7, 0.3),)))
-        for row in report.rows:
-            assert row.over_count + row.under_count + row.between_count == row.trials
-            assert 0.0 <= row.over_freq <= 1.0
-            assert 0.0 <= row.under_freq <= 1.0
 
     @pytest.mark.parametrize("mode", ["fixed-benchmark", "realized-index"])
     def test_trial_numbering_contract(self, mode):
@@ -516,26 +503,23 @@ class TestFrequencyCI:
         center, half_width = frequency_ci(25, 25)
         assert center + half_width == pytest.approx(1.0, abs=1e-12)
 
-    # a fractional count used to give an interval: (0.5, 0.3747) for (1.5, 3)
-    @pytest.mark.parametrize("args", [(-1, 10), (11, 10), (5, 0), (1.5, 3), (1, 3.0)])
-    def test_rejects_invalid(self, args):
-        with pytest.raises(ValueError):
+    REFUSED = {
+        "negative-successes": ((-1, 10), "successes must lie in [0, 10], got -1"),
+        "successes-past-trials": ((11, 10), "successes must lie in [0, 10], got 11"),
+        "no-trials": ((5, 0), "trials must be >= 1, got 0"),
+        # a fractional count used to give an interval: (0.5, 0.3747) for (1.5, 3)
+        "float-successes": ((1.5, 3), "successes must be an integer, got 1.5"),
+        "float-trials": ((1, 3.0), "trials must be an integer, got 3.0"),
+    }
+
+    @pytest.mark.parametrize("args, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             frequency_ci(*args)
 
 
 class TestSubsetFrequencies:
     VALUES = (1.1, 1.1, 1.1, 1.1, 1.5)
-
-    def test_matches_enumeration_oracle(self):
-        trials = 10_000
-        stats = enumerate_portfolios(DeterministicIndex(self.VALUES), {2})
-        exact_below, _, _ = stats.compare(0.18)
-        p = exact_below / stats.portfolio_count
-        below, equal, above = subset_frequencies(self.VALUES, 2, trials, 0.18, master_seed=42)
-        assert below + equal + above == trials
-        assert equal == 0
-        se = math.sqrt(p * (1 - p) / trials)
-        assert abs(below / trials - p) <= 5.0 * se
 
     def test_two_stock_returns_land_on_lattice(self):
         # every 2-subset return of the one-winner universe is 10% or 30%
@@ -609,40 +593,23 @@ class TestSubsetFrequencies:
         subset_frequencies(self.VALUES, 2, 5000, 0.18, master_seed=8)
         assert _seed_window.cache_info().misses == misses
 
-    def test_deterministic(self):
-        a = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
-        b = subset_frequencies(self.VALUES, 2, 300, 0.18, master_seed=5)
-        assert a == b
+    REFUSED = {
+        "k-past-n": ((VALUES, 6, 10, 0.0, 1), "subset size must lie in [1, 5], got 6"),
+        "no-trials": ((VALUES, 1, 0, 0.0, 1), "trials must be >= 1, got 0"),
+        "nan-benchmark": ((VALUES, 1, 10, math.nan, 1), "benchmark must be finite"),
+        "float-k": ((VALUES, 1.0, 10, 0.0, 1), "k must be an integer, got 1.0"),
+        "float-trials": ((VALUES, 1, 2.5, 0.0, 1), "trials must be an integer, got 2.5"),
+        "float-seed": ((VALUES, 1, 10, 0.0, 1.5), "master_seed must be an integer, got 1.5"),
+        # the universes that DeterministicIndex refuses, with its messages; a
+        # non-positive value used to pass here, though enumeration refuses it
+        "empty-universe": (((), 1, 10, 0.0, 1), "gross_values must be non-empty"),
+        "zero-value": (((1.1, 0.0), 1, 10, 0.0, 1), "gross values must be positive and finite"),
+        "negative-value": (((1.1, -0.5), 1, 10, 0.0, 1), "gross values must be positive and finite"),
+        "inf-value": (((1.1, math.inf), 1, 10, 0.0, 1), "gross values must be positive and finite"),
+        "nan-value": (((1.1, math.nan), 1, 10, 0.0, 1), "gross values must be positive and finite"),
+    }
 
-    # a non-positive value used to pass here, though enumeration refuses it
-    @pytest.mark.parametrize("values", [
-        (), (1.1, 0.0), (1.1, -0.5), (1.1, math.inf), (1.1, math.nan), (1.1, 1.5),
-    ], ids=["empty", "zero", "negative", "inf", "nan", "positive"])
-    def test_accepts_the_universes_enumeration_accepts(self, values):
-        def rejects(call):
-            try:
-                call()
-            except ValueError:
-                return True
-            return False
-
-        assert rejects(lambda: subset_frequencies(values, 1, 10, 0.0, 1)) == rejects(
-            lambda: enumerate_portfolios(DeterministicIndex(values), {1}))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            subset_frequencies((), 1, 10, 0.0, 1)
-        with pytest.raises(ValueError):
-            subset_frequencies(self.VALUES, 6, 10, 0.0, 1)
-        with pytest.raises(ValueError):
-            subset_frequencies(self.VALUES, 1, 0, 0.0, 1)
-        with pytest.raises(ValueError):
-            subset_frequencies((1.1, float("nan")), 1, 10, 0.0, 1)
-        with pytest.raises(ValueError):
-            subset_frequencies(self.VALUES, 1, 10, float("nan"), 1)
-        with pytest.raises(ValueError, match="k must be an integer"):
-            subset_frequencies(self.VALUES, 1.0, 10, 0.0, 1)
-        with pytest.raises(ValueError, match="trials must be an integer"):
-            subset_frequencies(self.VALUES, 1, 2.5, 0.0, 1)
-        with pytest.raises(ValueError, match="master_seed must be an integer"):
-            subset_frequencies(self.VALUES, 1, 10, 0.0, 1.5)
+    @pytest.mark.parametrize("args, message", REFUSED.values(), ids=REFUSED)
+    def test_refuses(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            subset_frequencies(*args)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import numbers
+import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
@@ -48,11 +49,6 @@ class TestEmitCsv:
         data = emit_csv(make_report([make_row()]))
         assert data == self.GOLDEN.encode("utf-8")
 
-    def test_parse_rejects_csv_without_rows(self):
-        # a header-only CSV used to parse back with master_seed 0
-        with pytest.raises(ValueError, match="no rows"):
-            parse_csv((CSV_HEADER + "\n").encode("utf-8"))
-
     def test_rows_sorted_by_size_then_threshold(self):
         rows = [
             make_row(size=5, over_t=0.7, under_t=0.3),
@@ -76,27 +72,41 @@ class TestEmitCsv:
         assert out.read_bytes() == data
         assert list(tmp_path.iterdir()) == [out]
 
-    def test_write_all_failure_names_path(self, tmp_path):
-        missing = tmp_path / "no-such-dir" / "report.csv"
-        with pytest.raises(OSError, match="failed to write CSV to .*no-such-dir"):
-            write_all([(missing, "CSV", emit_csv(make_report([make_row()])))])
-
-    def test_write_all_checks_every_destination_before_writing(self, tmp_path):
+    # (outputs, files to create first, error, message) of each set that
+    # write_all refuses; {tmp} is the directory it runs in, and a file name
+    # ending in "/" is a directory
+    WRITE_REFUSED = {
+        "missing-directory": (
+            [("{tmp}/no-such-dir/report.csv", "CSV", GOLDEN.encode())], {}, FileNotFoundError,
+            "failed to write CSV to {tmp}/no-such-dir/report.csv: there is no directory {tmp}/no-such-dir"),
         # the CSV used to be replaced before the SVG's rename onto a directory failed
-        first = tmp_path / "report.csv"
-        first.write_bytes(b"old")
-        (tmp_path / "chart.svg").mkdir()
-        with pytest.raises(ValueError, match="cannot write SVG to .*chart.svg: it is a directory"):
-            write_all([(first, "CSV", b"new"), (tmp_path / "chart.svg", "SVG", b"<svg/>")])
-        assert first.read_bytes() == b"old"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg", "report.csv"]
-
-    def test_write_all_rejects_two_outputs_onto_one_file(self, tmp_path, monkeypatch):
+        "onto-a-directory": (
+            [("{tmp}/report.csv", "CSV", b"new"), ("{tmp}/chart.svg", "SVG", b"<svg/>")],
+            {"report.csv": "old", "chart.svg/": None}, ValueError,
+            "cannot write SVG to {tmp}/chart.svg: it is a directory or has an empty name"),
         # the second payload used to replace the first
+        "two-onto-one-file": (
+            [("{tmp}/a.csv", "CSV", b"first"), ("./a.csv", "SVG", b"second")], {}, ValueError,
+            "the SVG path a.csv would overwrite the CSV path {tmp}/a.csv"),
+    }
+
+    @pytest.mark.parametrize("outputs, files, error, message", WRITE_REFUSED.values(), ids=WRITE_REFUSED)
+    def test_write_all_refuses(self, tmp_path, monkeypatch, outputs, files, error, message):
+        # before writing anything: the directory keeps exactly the files the row made
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="SVG path a.csv would overwrite the CSV path .*a.csv"):
-            write_all([(tmp_path / "a.csv", "CSV", b"first"), (Path("./a.csv"), "SVG", b"second")])
-        assert list(tmp_path.iterdir()) == []
+        for name, text in files.items():
+            if name.endswith("/"):
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+
+        def listing():
+            return {p.name: None if p.is_dir() else p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = listing()
+        with pytest.raises(error, match=f"^{re.escape(message.replace('{tmp}', str(tmp_path)))}$"):
+            write_all([(Path(path.replace("{tmp}", str(tmp_path))), what, data) for path, what, data in outputs])
+        assert listing() == before
 
     def test_full_precision_round_trip(self):
         rows = [
@@ -141,50 +151,54 @@ class TestEmitCsv:
         else:
             assert parse_csv(data).rows == report.rows
 
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            parse_csv(b"k,nope\n1,2\n")
-
-    @pytest.mark.parametrize("row", [
-        "1,0.5,0.5,0.75,0.5,0.0,0.0,4,42",  # 3 over and 2 under out of 4
-        "1,0.5,0.5,-0.25,0.5,0.0,0.0,4,42",
-        "1,0.5,0.5,0.0,0.0,0.0,0.0,0,42",
-    ])
-    def test_parse_rejects_counts_that_do_not_fit(self, row):
-        with pytest.raises(ValueError, match="trials"):
-            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
-
-    @pytest.mark.parametrize("row", [
-        "1,0.5,0.5,0.75,0.25,0.0,0.0,4",  # no master_seed
-        "1,0.5,0.5,0.75,0.25,0.0,0.0,4,42,42",
-    ])
-    def test_parse_rejects_rows_without_nine_fields(self, row):
-        with pytest.raises(ValueError, match="malformed CSV row"):
-            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
-
-    @pytest.mark.parametrize("row, message", [
+    # the lines of each CSV that parse_csv refuses, with its message
+    PARSE_REFUSED = {
+        # a header-only CSV used to parse back with master_seed 0
+        "no-rows": ((CSV_HEADER,), "CSV has no rows, so it does not give the master seed"),
+        "bad-header": (("k,nope", "1,2"), "unrecognized CSV header: 'k,nope'"),
+        "counts-past-trials": ((CSV_HEADER, "1,0.5,0.5,0.75,0.5,0.0,0.0,4,42"),  # 3 over and 2 under out of 4
+                               "counts (3, 2) do not fit 4 trials: '1,0.5,0.5,0.75,0.5,0.0,0.0,4,42'"),
+        "negative-count": ((CSV_HEADER, "1,0.5,0.5,-0.25,0.5,0.0,0.0,4,42"),
+                           "counts (-1, 2) do not fit 4 trials: '1,0.5,0.5,-0.25,0.5,0.0,0.0,4,42'"),
+        "no-trials": ((CSV_HEADER, "1,0.5,0.5,0.0,0.0,0.0,0.0,0,42"),
+                      "trials must be >= 1: '1,0.5,0.5,0.0,0.0,0.0,0.0,0,42'"),
+        "no-master-seed": ((CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4"),
+                           "malformed CSV row: '1,0.5,0.5,0.75,0.25,0.0,0.0,4'"),
+        "ten-fields": ((CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4,42,42"),
+                       "malformed CSV row: '1,0.5,0.5,0.75,0.25,0.0,0.0,4,42,42'"),
         # round used to raise OverflowError on these
-        ("1,0.5,0.5,inf,0.25,0.0,0.0,4,42", "must be finite"),
-        ("1,0.5,0.5,0.75,1e400,0.0,0.0,4,42", "must be finite"),
+        "inf-frequency": ((CSV_HEADER, "1,0.5,0.5,inf,0.25,0.0,0.0,4,42"),
+                          "thresholds, frequencies and half-widths must be finite: '1,0.5,0.5,inf,0.25,0.0,0.0,4,42'"),
+        "overflowing-frequency": (
+            (CSV_HEADER, "1,0.5,0.5,0.75,1e400,0.0,0.0,4,42"),
+            "thresholds, frequencies and half-widths must be finite: '1,0.5,0.5,0.75,1e400,0.0,0.0,4,42'"),
         # these used to parse, and emit_csv wrote them back
-        ("1,nan,-inf,0.75,0.25,0.0,0.0,4,42", "must be finite"),
-        ("1,0.5,0.5,0.75,0.25,0.0,0.0,4,-1", "64-bit unsigned"),
-        ("0,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "k must be >= 1"),
-        ("-3,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "k must be >= 1"),
-        ("1,0.3,0.7,0.25,0.25,0.0,0.0,4,42", "over_threshold must be >= under_threshold"),
-        ("1,0.5,0.5,0.75,0.25,0.0,0.0,4,42\n1,0.5,0.5,0.5,0.5,0.0,0.0,4,42", "repeated cell"),
+        "non-finite-thresholds": (
+            (CSV_HEADER, "1,nan,-inf,0.75,0.25,0.0,0.0,4,42"),
+            "thresholds, frequencies and half-widths must be finite: '1,nan,-inf,0.75,0.25,0.0,0.0,4,42'"),
+        "negative-seed": ((CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4,-1"),
+                          "master_seed must be a 64-bit unsigned integer, got -1"),
+        "zero-k": ((CSV_HEADER, "0,0.5,0.5,0.75,0.25,0.0,0.0,4,42"),
+                   "k must be >= 1, got 0: '0,0.5,0.5,0.75,0.25,0.0,0.0,4,42'"),
+        "negative-k": ((CSV_HEADER, "-3,0.5,0.5,0.75,0.25,0.0,0.0,4,42"),
+                       "k must be >= 1, got -3: '-3,0.5,0.5,0.75,0.25,0.0,0.0,4,42'"),
+        "over-below-under": (
+            (CSV_HEADER, "1,0.3,0.7,0.25,0.25,0.0,0.0,4,42"),
+            "over_threshold must be >= under_threshold, got (0.3, 0.7): '1,0.3,0.7,0.25,0.25,0.0,0.0,4,42'"),
+        "repeated-cell": ((CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "1,0.5,0.5,0.5,0.5,0.0,0.0,4,42"),
+                          "repeated cell (k, over_threshold, under_threshold): (1, 0.5, 0.5)"),
         # this refusal used to leave out the line
-        ("1,0.5,0.5,0.75,0.25,0.0,0.0,4.0,42", "'4.0': '1,0.5,0.5,0.75,0.25,0.0,0.0,4.0,42'"),
-    ], ids=["inf-frequency", "overflowing-frequency", "non-finite-thresholds", "negative-seed",
-            "zero-k", "negative-k", "over-below-under", "repeated-cell", "non-integer-trials"])
-    def test_parse_rejects_values_no_experiment_writes(self, row, message):
-        with pytest.raises(ValueError, match=message):
-            parse_csv(f"{CSV_HEADER}\n{row}\n".encode())
+        "non-integer-trials": (
+            (CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4.0,42"),
+            "invalid literal for int() with base 10: '4.0': '1,0.5,0.5,0.75,0.25,0.0,0.0,4.0,42'"),
+        "mixed-master-seeds": ((CSV_HEADER, "1,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "2,0.5,0.5,0.75,0.25,0.0,0.0,4,7"),
+                               "inconsistent master_seed values in CSV: [7, 42]"),
+    }
 
-    def test_parse_rejects_mixed_master_seeds(self):
-        rows = ["1,0.5,0.5,0.75,0.25,0.0,0.0,4,42", "2,0.5,0.5,0.75,0.25,0.0,0.0,4,7"]
-        with pytest.raises(ValueError, match=r"inconsistent master_seed values in CSV: \[7, 42\]"):
-            parse_csv("\n".join([CSV_HEADER, *rows, ""]).encode())
+    @pytest.mark.parametrize("lines, message", PARSE_REFUSED.values(), ids=PARSE_REFUSED)
+    def test_parse_refuses(self, lines, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_csv("".join(line + "\n" for line in lines).encode())
 
     def test_parse_skips_a_byte_order_mark(self):
         # the mark used to stick to the header, which then did not match
