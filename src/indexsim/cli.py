@@ -77,6 +77,12 @@ def _parse_sampling(text: str) -> str:
     return text
 
 
+def _parse_path(text: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise ValueError("the path is empty")
+    return text
+
+
 @dataclass(frozen=True)
 class Setting:
     """One setting; ``name`` is its config-file key, ``echo`` its sidecar format (None: not echoed)."""
@@ -122,8 +128,8 @@ _RUN_SETTINGS = (
     Setting("sampling", "--sampling", _parse_sampling, "fresh-universe", "sampling scheme", str),
     Setting("seed", "--seed", int, _RUN_DEFAULTS["master_seed"], "master seed", str),
     Setting("workers", "--workers", int, 1, "worker processes"),
-    Setting("out", "--out", str, "frequency_report.csv", "CSV output path"),
-    Setting("svg", "--svg", str, None, "also write an SVG chart to this path"),
+    Setting("out", "--out", _parse_path, "frequency_report.csv", "CSV output path"),
+    Setting("svg", "--svg", _parse_path, None, "also write an SVG chart to this path"),
     Setting("precision", "--precision", _parse_precision, 6, "CSV decimal places, or 'full'",
             lambda digits: "full" if digits is None else str(digits)),
 )

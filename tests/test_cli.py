@@ -15,14 +15,13 @@ import indexsim.cli as cli
 import indexsim.enumeration as enumeration
 import indexsim.montecarlo as montecarlo
 from indexsim.cli import build_parser, main
-from indexsim.report import parse_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
 
 
-# Exact stdout of `enumerate` over the universe of test_golden_oracle_universe.
+# Exact stdout of the enumerate-oracle-universe row.
 ORACLE_UNIVERSE_STDOUT = (
     "return    count\n"
     "0.100000  131071\n"
@@ -71,87 +70,199 @@ ORACLE_UNIVERSE_STDOUT = (
 )
 
 
-class TestCalibrateCommand:
-    def test_reference_calibration(self, capsys):
-        code = run_cli("calibrate", "--median", "0.10", "--expected", "0.50",
-                       "--sigma", "0.20", "--horizon", "5")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0.039062" in out
-        assert "0.129663" in out or "0.1296626" in out
-        assert "4%" in out
-        assert "13%" in out
+# The <out>.config sidecar of SMALL_RUN: its drifts are the calibrated ones.
+SMALL_RUN = "simulate --paper-defaults --trials 20 --sizes 1,2 --n 20 --out r.csv"
+SMALL_RUN_SIDECAR = (
+    "# effective configuration\nn_stocks = 20\nhorizon = 5.0\nsigma = 0.2\n"
+    "mu_hat = 0.03906203596086498\nsigma_hat = 0.12966261706562596\nsizes = 1,2\ntrials = 20\n"
+    "benchmarks = 0.5:0.5,0.7:0.3\nmode = fixed-benchmark\nsampling = fresh-universe\nseed = 42\n"
+    "precision = 6\n"
+)
 
-    def test_paper_defaults_match_explicit_flags_and_simulate(self, tmp_path, capsys):
-        # calibrate reads the model settings and defaults that analytic and simulate read
-        assert run_cli("calibrate", "--paper-defaults") == 0
-        out = capsys.readouterr().out
-        assert run_cli("calibrate", "--median", "0.10", "--expected", "0.50",
-                       "--sigma", "0.20", "--horizon", "5") == 0
-        assert capsys.readouterr().out == out
-        assert run_cli("simulate", "--paper-defaults", "--trials", "1", "--sizes", "1",
-                       "--n", "10", "--out", str(tmp_path / "r.csv")) == 0
-        sidecar = dict(line.split(" = ") for line in
-                       (tmp_path / "r.csv.config").read_text().splitlines()[1:])
-        printed = [line.split()[2] for line in out.splitlines()]
-        assert printed == [f"{float(sidecar[key]):.10f}" for key in ("mu_hat", "sigma_hat")]
+# 12 lognormal values whose 4,095 subsets all give distinct returns
+DISTINCT = np.random.default_rng(12).lognormal(0.0, 0.5, size=12).tolist()
+DISTINCT_ARGS = f"enumerate --values {','.join(map(repr, DISTINCT))} --sizes {','.join(map(str, range(1, 13)))}"
 
 
-class TestAnalyticCommand:
-    def test_degenerate_params(self, capsys):
-        code = run_cli("analytic", "--mu-hat", "0", "--sigma-hat", "0", "--sigma", "0")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "expected_index_value = 1.000000" in out
-        assert "median_stock_value = 1.000000" in out
-        assert "underperformance_factor = 1.000000" in out
+def make_files(directory, files):
+    """Create each named file with its text; a name ending in "/" is a directory."""
+    for name, text in files.items():
+        if name.endswith("/"):
+            (directory / name).mkdir()
+        else:
+            (directory / name).write_bytes(text.encode())
 
-    def test_golden_text_output(self, capsys):
-        assert run_cli("analytic", "--paper-defaults") == 0
-        assert capsys.readouterr().out == (
-            "expected_index_value = 1.500000\n"
-            "median_stock_value = 1.100000\n"
-            "underperformance_factor = 1.363636\n"
-            "log_mean = 0.095310\n"
-            "log_variance = 0.620310\n"
-        )
 
-    def test_golden_json_output(self, capsys):
-        assert run_cli("analytic", "--paper-defaults", "--json") == 0
-        assert capsys.readouterr().out == (
-            '{"expected_index_value": 1.5, "log_mean": 0.0953101798043249, '
-            '"log_variance": 0.620309856607679, "median_stock_value": 1.1, '
-            '"underperformance_factor": 1.3636363636363635}\n'
-        )
+def listing(directory):
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
 
-    def test_drift_pair_with_paper_defaults_is_the_drift_model(self, capsys):
-        # --paper-defaults fills the targets only when no drift is given
-        assert run_cli("analytic", "--mu-hat", "0.04", "--sigma-hat", "0.13") == 0
-        alone = capsys.readouterr().out
-        assert run_cli("analytic", "--mu-hat", "0.04", "--sigma-hat", "0.13", "--paper-defaults") == 0
-        assert capsys.readouterr().out == alone
+
+def pinned(data, pin):
+    """The text of the bytes, or their digest where the pin is one."""
+    return "sha256:" + hashlib.sha256(data).hexdigest() if pin.startswith("sha256:") else data.decode()
+
+
+# Each accepted command, as (argv, stdout, {name: text} of every file it
+# leaves).  It runs in an empty directory and prints nothing on stderr.  A pin
+# that starts with "sha256:" is the digest of the text.
+GOLDEN = {
+    # the drifts to 10 places, as SMALL_RUN_SIDECAR holds them in full
+    "calibrate-reference": (
+        "calibrate --median 0.10 --expected 0.50 --sigma 0.20 --horizon 5",
+        "mu_hat    = 0.0390620360  (~ 4%)\nsigma_hat = 0.1296626171  (~ 13%)\n", {}),
+    "analytic-degenerate": (
+        "analytic --mu-hat 0 --sigma-hat 0 --sigma 0",
+        "expected_index_value = 1.000000\nmedian_stock_value = 1.000000\nunderperformance_factor = 1.000000\n"
+        "log_mean = 0.000000\nlog_variance = 0.000000\n", {}),
+    "analytic-paper-defaults": (
+        "analytic --paper-defaults",
+        "expected_index_value = 1.500000\nmedian_stock_value = 1.100000\nunderperformance_factor = 1.363636\n"
+        "log_mean = 0.095310\nlog_variance = 0.620310\n", {}),
+    "analytic-paper-defaults-json": (
+        "analytic --paper-defaults --json",
+        '{"expected_index_value": 1.5, "log_mean": 0.0953101798043249, "log_variance": 0.620309856607679, '
+        '"median_stock_value": 1.1, "underperformance_factor": 1.3636363636363635}\n', {}),
+    "demo": (
+        "demo",
+        "gross values: 1.10 1.10 1.10 1.10 1.50\nsubset sizes: 1 2\nreturn    count\n"
+        "0.100000  10\n0.300000  4\n0.500000  1\nbenchmark=0.180000 below=10 equal=0 above=5\n"
+        "portfolios=15 mean=0.180000 median=0.100000 under_fraction=0.666667\n", {}),
+    # no return lies below the lowest one: under_fraction=0.000000
+    "demo-benchmark-at-lattice-point": (
+        "demo --benchmark 0.10", "sha256:4c08b4abdba3e1e2911dd93d94e6654ad99b4e9e07af7f1f52586dfb4cca3c97", {}),
+    # a 20-stock universe with three 50% winners, every size 1..20: 2**20 - 1
+    # subsets, and two distinct returns that both print 0.200000
+    "enumerate-oracle-universe": (
+        f"enumerate --values {','.join('1.5' if i in (0, 3, 8) else '1.1' for i in range(20))} "
+        f"--sizes {','.join(map(str, range(1, 21)))}", ORACLE_UNIVERSE_STDOUT, {}),
+    # the other pins have many equal returns; here every line is its own
+    "enumerate-all-distinct": (
+        DISTINCT_ARGS, "sha256:b331ca74afea330944f3c597c04c07e19810e55390e16ea4c189c0b554c85b27", {}),
+    "enumerate-all-distinct-below-every-return": (  # below=0 equal=0 above=4095
+        DISTINCT_ARGS + " --benchmark -0.5",
+        "sha256:35aec884d2f1f6583c5bd5583ea5d13d88b4a4427cd27ec6a76efaffb895e06d", {}),
+    "enumerate-all-distinct-above-every-return": (  # below=4095 equal=0 above=0
+        DISTINCT_ARGS + " --benchmark 1.5",
+        "sha256:888ec8ae20b1ea9fc72cce92af215741779190af58b39092bf8d5ccc7f6399d2", {}),
+    "enumerate-all-distinct-at-the-lowest-return": (  # below=0 equal=1 above=4094
+        f"{DISTINCT_ARGS} --benchmark {min(DISTINCT) - 1.0!r}",
+        "sha256:b87ec42071209e6d56df1f335e8a24729f2e3841d7b2cb7422deb9d8eec6d168", {}),
+    # the index mean is the default benchmark, so the bytes are those of enumerate-all-distinct
+    "enumerate-all-distinct-at-the-index-mean": (  # below=2047 equal=1 above=2047
+        f"{DISTINCT_ARGS} --benchmark {math.fsum(DISTINCT) / 12 - 1.0!r}",
+        "sha256:b331ca74afea330944f3c597c04c07e19810e55390e16ea4c189c0b554c85b27", {}),
+    # the sum of all values exceeds a float, but the default benchmark, the
+    # index mean return, and every 1-subset return are 1e308 - 1: equal=2
+    "enumerate-overflowing-index-sum": (
+        "enumerate --values 1e308,1e308 --sizes 1",
+        "sha256:1ad0906825eec2164a9246e1ddd8693d9f561775c7e47226f9eb8e7520113cce", {}),
+    # the README's examples, which need no option: 500 stocks, 1.2e149 subsets
+    "enumerate-readme-paper-sized": (
+        f"enumerate --values {','.join(['1.1'] * 497 + ['1.5'] * 3)} --sizes 1,20,250",
+        "sha256:99f4b4f2f5af27107770bffdfb70eadb1ad54a6301538490a745216a7c568041", {}),
+    # and 30 cent values, 155,117,520 subsets
+    "enumerate-readme-cents": (
+        f"enumerate --values {','.join('%.2f' % (1 + i / 100) for i in range(30))} --sizes 15",
+        "sha256:b40c8db0054943b4f94931ddbbdcdf9b9d957b9e222813a01aa32106502acf73", {}),
+    "simulate-single-trial-full-index": (
+        "simulate --paper-defaults --trials 1 --sizes 500 --out r.csv",
+        "sha256:fc8af672b951e1cfce5b5926d6ad08ffdb29d789246ff689fc7c92f5cdc50df5",
+        {"r.csv": "sha256:b0266feba0266135ef2162da0b17f13108379bc37ef2749df025831efeaf31ab",
+         "r.csv.config": "sha256:05a18c53d388d281910e7fcccb6e9e03590a9c71598f6e3d53de94807c69d9bc"}),
+    "simulate-small-run": (
+        SMALL_RUN, "sha256:4b5402438c1c10b6875d6c8bfb624878784f623aa9e406441bd46617eac26633",
+        {"r.csv": "sha256:0db5e6d2179cee98bfd8e64c267f4b32ebf5610090525c7e168610b7a3db560e",
+         "r.csv.config": SMALL_RUN_SIDECAR}),
+    "simulate-csv-sidecar-svg": (
+        "simulate --paper-defaults --trials 50 --sizes 1,2 --n 30 --out r.csv --svg r.svg",
+        "sha256:0245ace9609263321dc6df904c57a5f4a7d4109f00c5373f4ed19e0a5ba0b9bd",
+        {"r.csv": "sha256:ce6a998a81a71e1f3cba9ea92e15ed17f4457c159241f2646fe7236f099b7e1c",
+         "r.csv.config": "sha256:677ce3d3955b5225c6b5c6344de29bdb85ec507982135377aba8464c0338db93",
+         "r.svg": "sha256:54b4ef74101cd8101b7530cd11a081b8ae12e4ded0ec21968dc3f6cceab1ba5a"}),
+    # the SVG path used to be printed as given, "./y.svg", the others through Path
+    "simulate-wrote-lines-spell-every-path-alike": (
+        "simulate --paper-defaults --trials 5 --sizes 1 --n 10 --out ./x.csv --svg ./y.svg",
+        "k=1 over>0.50: 0.6000 (+/- 0.3258)  under<0.50: 0.4000 (+/- 0.3258)\n"
+        "k=1 over>0.70: 0.2000 (+/- 0.2941)  under<0.30: 0.8000 (+/- 0.2941)\n"
+        "wrote x.csv\nwrote x.csv.config\nwrote y.svg\n",
+        {"x.csv": "sha256:56af704eba5cbc60628748e7f6e6d8a85bb0c3b1bc0645df0bbcc21fbde530e5",
+         "x.csv.config": "sha256:544f48060526d587b0dc13ed703f7cf3d863579a9204b7ddb4c7007c52e6afd6",
+         "y.svg": "sha256:ce4bd151b719cdc75c62b1c4fdaa179ad2ea70d216e5fd1d0e46a09e2072e9b2"}),
+}
+
+
+@pytest.mark.parametrize("argv, stdout, outputs", GOLDEN.values(), ids=GOLDEN)
+def test_accepted_output(tmp_path, capsys, monkeypatch, argv, stdout, outputs):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert (pinned(out.encode(), stdout), err) == (stdout, "")
+    assert {name: pinned(data, outputs.get(name, "")) for name, data in listing(tmp_path).items()} == outputs
+
+
+# Spellings of one run that must agree, as (spellings, files to create first).
+# Spelling i runs in its own directory i/, which holds the files; its exit code
+# (0), stdout, stderr (empty) and every file it leaves equal spelling 0's.  A
+# spelling may start with KEY=value environment settings.
+SAME_OUTPUT = {
+    # calibrate reads the model settings and defaults that analytic and simulate read
+    "calibrate-paper-defaults": (
+        ("calibrate --paper-defaults", "calibrate --median 0.10 --expected 0.50 --sigma 0.20 --horizon 5"), {}),
+    # --paper-defaults fills the targets only when no drift is given
+    "analytic-drift-pair-with-paper-defaults": (
+        ("analytic --mu-hat 0.04 --sigma-hat 0.13", "analytic --mu-hat 0.04 --sigma-hat 0.13 --paper-defaults"), {}),
+    "simulate-trailing-comma-in-benchmarks": (
+        (SMALL_RUN + " --benchmarks 0.5:0.5", SMALL_RUN + " --benchmarks 0.5:0.5,"), {}),
+    "simulate-sidecar-reload-6": (
+        ("simulate --paper-defaults --trials 40 --sizes 1,3 --n 25 --out r.csv --precision 6",
+         "simulate --config ../0/r.csv.config --out r.csv"), {}),
+    "simulate-sidecar-reload-full": (
+        ("simulate --paper-defaults --trials 40 --sizes 1,3 --n 25 --out r.csv --precision full",
+         "simulate --config ../0/r.csv.config --out r.csv"), {}),
+    "simulate-sidecar-with-paper-defaults": (
+        (SMALL_RUN, "simulate --config ../0/r.csv.config --paper-defaults --out r.csv"), {}),
+    # a flag beats the file (trials 20, not 30), and the file beats the default (seed 9, not 42)
+    "simulate-flags-override-config-file": (
+        ("simulate --config run.config --trials 20 --out r.csv",
+         "simulate --n 25 --mu-hat 0.04 --sigma-hat 0.1 --sizes 1 --trials 20 --seed 9 --out r.csv"),
+        {"run.config": "# comment line\nn_stocks = 25\nmu_hat = 0.04\nsigma_hat = 0.1\nsizes = 1\n"
+                       "trials = 30\nseed = 9\n"}),
+    # no environment variable sets a setting, so the paper run keeps seed 42
+    "simulate-environment-does-not-set-the-seed": (
+        ("simulate --paper-defaults --trials 10 --sizes 1 --n 10 --seed 42 --out r.csv",
+         "INDEXSIM_SEED=7 simulate --paper-defaults --trials 10 --sizes 1 --n 10 --out r.csv"), {}),
+    # the mark used to stick to the first key: "unknown config file keys: \ufeffn_stocks"
+    "simulate-config-file-with-byte-order-mark": (
+        ("simulate --config run.config --paper-defaults --trials 5 --sizes 1 --out r.csv",
+         "simulate --paper-defaults --n 10 --seed 9 --trials 5 --sizes 1 --out r.csv"),
+        {"run.config": "\ufeffn_stocks = 10\nseed = 9\n"}),
+    # a '#' inside a value used to cut it: this file wrote "run" and "run.config"
+    "simulate-config-value-keeps-its-hash": (
+        ("simulate --config run.config --paper-defaults --sizes 1 --n 10",
+         "simulate --paper-defaults --sizes 1 --n 10 --trials 5 --out run#1.csv"),
+        {"run.config": "# a comment line\nout = run#1.csv\ntrials = 5  # five\n"}),
+}
+
+
+@pytest.mark.parametrize("spellings, files", SAME_OUTPUT.values(), ids=SAME_OUTPUT)
+def test_spellings_agree(tmp_path, capsys, monkeypatch, spellings, files):
+    results = []
+    for i, spelling in enumerate(spellings):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        make_files(directory, files)
+        words = spelling.split()
+        with monkeypatch.context() as patch:
+            patch.chdir(directory)
+            while "=" in words[0]:
+                patch.setenv(*words.pop(0).split("=", 1))
+            results.append((main(words), *capsys.readouterr(), listing(directory)))
+    code, _, err, _ = results[0]
+    assert (code, err) == (0, "")
+    assert results == results[:1] * len(spellings)
 
 
 class TestDemoCommand:
-    def test_golden_output(self, capsys):
-        run_cli("demo")
-        assert capsys.readouterr().out == (
-            "gross values: 1.10 1.10 1.10 1.10 1.50\n"
-            "subset sizes: 1 2\n"
-            "return    count\n"
-            "0.100000  10\n"
-            "0.300000  4\n"
-            "0.500000  1\n"
-            "benchmark=0.180000 below=10 equal=0 above=5\n"
-            "portfolios=15 mean=0.180000 median=0.100000 under_fraction=0.666667\n"
-        )
-
-    def test_benchmark_at_lattice_point(self, capsys):
-        code = run_cli("demo", "--benchmark", "0.10")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "under_fraction=0.000000" in out
-
     @pytest.mark.parametrize("flags", [[], ["--benchmark", "0.10"]], ids=["mean", "0.10"])
     def test_is_enumerate_on_the_five_stock_universe(self, capsys, flags):
         assert run_cli("demo", *flags) == 0
@@ -161,65 +272,7 @@ class TestDemoCommand:
         assert demo.split("\n", 2)[2] == capsys.readouterr().out
 
 
-# 12 lognormal values whose 4,095 subsets all give distinct returns
-DISTINCT = np.random.default_rng(12).lognormal(0.0, 0.5, size=12).tolist()
-DISTINCT_ARGS = ("enumerate", "--values", ",".join(map(repr, DISTINCT)),
-                 "--sizes", ",".join(str(k) for k in range(1, 13)))
-
-
 class TestEnumerateCommand:
-    def test_golden_oracle_universe(self, capsys):
-        # a 20-stock universe with three 50% winners, every size 1..20:
-        # 2**20 - 1 subsets, and two distinct returns that both print 0.200000
-        values = ["1.1"] * 20
-        for winner in (0, 3, 8):
-            values[winner] = "1.5"
-        code = run_cli("enumerate", "--values", ",".join(values),
-                       "--sizes", ",".join(str(k) for k in range(1, 21)))
-        assert code == 0
-        assert capsys.readouterr().out == ORACLE_UNIVERSE_STDOUT
-
-    def test_golden_all_distinct_universe(self, capsys):
-        # the other pins have many equal returns; here every line is its own
-        assert run_cli(*DISTINCT_ARGS) == 0
-        out = capsys.readouterr().out
-        assert out.count("  1\n") == 4095
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b331ca74afea330944f3c597c04c07e19810e55390e16ea4c189c0b554c85b27")
-
-    @pytest.mark.parametrize("level,split", [
-        ("-0.5", "below=0 equal=0 above=4095"),  # below every return
-        ("1.5", "below=4095 equal=0 above=0"),  # above every return
-        (repr(min(DISTINCT) - 1.0), "below=0 equal=1 above=4094"),  # the lowest return
-        (repr(math.fsum(DISTINCT) / 12 - 1.0), "below=2047 equal=1 above=2047"),  # the index mean
-    ])
-    def test_all_distinct_benchmark_split(self, capsys, level, split):
-        assert run_cli(*DISTINCT_ARGS, "--benchmark", level) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4098
-        assert lines[-2] == f"benchmark={float(level):.6f} {split}"
-        assert lines[-1].startswith("portfolios=4095 ")
-
-    def test_overflowing_index_sum_has_a_finite_mean(self, capsys):
-        # the sum of all values exceeds a float, but the default benchmark,
-        # the index mean return, and every 1-subset return are 1e308 - 1
-        assert run_cli("enumerate", "--values", "1e308,1e308", "--sizes", "1") == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-2].endswith(" below=0 equal=2 above=0")
-
-    @pytest.mark.parametrize("values,sizes,count", [
-        # the README's 500-stock example, 1.2e149 subsets
-        (",".join(["1.1"] * 497 + ["1.5"] * 3), "1,20,250",
-         500 + math.comb(500, 20) + math.comb(500, 250)),
-        # the README's 30 cent values, 155,117,520 subsets
-        (",".join("%.2f" % (1 + i / 100) for i in range(30)), "15", math.comb(30, 15)),
-    ], ids=["paper_sized", "cents"])
-    def test_readme_examples_need_no_option(self, capsys, values, sizes, count):
-        assert run_cli("enumerate", "--values", values, "--sizes", sizes) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.splitlines()[-1].startswith(f"portfolios={count} ")
-
     @pytest.mark.parametrize("flag", [("--cap", "1e150"), ("--cap=100",)])
     def test_removed_cap_flag_exits_2(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -229,101 +282,12 @@ class TestEnumerateCommand:
 
 
 class TestSimulateCommand:
-    def test_single_trial_full_index(self, tmp_path, capsys):
-        out_csv = tmp_path / "r.csv"
-        code = run_cli("simulate", "--paper-defaults", "--trials", "1",
-                       "--sizes", "500", "--out", str(out_csv))
-        assert code == 0
-        report = parse_csv(out_csv)
-        for row in report.rows:
-            assert row.over_count + row.under_count + row.between_count == 1
-
-    def test_writes_csv_sidecar_and_svg(self, tmp_path, capsys):
-        out_csv = tmp_path / "r.csv"
-        svg = tmp_path / "r.svg"
-        code = run_cli("simulate", "--paper-defaults", "--trials", "50", "--sizes", "1,2",
-                       "--n", "30", "--out", str(out_csv), "--svg", str(svg))
-        assert code == 0
-        assert out_csv.exists()
-        assert (tmp_path / "r.csv.config").exists()
-        assert svg.read_text().startswith("<svg")
-
-    def test_wrote_lines_spell_every_path_alike(self, tmp_path, capsys, monkeypatch):
-        # the SVG path used to be printed as given, "./y.svg", the others through Path
-        monkeypatch.chdir(tmp_path)
-        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
-                       "--n", "10", "--out", "./x.csv", "--svg", "./y.svg")
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-3:] == ["wrote x.csv", "wrote x.csv.config", "wrote y.svg"]
-
-    def test_trailing_comma_in_benchmarks_is_ignored(self, tmp_path, capsys):
-        csvs = []
-        for benchmarks in ("0.5:0.5", "0.5:0.5,"):
-            out_csv = tmp_path / f"{len(csvs)}.csv"
-            code = run_cli("simulate", "--paper-defaults", "--trials", "20", "--sizes", "1,2",
-                           "--n", "20", "--benchmarks", benchmarks, "--out", str(out_csv))
-            assert code == 0
-            csvs.append(out_csv.read_bytes())
-        assert csvs[0] == csvs[1]
-
     def test_help_names_both_modes(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no line break inside a mode name
         with pytest.raises(SystemExit):
             run_cli("simulate", "--help")
         out = capsys.readouterr().out
         assert all(mode in out for mode in montecarlo.MODES)
-
-    @pytest.mark.parametrize("precision", ["6", "full"])
-    def test_sidecar_reload_reproduces_csv(self, tmp_path, capsys, precision):
-        first = tmp_path / "a.csv"
-        run_cli("simulate", "--paper-defaults", "--trials", "40", "--sizes", "1,3",
-                "--n", "25", "--out", str(first), "--precision", precision)
-        assert f"\nprecision = {precision}\n" in (tmp_path / "a.csv.config").read_text()
-        second = tmp_path / "b.csv"
-        code = run_cli("simulate", "--config", str(first) + ".config", "--out", str(second))
-        assert code == 0
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_sidecar_with_paper_defaults_reproduces_csv(self, tmp_path, capsys):
-        # --paper-defaults fills the targets only when no drift is given
-        assert run_cli("simulate", "--paper-defaults", "--trials", "20", "--sizes", "1,2",
-                       "--n", "20", "--out", str(tmp_path / "a.csv")) == 0
-        sidecar = tmp_path / "a.csv.config"
-        # the sidecar that the table's sidecar rows refuse beside targets
-        assert sidecar.read_text() == SMALL_RUN_SIDECAR
-        code = run_cli("simulate", "--config", str(sidecar), "--paper-defaults",
-                       "--out", str(tmp_path / "b.csv"))
-        assert code == 0
-        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
-
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        config = tmp_path / "run.config"
-        config.write_text(
-            "# comment line\n"
-            "n_stocks = 25\n"
-            "mu_hat = 0.04\n"
-            "sigma_hat = 0.1\n"
-            "sizes = 1\n"
-            "trials = 30\n"
-            "seed = 9\n"
-        )
-        out_csv = tmp_path / "r.csv"
-        code = run_cli("simulate", "--config", str(config), "--trials", "20", "--out", str(out_csv))
-        assert code == 0
-        report = parse_csv(out_csv)
-        assert report.rows[0].trials == 20  # flag wins
-        assert report.master_seed == 9  # file beats default
-
-    def test_environment_does_not_set_the_seed(self, tmp_path, capsys, monkeypatch):
-        # no environment variable sets a setting, so the paper run keeps seed 42
-        monkeypatch.setenv("INDEXSIM_SEED", "7")
-        out_csv = tmp_path / "env.csv"
-        code = run_cli("simulate", "--paper-defaults", "--trials", "10", "--sizes", "1",
-                       "--n", "10", "--out", str(out_csv))
-        assert code == 0
-        assert parse_csv(out_csv).master_seed == 42
-        assert "seed = 42\n" in (tmp_path / "env.csv.config").read_text()
 
     def test_failed_svg_write_leaves_no_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"
@@ -347,33 +311,6 @@ class TestSimulateCommand:
         assert err.startswith(f"error: failed to write SVG to {svg}: ")
         assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
         assert blocker.read_bytes() == b"not ours"
-
-    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
-        # the mark used to stick to the first key: "unknown config file keys: \ufeffn_stocks"
-        config = tmp_path / "run.config"
-        config.write_bytes(b"\xef\xbb\xbfn_stocks = 10\nseed = 9\n")
-        out_csv = tmp_path / "r.csv"
-        code = run_cli("simulate", "--config", str(config), "--paper-defaults", "--trials", "5",
-                       "--sizes", "1", "--out", str(out_csv))
-        assert code == 0
-        assert parse_csv(out_csv).master_seed == 9
-        assert "n_stocks = 10\n" in (tmp_path / "r.csv.config").read_text()
-
-    def test_config_value_keeps_its_hash(self, tmp_path, capsys):
-        # a '#' inside a value used to cut it: this file wrote "run" and "run.config"
-        out_csv = tmp_path / "run#1.csv"
-        config = tmp_path / "run.config"
-        config.write_text(f"# a comment line\nout = {out_csv}\ntrials = 5  # five\n")
-        code = run_cli("simulate", "--config", str(config), "--paper-defaults", "--sizes", "1",
-                       "--n", "10")
-        assert code == 0
-        assert parse_csv(out_csv).rows[0].trials == 5
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.csv.config", "run.config"]
-
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--frobnicate")
-        assert exc.value.code == 2
 
     def test_fresh_processes_produce_identical_csv(self, tmp_path):
         outputs = []
@@ -450,15 +387,6 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
 
-# The <out>.config sidecar of `simulate --paper-defaults --trials 20 --sizes 1,2
-# --n 20`: its drifts are the calibrated ones.
-SMALL_RUN_SIDECAR = (
-    "# effective configuration\nn_stocks = 20\nhorizon = 5.0\nsigma = 0.2\n"
-    "mu_hat = 0.03906203596086498\nsigma_hat = 0.12966261706562596\nsizes = 1,2\ntrials = 20\n"
-    "benchmarks = 0.5:0.5,0.7:0.3\nmode = fixed-benchmark\nsampling = fresh-universe\nseed = 42\n"
-    "precision = 6\n"
-)
-
 # Each input that a command refuses before any trial runs, as (argv, files to
 # create first, exit code, the one stderr line).  {tmp} is the directory the
 # command runs in; a file name ending in "/" is a directory.
@@ -508,7 +436,7 @@ REFUSED = {
         "enumerate --values 1e308,1e308 --sizes 2 --benchmark 0", {}, 2, "error: a subset sum overflows a float"),
     # at sizes up to 6 these values make 2,509 histogram entries, past the limit of 100 that the test sets
     "enumerate-past-entry-limit": (
-        " ".join(DISTINCT_ARGS), {}, 2,
+        DISTINCT_ARGS, {}, 2,
         "error: enumeration would make more than 100 histogram entries (distinct subset sums)"),
     "simulate-underspecified": (
         "simulate --out {tmp}/x.csv", {}, 2,
@@ -602,15 +530,17 @@ REFUSED = {
     "out-directory": (
         "simulate --paper-defaults --out x.csv --out=taken", {"taken/": None}, 2,
         "error: cannot write CSV to taken: it is a directory or has an empty name"),
-    "out-empty": (
-        "simulate --paper-defaults --out x.csv --out=", {"taken/": None}, 2,
-        "error: cannot write CSV to .: it is a directory or has an empty name"),
     "svg-directory": (
         "simulate --paper-defaults --out x.csv --svg=taken", {"taken/": None}, 2,
         "error: cannot write SVG to taken: it is a directory or has an empty name"),
+    # an empty name used to be refused as the directory "."
+    "out-empty": (
+        "simulate --paper-defaults --out x.csv --out=", {}, 2, "error: invalid out from --out: the path is empty"),
     "svg-empty": (
-        "simulate --paper-defaults --out x.csv --svg=", {"taken/": None}, 2,
-        "error: cannot write SVG to .: it is a directory or has an empty name"),
+        "simulate --paper-defaults --out x.csv --svg=", {}, 2, "error: invalid svg from --svg: the path is empty"),
+    "config-out-empty": (
+        "simulate --paper-defaults --config {tmp}/run.config", {"run.config": "out =\n"}, 2,
+        "error: invalid out from the config file: the path is empty"),
     # every trial used to run first, and the error then named a .tmp staging file
     "out-in-missing-directory": (
         "simulate --paper-defaults --out x.csv --out missing/r.out", {"plain": ""}, 3,
@@ -657,19 +587,11 @@ def test_refused_before_any_trial(tmp_path, capsys, monkeypatch, argv, files, co
     monkeypatch.setattr(montecarlo, "_tally_block", lambda *args: pytest.fail("a trial ran"))
     # the enumerate-past-entry-limit row's limit; every other row's enumeration makes far fewer entries
     monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 100)
-    for name, text in files.items():
-        if name.endswith("/"):
-            (tmp_path / name).mkdir()
-        else:
-            (tmp_path / name).write_text(text)
-
-    def listing():
-        return {p.name: None if p.is_dir() else p.read_bytes() for p in tmp_path.iterdir()}
-
-    before = listing()
+    make_files(tmp_path, files)
+    before = listing(tmp_path)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv.split()]) == code
     assert capsys.readouterr() == ("", line.replace("{tmp}", str(tmp_path)) + "\n")
-    assert listing() == before
+    assert listing(tmp_path) == before
 
 
 # (exit code, sha256 of the text) of each help page (stdout) and usage error
@@ -683,10 +605,11 @@ HELP_PAGES = {
     ("simulate", "--help"): (0, "e5598fbfa7702915b6c3baf12ad5e2e93a160573d9e13f6950d32462102bafef"),
     ("bogus",): (2, "a55963d379f19b50e1664a9557a6b2823657b36055aa199e6e5fc955e79be519"),
     ("simulate", "--bogus"): (2, "9285f79d39bad58d058d9ef76c6c9387a21273d40a4a442a44b4496dde35578c"),
+    (): (2, "390642cd00b73f583f53390bee6cf1bc07cacfe062a37a94676d16e55b6725eb"),
 }
 
 
-@pytest.mark.parametrize("argv", HELP_PAGES, ids=" ".join)
+@pytest.mark.parametrize("argv", HELP_PAGES, ids=lambda argv: " ".join(argv) or "no-command")
 def test_help_page_bytes(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_info:
