@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from indexsim import CalibrationTarget, ModelParams, calibrate
@@ -16,3 +18,9 @@ def reference_target() -> CalibrationTarget:
 def reference_params(reference_target) -> ModelParams:
     mu_hat, sigma_hat = calibrate(reference_target)
     return ModelParams(n_stocks=500, horizon=5.0, sigma=0.20, mu_hat=mu_hat, sigma_hat=sigma_hat)
+
+
+@pytest.fixture
+def call_row(request):
+    """Call an ACCEPTED row's lambda with the fixture that each of its parameters names."""
+    return lambda call: call(*map(request.getfixturevalue, inspect.signature(call).parameters))

@@ -7,6 +7,7 @@ lines; the heavyweight reference simulation is shared across criteria.
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -450,14 +451,7 @@ def test_paper_default_golden_bytes(tmp_path, capsys, monkeypatch, reference_par
 
 
 def test_criterion_10_skewness(reference_params, capsys):
-    params = ModelParams(
-        n_stocks=100_000,
-        horizon=reference_params.horizon,
-        sigma=reference_params.sigma,
-        mu_hat=reference_params.mu_hat,
-        sigma_hat=reference_params.sigma_hat,
-    )
-    reference_skew = skew(draw_universe(params, SeedSpec(10, 0)))
+    reference_skew = skew(draw_universe(replace(reference_params, n_stocks=100_000), SeedSpec(10, 0)))
     degenerate = ModelParams(n_stocks=1000, horizon=5.0, sigma=0.0, mu_hat=0.04, sigma_hat=0.0)
     with warnings.catch_warnings():
         # scipy warns of precision loss on a constant sample, then returns nan

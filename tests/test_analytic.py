@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from pytest import approx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -36,30 +37,33 @@ def random_params(rng):
     )
 
 
+# every drawn value lies in [exp(-528), exp(128)], but the factor is exp(800)
+FACTOR_OVERFLOWS = make_params(horizon=1.0, sigma=0.0, mu_hat=-200.0, sigma_hat=40.0)
+
+
 class TestClosedForms:
-    def test_zero_drift_identity(self):
-        assert expected_index_value(make_params(mu_hat=0.0, sigma_hat=0.0)) == 1.0
+    ACCEPTED = {
+        "zero-drift-identity": (lambda: expected_index_value(make_params(mu_hat=0.0, sigma_hat=0.0)), 1.0),
+        "expected-value-deterministic-case": (lambda: expected_index_value(make_params(sigma_hat=0.0)),
+                                              approx(math.exp(0.2), rel=1e-12)),
+        "expected-value-past-the-factor": (lambda: expected_index_value(FACTOR_OVERFLOWS),
+                                           approx(math.exp(600.0), rel=1e-12)),
+        "median-no-drift-no-volatility": (lambda: median_stock_value(make_params(sigma=0.0, mu_hat=0.0)), 1.0),
+        "median-drift-cancels-volatility": (lambda: median_stock_value(make_params(mu_hat=0.02)),
+                                            approx(1.0, rel=1e-12)),
+        "factor-no-volatility": (lambda: underperformance_factor(make_params(sigma=0.0, sigma_hat=0.0)), 1.0),
+        "factor-no-dispersion": (lambda: underperformance_factor(make_params(sigma_hat=0.0)),
+                                 approx(math.exp(0.1), rel=1e-12)),
+        "log-law-degenerate": (lambda: stock_log_law(make_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.0)), (0.0, 0.0)),
+    }
 
-    def test_expected_value_deterministic_case(self):
-        params = make_params(mu_hat=0.04, sigma_hat=0.0, horizon=5.0)
-        assert expected_index_value(params) == pytest.approx(math.exp(0.2), rel=1e-12)
-
-    def test_median_trivial_cases(self):
-        assert median_stock_value(make_params(sigma=0.0, mu_hat=0.0)) == 1.0
-        params = make_params(sigma=0.2, mu_hat=0.02, horizon=5.0)
-        assert median_stock_value(params) == pytest.approx(1.0, rel=1e-12)
-
-    def test_factor_trivial_cases(self):
-        assert underperformance_factor(make_params(sigma=0.0, sigma_hat=0.0)) == 1.0
-        params = make_params(sigma=0.2, sigma_hat=0.0, horizon=5.0)
-        assert underperformance_factor(params) == pytest.approx(math.exp(0.1), rel=1e-12)
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     def test_overflow_names_the_quantity(self):
-        # every drawn value lies in [exp(-528), exp(128)], but the factor is exp(800)
-        params = make_params(horizon=1.0, sigma=0.0, mu_hat=-200.0, sigma_hat=40.0)
-        assert expected_index_value(params) == pytest.approx(math.exp(600.0), rel=1e-12)
         with pytest.raises(ValueError, match="^the underperformance factor exp.800. overflows a float$"):
-            underperformance_factor(params)
+            underperformance_factor(FACTOR_OVERFLOWS)
 
     def test_identity_expected_equals_median_times_factor(self):
         rng = np.random.default_rng(31)
@@ -67,7 +71,7 @@ class TestClosedForms:
             params = random_params(rng)
             left = expected_index_value(params)
             right = median_stock_value(params) * underperformance_factor(params)
-            assert left == pytest.approx(right, rel=1e-12)
+            assert left == approx(right, rel=1e-12)
 
     def test_summary_consistency(self, reference_params):
         summary = summarize(reference_params)
@@ -78,9 +82,6 @@ class TestClosedForms:
 
 
 class TestStockLogLaw:
-    def test_degenerate(self):
-        assert stock_log_law(make_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.0)) == (0.0, 0.0)
-
     def test_horizon_scaling_without_volatility(self):
         p1 = make_params(sigma=0.0, horizon=3.0)
         p2 = make_params(sigma=0.0, horizon=6.0)
@@ -88,6 +89,15 @@ class TestStockLogLaw:
         m2, v2 = stock_log_law(p2)
         assert m2 == 2.0 * m1
         assert v2 == 4.0 * v1
+
+
+def at_the_boundary(target):
+    """The expected return that target's mu_hat gives with no dispersion, and
+    calibrate's mu_hat there minus target's, and its sigma_hat there."""
+    mu_hat, _ = calibrate(target)
+    boundary = math.expm1(mu_hat * 5.0)
+    mu2, sigma_hat = calibrate(CalibrationTarget(0.10, boundary, 0.20, 5.0))
+    return boundary, mu2 - mu_hat, sigma_hat
 
 
 class TestCalibrate:
@@ -104,8 +114,8 @@ class TestCalibrate:
             params = make_params(
                 horizon=horizon, sigma=sigma, mu_hat=mu_hat, sigma_hat=sigma_hat
             )
-            assert median_stock_value(params) == pytest.approx(1.0 + median, rel=1e-12)
-            assert expected_index_value(params) == pytest.approx(1.0 + expected, rel=1e-12)
+            assert median_stock_value(params) == approx(1.0 + median, rel=1e-12)
+            assert expected_index_value(params) == approx(1.0 + expected, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -123,23 +133,15 @@ class TestCalibrate:
         mu_hat, sigma_hat = calibrate(CalibrationTarget(median, expected, sigma, horizon))
         summary = summarize(make_params(horizon=horizon, sigma=sigma, mu_hat=mu_hat,
                                         sigma_hat=sigma_hat))
-        assert summary.median_stock_value - 1.0 == pytest.approx(median, abs=1e-9)
-        assert summary.expected_index_value - 1.0 == pytest.approx(expected, abs=1e-9)
+        assert summary.median_stock_value - 1.0 == approx(median, abs=1e-9)
+        assert summary.expected_index_value - 1.0 == approx(expected, abs=1e-9)
         if gap == 0.0:
             assert sigma_hat == 0.0
 
-    def test_boundary_yields_zero_dispersion(self, reference_target):
-        mu_hat, _ = calibrate(reference_target)
-        boundary_expected = math.expm1(mu_hat * 5.0)
-        # exp(log(1.1) + 0.1) - 1, the expected return carrying no dispersion
-        assert boundary_expected == pytest.approx(0.2156880, abs=1e-6)
-        target = CalibrationTarget(0.10, boundary_expected, 0.20, 5.0)
-        mu2, sigma_hat = calibrate(target)
-        assert mu2 == mu_hat
-        assert sigma_hat == 0.0
-
     def test_infeasible_target_raises(self):
-        with pytest.raises(CalibrationError, match=r"log\(1 \+ expected_return\)"):
+        message = ("infeasible target: requires log(1 + expected_return) >= log(1 + median_return) "
+                   "+ sigma**2 * horizon / 2 (0.0487902 < 0.19531)")
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
             calibrate(CalibrationTarget(0.10, 0.05, 0.20, 5.0))
 
     REFUSED = {
@@ -157,51 +159,39 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CalibrationTarget(**base)
 
+    # exp(log(1.1) + 0.1) - 1, the expected return carrying no dispersion, keeps mu_hat with sigma_hat 0
+    ACCEPTED = {"boundary-yields-zero-dispersion": (lambda reference_target: at_the_boundary(reference_target),
+                                                    (approx(0.2156880, abs=1e-6), 0.0, 0.0))}
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
+
+def off_scipy(params, threshold, direction):
+    """tail_probability minus the same tail of stock_log_law's lognormal law, by scipy's normal law."""
+    m, v = stock_log_law(params)
+    tail = norm.sf if direction == "above" else norm.cdf
+    return tail_probability(params, threshold, direction) - float(tail((math.log(threshold) - m) / math.sqrt(v)))
+
+
+# a degenerate law: all its mass at exp(0.2)
+POINT_MASS = make_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.04, horizon=5.0)
+
 
 class TestTailProbability:
-    def test_full_support(self, reference_params):
-        assert tail_probability(reference_params, 1e-300, "above") == pytest.approx(1.0, abs=1e-12)
-
-    def test_reference_tails_match_independent_cdf(self, reference_params):
-        m, v = stock_log_law(reference_params)
-        sd = math.sqrt(v)
-        cases = [
-            (1.5, "above", float(norm.sf((math.log(1.5) - m) / sd))),
-            (1.7, "above", float(norm.sf((math.log(1.7) - m) / sd))),
-            (1.3, "below", float(norm.cdf((math.log(1.3) - m) / sd))),
-        ]
-        for threshold, direction, oracle in cases:
-            assert tail_probability(reference_params, threshold, direction) == pytest.approx(
-                oracle, abs=1e-12
-            )
-        assert tail_probability(reference_params, 1.5, "above") == pytest.approx(0.3469, abs=5e-5)
-        assert tail_probability(reference_params, 1.7, "above") == pytest.approx(0.2902, abs=5e-5)
-        assert tail_probability(reference_params, 1.3, "below") == pytest.approx(0.5840, abs=5e-5)
-
     def test_complementarity(self, reference_params):
         rng = np.random.default_rng(23)
         for _ in range(100):
             x = float(rng.uniform(0.05, 6.0))
             above = tail_probability(reference_params, x, "above")
             below = tail_probability(reference_params, x, "below")
-            assert above + below == pytest.approx(1.0, abs=1e-12)
+            assert above + below == approx(1.0, abs=1e-12)
 
     def test_strictly_decreasing_in_threshold(self, reference_params):
         xs = np.linspace(0.2, 4.0, 60)
         probs = [tail_probability(reference_params, float(x), "above") for x in xs]
         assert all(a > b for a, b in zip(probs, probs[1:]))
-
-    def test_median_property(self, reference_params):
-        median = median_stock_value(reference_params)
-        assert tail_probability(reference_params, median, "below") == pytest.approx(0.5, abs=1e-9)
-
-    def test_degenerate_law_is_step_function(self):
-        params = make_params(sigma=0.0, sigma_hat=0.0, mu_hat=0.04, horizon=5.0)
-        point = math.exp(0.2)
-        assert tail_probability(params, point * 0.9, "above") == 1.0
-        assert tail_probability(params, point * 1.1, "above") == 0.0
-        assert tail_probability(params, point * 0.9, "below") == 0.0
-        assert tail_probability(params, point * 1.1, "below") == 1.0
 
     REFUSED = {
         "zero-threshold": (0.0, "above", "threshold must be positive and finite, got 0.0"),
@@ -213,3 +203,24 @@ class TestTailProbability:
     def test_refuses(self, reference_params, threshold, direction, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tail_probability(reference_params, threshold, direction)
+
+    ACCEPTED = {
+        "full-support": (lambda reference_params: tail_probability(reference_params, 1e-300, "above"),
+                         approx(1.0, abs=1e-12)),
+        "scipy-above-1.5": (lambda reference_params: off_scipy(reference_params, 1.5, "above"), approx(0.0, abs=1e-12)),
+        "scipy-above-1.7": (lambda reference_params: off_scipy(reference_params, 1.7, "above"), approx(0.0, abs=1e-12)),
+        "scipy-below-1.3": (lambda reference_params: off_scipy(reference_params, 1.3, "below"), approx(0.0, abs=1e-12)),
+        "above-1.5": (lambda reference_params: tail_probability(reference_params, 1.5, "above"), approx(0.3469, abs=5e-5)),
+        "above-1.7": (lambda reference_params: tail_probability(reference_params, 1.7, "above"), approx(0.2902, abs=5e-5)),
+        "below-1.3": (lambda reference_params: tail_probability(reference_params, 1.3, "below"), approx(0.5840, abs=5e-5)),
+        "below-the-median": (lambda reference_params: tail_probability(
+            reference_params, median_stock_value(reference_params), "below"), approx(0.5, abs=1e-9)),
+        "point-mass-above-0.9-of-it": (lambda: tail_probability(POINT_MASS, math.exp(0.2) * 0.9, "above"), 1.0),
+        "point-mass-above-1.1-of-it": (lambda: tail_probability(POINT_MASS, math.exp(0.2) * 1.1, "above"), 0.0),
+        "point-mass-below-0.9-of-it": (lambda: tail_probability(POINT_MASS, math.exp(0.2) * 0.9, "below"), 0.0),
+        "point-mass-below-1.1-of-it": (lambda: tail_probability(POINT_MASS, math.exp(0.2) * 1.1, "below"), 1.0),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected

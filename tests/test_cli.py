@@ -289,15 +289,6 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert all(mode in out for mode in montecarlo.MODES)
 
-    def test_failed_svg_write_leaves_no_outputs(self, tmp_path, capsys):
-        out_csv = tmp_path / "r.csv"
-        code = run_cli("simulate", "--paper-defaults", "--trials", "5", "--sizes", "1",
-                       "--n", "10", "--out", str(out_csv),
-                       "--svg", str(tmp_path / "missing-dir" / "r.svg"))
-        assert code == 3
-        assert "failed to write SVG" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
-
     def test_failed_staging_write_leaves_no_outputs(self, tmp_path, capsys):
         # every destination passes its checks, and the SVG's temp file then cannot be created
         out_csv, svg = tmp_path / "r.csv", tmp_path / "r.svg"

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from pytest import approx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,31 +75,43 @@ class TestDeterministicIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
-    def test_mean_return(self):
-        assert ONE_WINNER.mean_return() == pytest.approx(0.18, abs=1e-12)
-
-    def test_mean_of_overflowing_sum_is_finite(self):
+    ACCEPTED = {
+        "one-winner-mean": (lambda: ONE_WINNER.mean_return(), approx(0.18, abs=1e-12)),
         # the sum 2e308 overflows a float, the mean 1e308 does not
-        assert DeterministicIndex((1e308, 1e308)).mean_return() == 1e308 - 1.0
+        "mean-of-an-overflowing-sum": (lambda: DeterministicIndex((1e308, 1e308)).mean_return(), 1e308 - 1.0),
+        "subset-returns": (lambda: ONE_WINNER.subset_returns([[0, 4], [4, 1], [2, 3]]).tolist(),
+                           [math.fsum((1.1, 1.5)) / 2 - 1.0] * 2 + [math.fsum((1.1, 1.1)) / 2 - 1.0]),
+        "no-picks": (lambda: ONE_WINNER.subset_returns(np.empty((0, 3), dtype=int)).size, 0),
+    }
 
-    def test_subset_returns(self):
-        assert ONE_WINNER.subset_returns([[0, 4], [4, 1], [2, 3]]).tolist() == [
-            math.fsum((1.1, 1.5)) / 2 - 1.0] * 2 + [math.fsum((1.1, 1.1)) / 2 - 1.0]
-        assert ONE_WINNER.subset_returns(np.empty((0, 3), dtype=int)).size == 0
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
+    def test_subset_returns_of_an_overflowing_sum_raise(self):
+        # the type only: the message is CPython's ("integer division result
+        # too large for a float" on 3.11), and other versions word it otherwise
         with pytest.raises(OverflowError):
             DeterministicIndex((1e308, 1e308)).subset_returns([[0, 1]])
 
 
-class TestEnumeratePortfolios:
-    def test_one_winner_example(self):
-        stats = enumerate_portfolios(ONE_WINNER, {1, 2})
-        assert stats.portfolio_count == 15
-        assert stats.mean_return == pytest.approx(0.18, abs=1e-12)
-        assert stats.median_return == pytest.approx(0.10, abs=1e-12)
-        histogram = {round(v, 9): c for v, c in zip(stats.returns.tolist(), stats.counts.tolist())}
-        assert histogram == {0.10: 10, 0.30: 4, 0.50: 1}
-        assert stats.compare(0.18) == (10, 0, 5)
+def pinned(stats, benchmark):
+    """An enumeration's count, mean and median returns, split at benchmark and histogram to 9 decimals."""
+    histogram = {round(v, 9): c for v, c in zip(stats.returns.tolist(), stats.counts.tolist())}
+    return stats.portfolio_count, stats.mean_return, stats.median_return, stats.compare(benchmark), histogram
 
+
+def cap_message(limit):
+    """The message of the EnumerationCapError an enumeration past limit histogram entries raises."""
+    return f"enumeration would make more than {limit} histogram entries (distinct subset sums)"
+
+
+# 30 values 1/29 apart: 155,117,520 subsets of 15, but only 287 distinct returns
+FEW_SUMS = DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30)))
+HUGE_COUNT = math.comb(8000, 4000)
+
+
+class TestEnumeratePortfolios:
     def test_histogram_is_read_only_arrays(self):
         stats = enumerate_portfolios(ONE_WINNER, {1, 2})
         assert stats.returns.dtype == np.float64 and stats.counts.dtype == np.int64
@@ -108,19 +121,10 @@ class TestEnumeratePortfolios:
         assert huge.counts.dtype == object and not huge.counts.flags.writeable
         assert huge.counts.tolist() == [sum(math.comb(66, k) for k in (32, 33, 34))]
 
-    @pytest.mark.parametrize("level,split", [
-        (0.05, (0, 0, 15)),  # below every return
-        (0.6, (15, 0, 0)),  # above every return
-        (math.fsum([1.1, 1.5]) / 2 - 1.0, (10, 4, 1)),  # an occurring return
-    ])
-    def test_compare(self, level, split):
-        assert enumerate_portfolios(ONE_WINNER, {1, 2}).compare(level) == split
-
     def test_cap_error_names_count(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 1000)
-        index = DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30)))
-        with pytest.raises(EnumerationCapError, match="more than 1000 histogram entries"):
-            enumerate_portfolios(index, {15})
+        with pytest.raises(EnumerationCapError, match=f"^{re.escape(cap_message(1000))}$"):
+            enumerate_portfolios(FEW_SUMS, {15})
 
     def test_entry_limit_boundary(self, monkeypatch):
         # 10 values whose subset sums are all distinct make comb(10, j)
@@ -129,7 +133,7 @@ class TestEnumeratePortfolios:
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637)
         assert enumerate_portfolios(index, {5}).returns.size == math.comb(10, 5)
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 636)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(EnumerationCapError, match=f"^{re.escape(cap_message(636))}$"):
             enumerate_portfolios(index, {5})
 
     def test_entry_weight_counts_words(self, monkeypatch):
@@ -140,7 +144,7 @@ class TestEnumeratePortfolios:
             monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", words * n // 2)
             assert enumerate_portfolios(index, {n // 2}).portfolio_count == math.comb(n, n // 2)
             monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", words * n // 2 - 1)
-            with pytest.raises(EnumerationCapError):
+            with pytest.raises(EnumerationCapError, match=f"^{re.escape(cap_message(words * n // 2 - 1))}$"):
                 enumerate_portfolios(index, {n // 2})
 
     def test_entry_weight_counts_python_int_sums(self, monkeypatch):
@@ -154,12 +158,12 @@ class TestEnumeratePortfolios:
         assert dtype is object
         weight = 1 + -(-sys.getsizeof(sum(units)) // 8) + 1
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(EnumerationCapError, match=f"^{re.escape(cap_message(637))}$"):
             enumerate_portfolios(index, {5})
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637 * weight)
         assert enumerate_portfolios(index, {5}).portfolio_count == math.comb(10, 5)
         monkeypatch.setattr(enumeration, "_ENTRY_LIMIT", 637 * weight - 1)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(EnumerationCapError, match=f"^{re.escape(cap_message(637 * weight - 1))}$"):
             enumerate_portfolios(index, {5})
 
     @pytest.mark.parametrize("values,counts", [
@@ -171,22 +175,6 @@ class TestEnumeratePortfolios:
         exact, exponent = _exact_sum(np.array(values), np.array(counts, dtype=object))
         assert Fraction(exact) * Fraction(2) ** exponent == sum(
             Fraction(v) * c for v, c in zip(values, counts))
-
-    def test_many_subsets_few_sums_run(self):
-        # 155,117,520 subsets, which a bound on the subset count refused,
-        # but only 287 distinct returns
-        stats = enumerate_portfolios(DeterministicIndex(tuple(np.linspace(1.0, 2.0, 30))), {15})
-        assert stats.portfolio_count == math.comb(30, 15)
-        assert stats.returns.size == 287
-
-    def test_huge_count_has_a_finite_mean(self):
-        # comb(8000, 4000) subsets, each of return 0.1: the float sum of the
-        # returns overflows, their mean and median do not
-        stats = enumerate_portfolios(DeterministicIndex((1.1,) * 8000), {4000})
-        count = math.comb(8000, 4000)
-        assert stats.portfolio_count == count
-        assert stats.mean_return == stats.median_return == 1.1 - 1.0
-        assert stats.compare(1.1 - 1.0) == (0, count, 0)
 
     REFUSED = {
         "no-size": (ONE_WINNER, set(), "k_set must contain at least one subset size"),
@@ -201,9 +189,28 @@ class TestEnumeratePortfolios:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             enumerate_portfolios(index, sizes)
 
-    def test_accepts_numpy_sizes(self):
-        expected = observed(enumerate_portfolios(ONE_WINNER, {2}), (0.18,))
-        assert observed(enumerate_portfolios(ONE_WINNER, {np.int64(2)}), (0.18,)) == expected
+    ACCEPTED = {
+        "one-winner-example": (lambda: pinned(enumerate_portfolios(ONE_WINNER, {1, 2}), 0.18), (
+            15, approx(0.18, abs=1e-12), approx(0.10, abs=1e-12), (10, 0, 5), {0.10: 10, 0.30: 4, 0.50: 1})),
+        "split-below-every-return": (lambda: enumerate_portfolios(ONE_WINNER, {1, 2}).compare(0.05), (0, 0, 15)),
+        "split-above-every-return": (lambda: enumerate_portfolios(ONE_WINNER, {1, 2}).compare(0.6), (15, 0, 0)),
+        "split-at-an-occurring-return": (
+            lambda: enumerate_portfolios(ONE_WINNER, {1, 2}).compare(math.fsum([1.1, 1.5]) / 2 - 1.0), (10, 4, 1)),
+        "numpy-size": (lambda: observed(enumerate_portfolios(ONE_WINNER, {np.int64(2)}), (0.18,))
+                       == observed(enumerate_portfolios(ONE_WINNER, {2}), (0.18,)), True),
+        # a bound on the subset count refused these
+        "many-subsets-few-sums-count": (lambda: enumerate_portfolios(FEW_SUMS, {15}).portfolio_count, math.comb(30, 15)),
+        "many-subsets-few-sums-returns": (lambda: enumerate_portfolios(FEW_SUMS, {15}).returns.size, 287),
+        # each of the subsets returns 0.1: the float sum of the returns
+        # overflows, their mean and median do not
+        "huge-count-has-a-finite-mean": (lambda: pinned(enumerate_portfolios(DeterministicIndex((1.1,) * 8000), {4000}),
+                                                        1.1 - 1.0),
+                                         (HUGE_COUNT, 1.1 - 1.0, 1.1 - 1.0, (0, HUGE_COUNT, 0), {0.1: HUGE_COUNT})),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_benchmark(self, bad):

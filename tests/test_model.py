@@ -5,10 +5,12 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from pytest import approx
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -119,12 +121,12 @@ def near_limit_params(draw):
         reject()
 
 
-class TestModelParams:
-    def test_accepts_valid(self):
-        make_params()
-        # exp(709) fits a float, and so does the index sum of one of them
-        make_params(n_stocks=1, horizon=1.0, sigma=0.0, mu_hat=709.0, sigma_hat=0.0)
+def typed(record):
+    """Each field of a dataclass record, with its type."""
+    return [(value, type(value)) for value in astuple(record)]
 
+
+class TestModelParams:
     REFUSED = {
         "no-stocks": (dict(n_stocks=0), "n_stocks must lie in [1, 2**32], got 0"),
         "negative-stocks": (dict(n_stocks=-3), "n_stocks must lie in [1, 2**32], got -3"),
@@ -161,13 +163,24 @@ class TestModelParams:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make_params(**overrides)
 
-    def test_accepts_the_largest_n_stocks(self):
-        assert make_params(n_stocks=2 ** 32).n_stocks == 2 ** 32
+    ACCEPTED = {
+        "defaults": (lambda: astuple(make_params()), (10, 5.0, 0.2, 0.04, 0.13)),
+        # exp(709) fits a float, and so does the index sum of one of them
+        "one-stock-at-exp(709)": (lambda: astuple(make_params(n_stocks=1, horizon=1.0, sigma=0.0, mu_hat=709.0,
+                                                              sigma_hat=0.0)), (1, 1.0, 0.0, 709.0, 0.0)),
+        "2**32-stocks": (lambda: make_params(n_stocks=2 ** 32).n_stocks, 2 ** 32),
+        "numpy-n-stocks": (lambda: typed(make_params(n_stocks=np.int64(10))),
+                           [(10, int), (5.0, float), (0.2, float), (0.04, float), (0.13, float)]),
+    }
 
-    def test_accepts_numpy_n_stocks(self):
-        params = make_params(n_stocks=np.int64(10))
-        assert params == make_params()
-        assert type(params.n_stocks) is int
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
+
+def draws(seed):
+    """The first four uniforms of seed's generator."""
+    return seed.generator().random(4).tolist()
 
 
 class TestSeedSpec:
@@ -192,12 +205,16 @@ class TestSeedSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
-    def test_accepts_numpy_integers(self):
-        expected = SeedSpec(42, 7).generator().random(4)
-        for seed in (SeedSpec(np.int64(42), np.int64(7)), SeedSpec(np.uint64(42), np.uint64(7))):
-            assert seed == SeedSpec(42, 7)
-            assert type(seed.master_seed) is int and type(seed.stream_index) is int
-            np.testing.assert_array_equal(seed.generator().random(4), expected)
+    ACCEPTED = {
+        "numpy-int64": (lambda: typed(SeedSpec(np.int64(42), np.int64(7))), [(42, int), (7, int)]),
+        "numpy-uint64": (lambda: typed(SeedSpec(np.uint64(42), np.uint64(7))), [(42, int), (7, int)]),
+        "numpy-int64-draws": (lambda: draws(SeedSpec(np.int64(42), np.int64(7))) == draws(SeedSpec(42, 7)), True),
+        "numpy-uint64-draws": (lambda: draws(SeedSpec(np.uint64(42), np.uint64(7))) == draws(SeedSpec(42, 7)), True),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     @pytest.mark.parametrize("master_seed", [42, 2 ** 40])
     def test_generator_offset_is_the_substream(self, master_seed):
@@ -269,7 +286,7 @@ class TestWindowedSeeding:
     def test_seed_words_offer_only_pcg64_state(self, n_words, dtype):
         seed_words = _SeedWords(_seed_window(42, 0)[0])
         assert seed_words.generate_state(4, np.uint64) is seed_words.words
-        with pytest.raises(ValueError, match=r"only PCG64's generate_state\(4, np.uint64\)"):
+        with pytest.raises(ValueError, match=r"^only PCG64's generate_state\(4, np\.uint64\) is precomputed$"):
             seed_words.generate_state(n_words, dtype)
 
 
@@ -458,26 +475,30 @@ class TestDrawDrifts:
 
 
 class TestTerminalValue:
-    def test_drift_cancels_volatility_correction(self):
-        assert kernel_value(0.02, 0.2, 7.0, 0.0) == 1.0
+    ACCEPTED = {
+        "drift-cancels-volatility-correction": (lambda: kernel_value(0.02, 0.2, 7.0, 0.0), 1.0),
+        "deterministic-drift-only": (lambda: kernel_value(0.04, 0.0, 5.0, 0.0), approx(math.exp(0.2), rel=1e-12)),
+        "shock-arithmetic": (lambda: kernel_value(0.0, 0.2, 5.0, 1.0),
+                             approx(math.exp(-0.1 + 0.2 * math.sqrt(5.0)), rel=1e-12)),
+        # positive and finite for extreme shocks
+        "shock--38": (lambda: 0 < kernel_value(0.04, 0.2, 5.0, -38.0) < math.inf, True),
+        "shock--8": (lambda: 0 < kernel_value(0.04, 0.2, 5.0, -8.0) < math.inf, True),
+        "shock-8": (lambda: 0 < kernel_value(0.04, 0.2, 5.0, 8.0) < math.inf, True),
+        "shock-38": (lambda: 0 < kernel_value(0.04, 0.2, 5.0, 38.0) < math.inf, True),
+    }
 
-    def test_deterministic_drift_only(self):
-        assert kernel_value(0.04, 0.0, 5.0, 0.0) == pytest.approx(math.exp(0.2), rel=1e-12)
-
-    def test_shock_arithmetic(self):
-        expected = math.exp(-0.1 + 0.2 * math.sqrt(5.0))
-        assert kernel_value(0.0, 0.2, 5.0, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_positive_for_extreme_shocks(self):
-        for z in (-38.0, -8.0, 8.0, 38.0):
-            v = kernel_value(0.04, 0.2, 5.0, z)
-            assert v > 0 and math.isfinite(v)
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
 
 class TestDrawUniverse:
-    def test_degenerate_universe(self):
-        params = make_params(n_stocks=5, sigma=0.0, sigma_hat=0.0, mu_hat=0.04, horizon=5.0)
-        assert draw_universe(params, SeedSpec(3, 0)).tolist() == [math.exp(0.2)] * 5
+    ACCEPTED = {"degenerate-universe": (lambda: draw_universe(make_params(n_stocks=5, sigma=0.0, sigma_hat=0.0),
+                                                              SeedSpec(3, 0)).tolist(), [math.exp(0.2)] * 5)}
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -498,26 +519,17 @@ class TestDrawUniverse:
 
     def test_marginal_log_law(self, reference_params):
         n = 100_000
-        params = ModelParams(
-            n_stocks=n,
-            horizon=reference_params.horizon,
-            sigma=reference_params.sigma,
-            mu_hat=reference_params.mu_hat,
-            sigma_hat=reference_params.sigma_hat,
-        )
+        params = replace(reference_params, n_stocks=n)
         logs = np.log(draw_universe(params, SeedSpec(5, 0)))
         m = params.mu_hat * 5.0 - 0.5 * params.sigma ** 2 * 5.0
         v = params.sigma ** 2 * 5.0 + params.sigma_hat ** 2 * 25.0
-        assert m == pytest.approx(math.log(1.1), rel=1e-12)
+        assert m == approx(math.log(1.1), rel=1e-12)
         assert abs(logs.mean() - m) < 4.0 * math.sqrt(v) / math.sqrt(n)
         assert abs(logs.var(ddof=1) - v) < 5.0 * v * math.sqrt(2.0 / (n - 1))
 
     def test_terminal_draws_match_lognormal_moments(self, reference_params):
         n = 100_000
-        params = ModelParams(
-            n_stocks=n, horizon=5.0, sigma=0.2,
-            mu_hat=reference_params.mu_hat, sigma_hat=reference_params.sigma_hat,
-        )
+        params = replace(reference_params, n_stocks=n)
         values = draw_universe(params, SeedSpec(6, 0))
         m, v = math.log(1.1), 0.2 + reference_params.sigma_hat ** 2 * 25.0
         true_var = (math.exp(v) - 1.0) * math.exp(2 * m + v)
@@ -565,14 +577,15 @@ class TestDrawUniverse:
 
 
 class TestIndexValue:
-    def test_one_winner_example(self):
-        assert index_value([1.1, 1.1, 1.1, 1.1, 1.5]) == pytest.approx(1.18, abs=1e-12)
+    ACCEPTED = {
+        "one-winner-example": (lambda: index_value([1.1, 1.1, 1.1, 1.1, 1.5]), approx(1.18, abs=1e-12)),
+        "constant-values": (lambda: index_value([1.3, 1.3, 1.3]), 1.3),
+        "symmetric-mean": (lambda: index_value([1.0, 2.0, 3.0]), 2.0),
+    }
 
-    def test_constant_values(self):
-        assert index_value([1.3, 1.3, 1.3]) == 1.3
-
-    def test_symmetric_mean(self):
-        assert index_value([1.0, 2.0, 3.0]) == 2.0
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-d"])
     def test_rejects_empty_and_2d(self, values):

@@ -1,12 +1,15 @@
 import math
+import operator
 import re
 from collections import Counter
 from concurrent.futures import Executor, Future
+from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from pytest import approx
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
@@ -51,13 +54,6 @@ def small_config(**overrides):
 
 
 class TestExperimentConfig:
-    def test_accepts_valid(self):
-        small_config()
-        assert small_config(sizes=(np.int64(1), 5), master_seed=np.uint64(42)) == small_config()
-        # any real threshold is held as a float
-        config = small_config(benchmarks=((Fraction(1, 2), np.float32(0.25)), (1, 0)))
-        assert [type(t) for pair in config.benchmarks for t in pair] == [float] * 4
-
     REFUSED = {
         "no-sizes": (dict(sizes=()), "sizes must be non-empty"),
         "size-0": (dict(sizes=(0,)), "subset size 0 outside [1, 20]"),
@@ -96,6 +92,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**overrides)
 
+    # small_config()'s fields
+    SMALL = ((20, 5.0, 0.2, 0.04, 0.13), (1, 5), 200, ((0.5, 0.5),), "fixed-benchmark", 42)
+    ACCEPTED = {
+        "small": (lambda: astuple(small_config()), SMALL),
+        "numpy-sizes-and-seed": (lambda: astuple(small_config(sizes=(np.int64(1), 5), master_seed=np.uint64(42))), SMALL),
+        # any real threshold is held as a float
+        "real-thresholds": (lambda: [type(t) for pair in small_config(
+            benchmarks=((Fraction(1, 2), np.float32(0.25)), (1, 0))).benchmarks for t in pair], [float] * 4),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
 
 def swap_loop_pick(rng, n, k):
     """The pick oracle: a partial Fisher-Yates over range(n) that swaps each i < k with numpy's
@@ -108,6 +118,11 @@ def swap_loop_pick(rng, n, k):
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return np.array(picked)
+
+
+def ten_picks(n, k):
+    """pick_subset's picks of k of n on streams 0 to 9 of master seed 5."""
+    return [pick_subset(SeedSpec(5, stream_index).generator(), n, k).tolist() for stream_index in range(10)]
 
 
 class TestPickSubset:
@@ -199,14 +214,17 @@ class TestPickSubset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pick_subset(SeedSpec(5, 0).generator(), n, k)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-    @pytest.mark.parametrize("n", [3_000_000_000, 2 ** 32])
-    def test_numpy_integers_pick_as_python_ints(self, n, dtype):
-        # a numpy n used to overflow the 64-bit products of the Lemire draw
-        for stream_index in range(10):
-            seed = SeedSpec(5, stream_index)
-            expected = pick_subset(seed.generator(), n, 3).tolist()
-            assert pick_subset(seed.generator(), dtype(n), dtype(3)).tolist() == expected
+    # a numpy n used to overflow the 64-bit products of the Lemire draw
+    ACCEPTED = {
+        "int64-3e9": (lambda: ten_picks(np.int64(3_000_000_000), np.int64(3)) == ten_picks(3_000_000_000, 3), True),
+        "uint64-3e9": (lambda: ten_picks(np.uint64(3_000_000_000), np.uint64(3)) == ten_picks(3_000_000_000, 3), True),
+        "int64-2**32": (lambda: ten_picks(np.int64(2 ** 32), np.int64(3)) == ten_picks(2 ** 32, 3), True),
+        "uint64-2**32": (lambda: ten_picks(np.uint64(2 ** 32), np.uint64(3)) == ten_picks(2 ** 32, 3), True),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6), (8, 3)])
     def test_chi_square_uniform_on_fresh_pick_streams(self, n, k):
@@ -277,11 +295,6 @@ class TestRunTrial:
         seed = SeedSpec(master_seed, trial * STREAM_STRIDE)
         assert run_trial(params, k, seed) == _numpy_trial(params, k, master_seed, trial * STREAM_STRIDE)
 
-    def test_full_index_subset_matches_realized_index(self):
-        params = small_params()
-        portfolio, realized = run_trial(params, params.n_stocks, SeedSpec(4, 0))
-        assert portfolio == realized
-
     REFUSED = {
         "k-0": (0, "fixed-benchmark", "need 1 <= k <= n <= 2**32, got k=0, n=20"),
         "k-past-n": (21, "fixed-benchmark", "need 1 <= k <= n <= 2**32, got k=21, n=20"),
@@ -293,6 +306,13 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_trial(small_params(), k, SeedSpec(4, 0), mode)
 
+    # the portfolio's return minus the realized index's
+    ACCEPTED = {"full-index-subset": (lambda: operator.sub(*run_trial(small_params(), 20, SeedSpec(4, 0))), 0.0)}
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
 
 class TestFrequencyReport:
     def test_row_for_missing_cell_raises_key_error(self):
@@ -301,7 +321,9 @@ class TestFrequencyReport:
         report = FrequencyReport(rows=(row,), master_seed=42)
         assert report.row_for(1, 0.5, 0.5) is row
         for cell in [(2, 0.5, 0.5), (1, 0.7, 0.5), (1, 0.5, 0.3)]:
-            with pytest.raises(KeyError, match="no row for size="):
+            # a KeyError's str quotes its message
+            message = f"'no row for size={cell[0]}, thresholds=({cell[1]}, {cell[2]})'"
+            with pytest.raises(KeyError, match=f"^{re.escape(message)}$"):
                 report.row_for(*cell)
 
 
@@ -357,10 +379,17 @@ class TestRunExperiment:
         parts = [montecarlo._tally_block(config, 0, a, b) for a, b in zip(bounds, bounds[1:])]
         assert [sum(p[c] for p in parts) for c in (0, 1)] == list(whole)
 
-    # a float count used to fail with TypeError inside the process pool
-    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
-    def test_rejects_invalid_workers(self, workers):
-        with pytest.raises(ValueError, match="workers must be"):
+    REFUSED = {
+        "0": (0, "workers must be >= 1, got 0"),
+        "-1": (-1, "workers must be >= 1, got -1"),
+        # a float count used to fail with TypeError inside the process pool
+        "2.0": (2.0, "workers must be an integer, got 2.0"),
+        "2": ("2", "workers must be an integer, got '2'"),
+    }
+
+    @pytest.mark.parametrize("workers, message", REFUSED.values(), ids=REFUSED)
+    def test_rejects_invalid_workers(self, workers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_experiment(small_config(sizes=(1, 2)), workers=workers)
 
     @pytest.mark.parametrize(
@@ -478,30 +507,14 @@ class TestRunExperiment:
 
 
 class TestFrequencyCI:
-    def test_symmetric_center(self):
-        center, half_width = frequency_ci(5000, 10_000)
-        assert center == 0.5
-        phat = 0.5
-        n = 10_000
-        z = WILSON_Z95
-        denom = 1 + z * z / n
-        expected_hw = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-        assert half_width == pytest.approx(expected_hw, rel=1e-7)
-        assert half_width == pytest.approx(0.0098, abs=2e-5)
-
+    # the Wilson half-width at phat = 1/2 and n = 10,000
+    WILSON_HALF_WIDTH = (WILSON_Z95 / (1 + WILSON_Z95 ** 2 / 10_000)) * math.sqrt(
+        0.25 / 10_000 + WILSON_Z95 ** 2 / (4 * 10_000 ** 2))
     @pytest.mark.parametrize("successes,trials", [(0, 50), (50, 50), (1, 3), (999, 1000)])
     def test_bounds_contained(self, successes, trials):
         center, half_width = frequency_ci(successes, trials)
         assert center - half_width >= -1e-12
         assert center + half_width <= 1.0 + 1e-12
-
-    def test_zero_successes_lower_bound(self):
-        center, half_width = frequency_ci(0, 25)
-        assert center - half_width == pytest.approx(0.0, abs=1e-12)
-
-    def test_all_successes_upper_bound(self):
-        center, half_width = frequency_ci(25, 25)
-        assert center + half_width == pytest.approx(1.0, abs=1e-12)
 
     REFUSED = {
         "negative-successes": ((-1, 10), "successes must lie in [0, 10], got -1"),
@@ -516,6 +529,18 @@ class TestFrequencyCI:
     def test_refuses(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             frequency_ci(*args)
+
+    ACCEPTED = {
+        "symmetric-center": (lambda: frequency_ci(5000, 10_000), (0.5, approx(WILSON_HALF_WIDTH, rel=1e-7))),
+        "symmetric-half-width": (lambda: frequency_ci(5000, 10_000)[1], approx(0.0098, abs=2e-5)),
+        # center - half_width and center + half_width
+        "zero-successes-lower-bound": (lambda: operator.sub(*frequency_ci(0, 25)), approx(0.0, abs=1e-12)),
+        "all-successes-upper-bound": (lambda: operator.add(*frequency_ci(25, 25)), approx(1.0, abs=1e-12)),
+    }
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
 
 class TestSubsetFrequencies:
@@ -544,6 +569,8 @@ class TestSubsetFrequencies:
             assert abs(count / trials - p) <= 5.0 * math.sqrt(p * (1 - p) / trials)
 
     def test_overflowing_sum_raises_in_both_oracles(self):
+        # the type only: the message is CPython's ("integer division result
+        # too large for a float" on 3.11), and other versions word it otherwise
         values = (1e308, 1e308)
         with pytest.raises(OverflowError):
             subset_frequencies(values, 2, 10, 0.0, 1)

@@ -39,15 +39,26 @@ def make_report(rows, seed=42):
     return FrequencyReport(rows=tuple(rows), master_seed=seed)
 
 
-class TestEmitCsv:
-    GOLDEN = (
-        "k,over_threshold,under_threshold,over_freq,under_freq,over_ci,under_ci,trials,master_seed\n"
-        "1,0.500000,0.500000,0.346900,0.653100,0.009328,0.009328,10000,42\n"
-    )
+GOLDEN = (
+    "k,over_threshold,under_threshold,over_freq,under_freq,over_ci,under_ci,trials,master_seed\n"
+    "1,0.500000,0.500000,0.346900,0.653100,0.009328,0.009328,10000,42\n"
+)
+# the report that GOLDEN prints
+GOLDEN_REPORT = make_report([make_row()])
 
-    def test_golden_single_row(self):
-        data = emit_csv(make_report([make_row()]))
-        assert data == self.GOLDEN.encode("utf-8")
+
+def written(path, data):
+    """path, once data is written to it."""
+    path.write_bytes(data)
+    return path
+
+
+class TestEmitCsv:
+    ACCEPTED = {"golden-single-row": (lambda: emit_csv(GOLDEN_REPORT), GOLDEN.encode("utf-8"))}
+
+    @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
 
     def test_rows_sorted_by_size_then_threshold(self):
         rows = [
@@ -146,7 +157,10 @@ class TestEmitCsv:
         report = make_report([row])
         data = emit_csv(report, precision=precision)
         if precision is not None and trials > 10 ** precision:
-            with pytest.raises(ValueError, match="cannot pin"):
+            line = data.decode().splitlines()[1]
+            message = (f"frequency {line.split(',')[3]} cannot pin a count out of {trials} trials; "
+                       f"emit the CSV with more decimals or at full precision: {line!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_csv(data)
         else:
             assert parse_csv(data).rows == report.rows
@@ -200,17 +214,24 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_csv("".join(line + "\n" for line in lines).encode())
 
-    def test_parse_skips_a_byte_order_mark(self):
+    # each spelling of GOLDEN's text that parse_csv reads
+    PARSE_ACCEPTED = {
+        "bytes": (lambda: parse_csv(GOLDEN.encode()), GOLDEN_REPORT),
         # the mark used to stick to the header, which then did not match
-        data = emit_csv(make_report([make_row()]))
-        assert parse_csv(b"\xef\xbb\xbf" + data) == parse_csv(data)
+        "bytes-after-a-byte-order-mark": (lambda: parse_csv(b"\xef\xbb\xbf" + GOLDEN.encode()), GOLDEN_REPORT),
+        "path": (lambda tmp_path: parse_csv(written(tmp_path / "r.csv", GOLDEN.encode())), GOLDEN_REPORT),
+        "str-path": (lambda tmp_path: parse_csv(str(written(tmp_path / "r.csv", GOLDEN.encode()))), GOLDEN_REPORT),
+    }
 
-    def test_parse_reads_a_path_not_text(self, tmp_path):
-        data = emit_csv(make_report([make_row()]))
-        (tmp_path / "r.csv").write_bytes(data)
-        assert parse_csv(tmp_path / "r.csv") == parse_csv(str(tmp_path / "r.csv")) == parse_csv(data)
+    @pytest.mark.parametrize("call, expected", PARSE_ACCEPTED.values(), ids=PARSE_ACCEPTED)
+    def test_parse_accepts(self, call_row, call, expected):
+        assert call_row(call) == expected
+
+    def test_parse_reads_a_path_not_text(self):
+        # text is taken for a file name; the type only, since the OSError and
+        # its wording come from the operating system
         with pytest.raises(OSError):
-            parse_csv(data.decode())
+            parse_csv(GOLDEN)
 
 
 class TestEmitSvgChart:
