@@ -51,18 +51,31 @@ DRIFT_STREAM = 0
 SHOCK_STREAM = 1
 PICK_STREAM = 2
 
-# _midpoint_uniforms: the bits of 1.0, and what maps 1 + j * 2**-52 to (j + 0.5) * 2**-52.
-_ONE_BITS = 0x3FF0000000000000
-_MIDPOINT_SHIFT = 1.0 - 2.0 ** -53
+
+def _constant(value, dtype=np.float64) -> np.ndarray:
+    """value as a read-only 0-d array, an operand numpy need not convert as it does a Python scalar."""
+    array = np.array(value, dtype)
+    array.setflags(write=False)
+    return array
+
+
+# _midpoint_uniforms: the mantissa shift, the bits of 1.0, and what maps
+# 1 + j * 2**-52 to (j + 0.5) * 2**-52.
+_MANTISSA_SHIFT = _constant(12, np.uint64)
+_ONE_BITS = _constant(0x3FF0000000000000, np.uint64)
+_MIDPOINT_SHIFT = _constant(1.0 - 2.0 ** -53)
+# index_value reads an ndarray of this dtype as it is.
+_FLOAT64 = np.dtype(np.float64)
 # standard_normals' uniforms run from 2**-53 to 1 - 2**-53: |z| <= _Z_LIMIT,
 # which is ndtri(1 - 2**-53).
 _Z_LIMIT = 8.209536151601387
 
 # The port's cost beyond scipy's ndtri is counted in values: a call costs CALL_VARIATES
 # more.  A process imports scipy.special once its port work reaches SCIPY_VARIATES.  On
-# 2 vCPUs (Python 3.11, numpy 2.4, scipy 1.17) the port took 54 us a call and 0.107 us
-# a value beyond scipy, and the import took 0.19-0.30 s, which is 1.8-2.8 million values.
-CALL_VARIATES = 500
+# 2 vCPUs (Python 3.11, numpy 2.4, scipy 1.17) a line fitted to calls of 1 to 5,000 values
+# put the port at 31-35 us a call and 0.104-0.111 us a value beyond scipy, and the import
+# took 0.20-0.32 s, which is 1.8-2.9 million values.
+CALL_VARIATES = 300
 SCIPY_VARIATES = 2_000_000
 _port_work = 0  # this process's port work so far, in values
 
@@ -80,6 +93,8 @@ _P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.333034608158
        0.012371663481782003, 0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
 _Q2 = (6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21623699359449663, 0.013420400608854318,
        0.00032801446468212774, 2.8924786474538068e-06, 6.790194080099813e-09)
+# as 0-d arrays, which numpy need not convert at each Horner step
+_P0, _Q0, _P1, _Q1, _P2, _Q2 = (tuple(map(_constant, c)) for c in (_P0, _Q0, _P1, _Q1, _P2, _Q2))
 
 # Substream seeds are computed SEED_WINDOW stream indices at a time.  2**32
 # is a multiple of the window, so every index in a window has the same high
@@ -191,6 +206,12 @@ class ModelParams:
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
         if self.sigma_hat < 0:
             raise ValueError(f"sigma_hat must be >= 0, got {self.sigma_hat!r}")
+        # _gross_values' operands, once per model: sigma_hat, mu_hat, sigma*sigma/2,
+        # horizon and sigma*sqrt(horizon), each a 0-d float64 array.  Not a field,
+        # so equality, hashing and repr see only the five fields.
+        object.__setattr__(self, "_gross_operands", tuple(map(_constant, (
+            self.sigma_hat, self.mu_hat, 0.5 * self.sigma * self.sigma, self.horizon,
+            self.sigma * math.sqrt(self.horizon)))))
         # A terminal value grows with both of its variates, so these two bound
         # every value drawn, and n_stocks times the highest every sum of them.
         # An overflowing or NaN bound fails the check below, so numpy need not warn.
@@ -213,8 +234,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
-        object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))
+        # a trial builds one SeedSpec of Python ints, which need no coercion
+        if type(self.master_seed) is not int:
+            object.__setattr__(self, "master_seed", as_integer("master_seed", self.master_seed))
+        if type(self.stream_index) is not int:
+            object.__setattr__(self, "stream_index", as_integer("stream_index", self.stream_index))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not 0 <= self.stream_index < 2 ** 64:
@@ -225,7 +249,9 @@ class SeedSpec:
 
         ``Generator(PCG64(SeedSequence([master_seed, stream_index + offset])))``, bit for bit.
         """
-        index = self.stream_index + as_integer("offset", offset)
+        if type(offset) is not int:
+            offset = as_integer("offset", offset)
+        index = self.stream_index + offset
         if not 0 <= index < 2 ** 64:
             raise ValueError(f"stream_index + offset must be a 64-bit unsigned integer, got {index!r}")
         window, row = divmod(index, SEED_WINDOW)
@@ -274,14 +300,21 @@ def _cephes_ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     upper = u > 1.0 - _EXPM2
     y = np.where(upper, 1.0 - u, u)
     centre = y > _EXPM2
+    # A branch runs only on values that it selects: a small call often selects none
+    # in one of them, and x >= 8 needs u < exp(-32), so almost no call runs P2/Q2.
     c = y[centre] - 0.5
-    out[centre] = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI  # the tails read y and upper, not out
+    if c.size:
+        out[centre] = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI  # the tails read y and upper, not out
     tail = ~centre
-    x = np.sqrt(-2.0 * _log(y[tail]))
+    y = y[tail]
+    if not y.size:
+        return out
+    x = np.sqrt(-2.0 * _log(y))
     z = 1.0 / x
     x1 = _ratio(z, _P1, _Q1)
     far = x >= 8.0
-    x1[far] = _ratio(z[far], _P2, _Q2)
+    if far.any():
+        x1[far] = _ratio(z[far], _P2, _Q2)
     tail_z = x - _log(x) / x - x1
     out[tail] = np.where(upper[tail], tail_z, -tail_z)
     return out
@@ -309,7 +342,7 @@ def _midpoint_uniforms(words: np.ndarray) -> np.ndarray:
     j becomes the mantissa of the float 1 + j * 2**-52; subtracting
     1 - 2**-53 from it is exact (Sterbenz), which leaves the midpoint.
     """
-    words >>= 12
+    words >>= _MANTISSA_SHIFT
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= _MIDPOINT_SHIFT
@@ -324,11 +357,12 @@ def _gross_values(params: ModelParams, drifts: np.ndarray, shocks: np.ndarray) -
     It is computed in place on float arrays of one shape: the values are written
     over ``drifts`` and returned, and ``shocks`` is overwritten too.
     """
-    drifts *= params.sigma_hat
-    drifts += params.mu_hat
-    drifts -= 0.5 * params.sigma * params.sigma
-    drifts *= params.horizon
-    shocks *= params.sigma * math.sqrt(params.horizon)
+    sigma_hat, mu_hat, half_variance, horizon, volatility = params._gross_operands
+    drifts *= sigma_hat
+    drifts += mu_hat
+    drifts -= half_variance
+    drifts *= horizon
+    shocks *= volatility
     drifts += shocks
     return np.exp(drifts, out=drifts)
 
@@ -345,7 +379,7 @@ def draw_universe(params: ModelParams, seed: SeedSpec) -> np.ndarray:
     drifts = standard_normals(seed.generator(DRIFT_STREAM), params.n_stocks)
     shocks = standard_normals(seed.generator(SHOCK_STREAM), params.n_stocks)
     values = _gross_values(params, drifts, shocks)
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 
@@ -362,7 +396,8 @@ def index_value(values) -> float:
     pairwise scheme over ascending index order, so the result is
     reproducible run-to-run and across worker counts.
     """
-    values = np.asarray(values, dtype=float)
+    if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+        values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d collection of gross values")
     return float(np.add.reduce(values) / values.size)

@@ -245,7 +245,7 @@ def run_trial(
     values = draw_universe(params, seed)
     realized = index_value(values) - 1.0
     picked = values[pick_subset(seed.generator(PICK_STREAM), values.size, k)]
-    return float(picked.sum() / k - 1.0), realized
+    return float(np.add.reduce(picked) / k - 1.0), realized
 
 
 def _classify(returns: np.ndarray, hi, lo) -> tuple[int, int, int]:
@@ -262,15 +262,14 @@ def _tally_block(config: ExperimentConfig, cell: int, start: int, stop: int) -> 
     size_idx, bench_idx = divmod(cell, len(config.benchmarks))
     k, (hi, lo) = config.sizes[size_idx], config.benchmarks[bench_idx]
     first = cell * config.trials_per_size
+    params, master_seed, mode = config.params, config.master_seed, config.mode
     portfolio, realized = zip(*(
-        run_trial(config.params, k, SeedSpec(config.master_seed, (first + t) * STREAM_STRIDE),
-                  config.mode)
-        for t in range(start, stop)
+        run_trial(params, k, SeedSpec(master_seed, (first + t) * STREAM_STRIDE), mode) for t in range(start, stop)
     ))
-    if config.mode == "realized-index":
+    if mode == "realized-index":
         # Thresholds keep their meaning as offsets from the expected index
         # return, applied to each trial's realized index return instead.
-        expected = expected_index_value(config.params) - 1.0
+        expected = expected_index_value(params) - 1.0
         realized = np.array(realized)
         hi, lo = realized + (hi - expected), realized + (lo - expected)
     under, _, over = _classify(np.array(portfolio), hi, lo)

@@ -1,11 +1,12 @@
 import math
 import multiprocessing
+import pickle
 import re
 import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.special import ndtri
 from scipy.stats import skew
 
 from indexsim import (
+    ExperimentConfig,
     ModelParams,
     SeedSpec,
     draw_universe,
@@ -48,6 +50,9 @@ WORD = st.sampled_from([0, 2 ** 64 - 1]) | U64
 # exp overflows above LOG_MAX and underflows to 0 below about LOG_MIN
 LOG_MAX = math.log(sys.float_info.max)
 LOG_MIN = math.log(math.ulp(0.0))
+# The fewest trials per cell at which a run of 4 cells at n = 10 reaches
+# SCIPY_VARIATES: a universe is two calls, each counted as CALL_VARIATES + 10.
+AT_CONSTANT = -(-SCIPY_VARIATES // (4 * 2 * (CALL_VARIATES + 10)))
 
 
 def cephes(values):
@@ -176,6 +181,20 @@ class TestModelParams:
     @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
     def test_accepts(self, call_row, call, expected):
         assert call_row(call) == expected
+
+    def test_kernel_operands_are_not_fields(self):
+        # the 0-d operands built for _gross_values leave equality, hashing and
+        # repr to the five fields, and a pool task's pickled copy draws the same bytes
+        params = make_params()
+        assert [f.name for f in fields(params)] == ["n_stocks", "horizon", "sigma", "mu_hat", "sigma_hat"]
+        assert params == make_params() and params != make_params(sigma=0.3)
+        assert hash(params) == hash((10, 5.0, 0.2, 0.04, 0.13))
+        assert repr(params) == "ModelParams(n_stocks=10, horizon=5.0, sigma=0.2, mu_hat=0.04, sigma_hat=0.13)"
+        config = ExperimentConfig(params, sizes=(1,), trials_per_size=1, benchmarks=((0.5, 0.5),))
+        sent, _, _, _ = pickle.loads(pickle.dumps((config, 0, 0, 1)))
+        assert sent.params == params and hash(sent.params) == hash(params)
+        seed = SeedSpec(42, 8)
+        assert draw_universe(sent.params, seed).tobytes() == draw_universe(params, seed).tobytes()
 
 
 def draws(seed):
@@ -375,17 +394,18 @@ class TestStandardNormals:
             draw_universe(ModelParams(3, 5.0, 0.2, 0.04, 0.13), SeedSpec(42))
             print("scipy.special" in sys.modules)
         """)
-        assert stdout == "[0, 0] False False\n1006 False\n2 False\nTrue\n"
+        assert stdout == f"[0, 0] False False\n{2 * (CALL_VARIATES + 3)} False\n2 False\nTrue\n"
 
     @pytest.mark.parametrize(
         "n_stocks, sizes, trials, imported",
-        [(SCIPY_VARIATES // 2 - CALL_VARIATES, (1,), 1, True), (10, (1, 2, 3, 4), 490, False), (10, (1, 2, 3, 4), 491, True)],
+        [(SCIPY_VARIATES // 2 - CALL_VARIATES, (1,), 1, True), (10, (1, 2, 3, 4), AT_CONSTANT - 1, False),
+         (10, (1, 2, 3, 4), AT_CONSTANT, True)],
         ids=["one-big-trial", "small-n-one-universe-short", "small-n-at-the-constant"],
     )
     def test_a_run_imports_scipy_before_its_first_draw_at_the_constant(self, n_stocks, sizes, trials, imported):
         # the run's work counts a call as CALL_VARIATES values: 4 cells of
-        # 491 trials at n = 10 make 1964 universes of 2 * (500 + 10) each,
-        # just past SCIPY_VARIATES.  A run that imports never runs the port.
+        # AT_CONSTANT trials at n = 10 make universes of 2 * (CALL_VARIATES + 10)
+        # each, just past SCIPY_VARIATES.  A run that imports never runs the port.
         stdout = in_fresh_process(f"""
             import sys
             from indexsim import ExperimentConfig, ModelParams, model, run_experiment
@@ -399,14 +419,14 @@ class TestStandardNormals:
     def test_a_spawned_worker_imports_scipy_for_a_run_past_the_constant(self):
         # a worker that does not inherit the parent's modules, as under spawn
         # or forkserver, makes the choice itself from the whole run's work
-        stdout = in_fresh_process("""
+        stdout = in_fresh_process(f"""
             import sys
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
             from indexsim import ExperimentConfig, ModelParams
             from indexsim.montecarlo import _tally_block
             params = ModelParams(10, 5.0, 0.2, 0.04, 0.13)
-            config = ExperimentConfig(params, sizes=(1, 2, 3, 4), trials_per_size=491, benchmarks=((0.5, 0.5),))
+            config = ExperimentConfig(params, sizes=(1, 2, 3, 4), trials_per_size={AT_CONSTANT}, benchmarks=((0.5, 0.5),))
             with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
                 pool.submit(_tally_block, config, 0, 0, 10).result()
                 print(pool.submit(eval, "__import__('indexsim').model._port_work, 'scipy.special' in __import__('sys').modules").result())
@@ -423,7 +443,7 @@ class TestStandardNormals:
             from indexsim import ExperimentConfig, ModelParams, run_experiment
             multiprocessing.set_start_method({method!r})
             params = ModelParams(10, 5.0, 0.2, 0.04, 0.13)
-            config = ExperimentConfig(params, sizes=(1, 2, 3, 4), trials_per_size=491, benchmarks=((0.5, 0.5),))
+            config = ExperimentConfig(params, sizes=(1, 2, 3, 4), trials_per_size={AT_CONSTANT}, benchmarks=((0.5, 0.5),))
             run_experiment(config, workers=2)
             print("scipy.special" in sys.modules)
         """)
@@ -474,6 +494,17 @@ class TestDrawDrifts:
         assert abs(drifts.std(ddof=1) - sigma_hat) < 5.0 * sigma_hat * math.sqrt(2 / 999_999)
 
 
+def python_float_kernel(params, drifts, shocks):
+    """_gross_values as written with Python-float operands, the bits its 0-d operands must give."""
+    drifts *= params.sigma_hat
+    drifts += params.mu_hat
+    drifts -= 0.5 * params.sigma * params.sigma
+    drifts *= params.horizon
+    shocks *= params.sigma * math.sqrt(params.horizon)
+    drifts += shocks
+    return np.exp(drifts, out=drifts)
+
+
 class TestTerminalValue:
     ACCEPTED = {
         "drift-cancels-volatility-correction": (lambda: kernel_value(0.02, 0.2, 7.0, 0.0), 1.0),
@@ -490,6 +521,14 @@ class TestTerminalValue:
     @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
     def test_accepts(self, call_row, call, expected):
         assert call_row(call) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=near_limit_params(), data=st.data())
+    def test_operands_give_the_python_float_bits(self, params, data):
+        normals = st.lists(st.floats(-_Z_LIMIT, _Z_LIMIT), min_size=params.n_stocks, max_size=params.n_stocks)
+        drifts, shocks = np.array(data.draw(normals)), np.array(data.draw(normals))
+        expected = python_float_kernel(params, drifts.copy(), shocks.copy())
+        assert _gross_values(params, drifts, shocks).tobytes() == expected.tobytes()
 
 
 class TestDrawUniverse:
@@ -576,18 +615,46 @@ class TestDrawUniverse:
         assert math.isfinite(index_value(values))
 
 
+# Lognormal gross values, an odd count so that a stride-2 view is not a half.
+GROSS = np.random.default_rng(11).lognormal(0.1, 0.5, 101)
+
+
+def read_only(values):
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
+class GrossArray(np.ndarray):
+    """An ndarray subclass: index_value reads it through np.asarray."""
+
+
+def pairwise_mean(values):
+    """numpy's pairwise sum of values as float64 over their count, the bits of index_value."""
+    values = np.asarray(values, float)
+    return float(np.add.reduce(values) / values.size)
+
+
 class TestIndexValue:
     ACCEPTED = {
         "one-winner-example": (lambda: index_value([1.1, 1.1, 1.1, 1.1, 1.5]), approx(1.18, abs=1e-12)),
         "constant-values": (lambda: index_value([1.3, 1.3, 1.3]), 1.3),
         "symmetric-mean": (lambda: index_value([1.0, 2.0, 3.0]), 2.0),
+        # a float64 ndarray is read as it is, anything else converted: the same bits either way
+        "read-only-array": (lambda: index_value(read_only(GROSS)).hex(), pairwise_mean(GROSS).hex()),
+        "strided-view": (lambda: index_value(GROSS[::2]).hex(), pairwise_mean(GROSS[::2]).hex()),
+        "ndarray-subclass": (lambda: index_value(GROSS.view(GrossArray)).hex(), pairwise_mean(GROSS).hex()),
+        "float32-array": (lambda: index_value(GROSS.astype(np.float32)).hex(),
+                          pairwise_mean(GROSS.astype(np.float32)).hex()),
+        "int-list": (lambda: index_value([1, 2, 4, 7, 9]).hex(), pairwise_mean([1, 2, 4, 7, 9]).hex()),
     }
 
     @pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED)
     def test_accepts(self, call_row, call, expected):
         assert call_row(call) == expected
 
-    @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-d"])
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]], np.empty(0), np.ones((2, 2))],
+                             ids=["empty", "2-d", "empty-array", "2-d-array"])
     def test_rejects_empty_and_2d(self, values):
         with pytest.raises(ValueError, match="^expected a non-empty 1-d collection of gross values$"):
             index_value(values)
